@@ -24,19 +24,21 @@
 //
 // ## Exactly-once delivery over cycle() records
 //
-// A PollDue is a WAL transaction of exactly two records:
+// A PollDue is a WAL transaction of POP records closed by one CLOSE record:
 //
-//   1. POP      cycle(staged-admissions, budget) — pops the budget smallest
-//               jobs. Cancel markers annihilate their victims here (marker
-//               sorts first; victim hits the tombstone). Survivors become
-//               `pending_delivery`.
-//   2. CLOSE    cycle(requeues, 0) — the not-delivered survivors (not due,
-//               or past the poller's max / DRR share) re-inserted with
-//               kRequeuedFlag. This record is the COMMIT MARKER: absorbing
-//               a k==0 record resolves every still-pending job as
-//               delivered. The reply frame is sent only after it lands.
+//   1. POP      cycle({}, k) in growing chunks — pops the smallest jobs and
+//               stops at the first chunk that ends past `now` (or at the
+//               poll's budget). Cancel markers annihilate their victims here
+//               (marker sorts first; victim hits the tombstone). Survivors
+//               become `pending_delivery`.
+//   2. CLOSE    cycle(requeues, 0) — the not-delivered survivors (the
+//               not-due tail of the last chunk, or past the poller's max /
+//               DRR share) re-inserted with kRequeuedFlag. This record is
+//               the COMMIT MARKER: absorbing a k==0 record resolves every
+//               still-pending job as delivered. The reply frame is sent only
+//               after it lands.
 //
-// Replay sees the same two records and resolves them the same way. A crash
+// Replay sees the same records and resolves them the same way. A crash
 // BETWEEN the records leaves an unterminated transaction: recovery finds
 // pending_delivery non-empty at end of WAL and requeues those jobs — the
 // client never got a reply, so nothing is lost and nothing duplicates. The
@@ -50,7 +52,9 @@
 // total_weight, gating only above the overload watermark (an underloaded
 // server admits everyone); above the hard max_backlog wall everything sheds.
 // Dispatch: deficit round robin across tenants over the popped due set, so
-// when polls are the scarce resource, delivered shares track weights.
+// when polls are the scarce resource, delivered shares track weights. Due
+// jobs are a prefix of the JobLess order, so stopping the pop at the first
+// job that is not due hands DRR the same candidates a wider pop would.
 //
 // Threading: stage()-bearing schedule()/cancel() are safe from any thread;
 // commit()/poll_due()/stats are driver-only, like every cycle() in the tree.
@@ -59,6 +63,7 @@
 #include <time.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -96,8 +101,11 @@ struct SvcConfig {
   double burst = 512.0;               ///< per-tenant bucket capacity, in jobs
 
   double drr_quantum = 4.0;           ///< jobs credited per DRR round per weight
-  std::size_t poll_over_pull = 2;     ///< pop budget = max * this (headroom for
-                                      ///< markers + non-due + DRR skips)
+  std::size_t poll_over_pull = 2;     ///< pop budget = max * this: headroom for
+                                      ///< cancel markers, their victims and
+                                      ///< DRR skips. Jobs that are not due
+                                      ///< never use it up: the pop stops at
+                                      ///< the first one.
   std::size_t max_poll_batch = 8192;  ///< hard cap on one POP record
   std::size_t max_tombstones = 1u << 20;  ///< unmatched-cancel cap (best effort)
 
@@ -158,7 +166,8 @@ class SchedulerCore {
       stats_.recovered_inflight = pending_delivery_.size();
       obs::flight(obs::FlightKind::kRecoveryDone,
                   pending_delivery_.size(), /*b=*/1);
-      close_transaction(/*requeue_everything=*/true, /*truncated=*/true);
+      // The popped frontier is unknown here: frontier 0 makes the next poll pop.
+      close_transaction(/*requeue_everything=*/true, /*frontier=*/0);
     }
     refresh_live();
   }
@@ -276,22 +285,38 @@ class SchedulerCore {
         std::min(cfg_.max_poll_batch,
                  std::max<std::size_t>(max * std::max<std::size_t>(cfg_.poll_over_pull, 1),
                                        max));
-    // 1. POP records. One cycle() pops at most node_capacity (the sharded
-    //    heap's k <= r contract), so a large window is a run of POP records;
-    //    each stacks into pending_delivery_ via the observer and the single
-    //    CLOSE record below commits them all (recovery requeues the whole
-    //    stack if we die first). Staged admissions ride the first pop; the
-    //    observer routes markers/tombstones and leaves survivors pending.
-    std::size_t popped = 0;
+    // 1. POP records, stopping at the first job that is not due. cycle()
+    //    output ascends in JobLess order, deadline first, so once a chunk
+    //    ends past `now` everything still queued is later too and only that
+    //    chunk's tail gets requeued. The first chunk covers the previous
+    //    poll's due count; each further one doubles up to node_capacity (the
+    //    sharded heap's k <= r contract), and `budget` bounds the total.
+    //    Each chunk is one POP record stacking into pending_delivery_ via the
+    //    observer (markers arm tombstones, victims annihilate); the single
+    //    CLOSE record below commits them all, and recovery requeues the
+    //    whole stack if we die first.
+    std::size_t popped = 0, due_popped = 0;
+    std::size_t chunk = std::max(kMinPopChunk, std::bit_ceil(last_due_popped_ + 1));
+    std::uint64_t frontier = kNever;  // deadline of the last popped job
     while (popped < budget) {
-      const std::size_t k = std::min(budget - popped, cfg_.node_capacity);
+      const std::size_t k = std::min({budget - popped, chunk, cfg_.node_capacity});
       sink_.clear();
       const std::size_t got = tier_.cycle({}, k, sink_);
       popped += got;
-      if (got < k) break;  // heap ran dry inside the window
+      due_popped += static_cast<std::size_t>(
+          std::partition_point(sink_.begin(), sink_.end(),
+                               [now](const Job& j) { return j.deadline_ns <= now; }) -
+          sink_.begin());
+      if (got < k) {
+        frontier = kNever;  // heap ran dry: nothing queued beyond the pops
+        break;
+      }
+      frontier = sink_.back().deadline_ns;
+      if (frontier > now) break;  // first job that is not due
+      chunk = std::min(chunk * 2, cfg_.node_capacity);
     }
+    last_due_popped_ = due_popped;
 
-    const bool truncated = popped == budget;
     try {
       robustness::fire_fault(robustness::FailSite::kSvcDispatch);
     } catch (const robustness::InjectedFailure& f) {
@@ -299,7 +324,7 @@ class SchedulerCore {
       // Deliver nothing; the jobs stay queued and the ledger stays exact —
       // the same path recovery takes for an unterminated transaction.
       delivered_buf_.clear();
-      close_transaction(/*requeue_everything=*/true, truncated);
+      close_transaction(/*requeue_everything=*/true, frontier);
       ++stats_.aborted_polls;
       robustness::note_recovery(f.site);
       refresh_live();
@@ -311,7 +336,7 @@ class SchedulerCore {
 
     // 3. CLOSE record: requeues in, remaining pending resolve as delivered.
     delivered_buf_.clear();
-    close_transaction(/*requeue_everything=*/false, truncated);
+    close_transaction(/*requeue_everything=*/false, frontier);
     out.insert(out.end(), delivered_buf_.begin(), delivered_buf_.end());
     telemetry::count(telemetry::Counter::kSvcDelivered, delivered_buf_.size());
     refresh_live();
@@ -444,6 +469,9 @@ class SchedulerCore {
     return TombKey{j.deadline_ns, j.id, j.tenant};
   }
 
+  static constexpr std::size_t kMinPopChunk = 8;  ///< smallest first POP chunk
+  static constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
   Inner make_inner() {
     persist::DurableOptions opt;
     opt.dir = cfg_.dir;
@@ -485,10 +513,11 @@ class SchedulerCore {
   void absorb_record(persist::RecType, std::uint64_t k, std::span<const Job> items,
                      std::span<const Job> out) {
     // Admissions (and requeue-returns) in the record's fresh items.
+    returns_.clear();
     for (const Job& j : items) {
       TenantState& st = tenants_.at(j.tenant);
       if ((j.flags & kRequeuedFlag) != 0 && (j.flags & kCancelFlag) == 0) {
-        take_pending(j);
+        returns_.emplace_back(tomb_key(j), 1u);
         ++st.requeued;
       } else if ((j.flags & kCancelFlag) != 0) {
         ++st.cancel_reqs;
@@ -501,6 +530,7 @@ class SchedulerCore {
         if (!recovering_) telemetry::count(telemetry::Counter::kSvcAcked);
       }
     }
+    if (!returns_.empty()) take_pending();
     // Pops: markers arm tombstones, tombstoned jobs annihilate, survivors
     // await the transaction's CLOSE.
     for (const Job& j : out) {
@@ -524,17 +554,42 @@ class SchedulerCore {
     }
   }
 
-  /// Removes one pending entry matching `j`'s identity (requeue return).
-  void take_pending(const Job& j) {
-    for (auto it = pending_delivery_.begin(); it != pending_delivery_.end(); ++it) {
-      if (same_job(*it, j)) {
-        pending_delivery_.erase(it);
-        return;
+  /// Removes one pending entry per requeue return in `returns_`, in one pass
+  /// over pending_delivery_: O((P + R) log R) for a record returning R of P
+  /// pending jobs. Returns collapse to (identity, count) and each pending
+  /// job consumes one count, so the earliest pending matches go — and the
+  /// survivors keep their order, which is the delivery order.
+  void take_pending() {
+    std::sort(returns_.begin(), returns_.end());
+    std::size_t distinct = 0;
+    for (const auto& r : returns_) {
+      if (distinct > 0 && returns_[distinct - 1].first == r.first) {
+        ++returns_[distinct - 1].second;
+      } else {
+        returns_[distinct++] = r;
       }
     }
+    const std::size_t total = returns_.size();
+    returns_.resize(distinct);
+    std::size_t matched = 0, kept = 0;
+    for (const Job& j : pending_delivery_) {
+      const TombKey key = tomb_key(j);
+      auto it = std::lower_bound(
+          returns_.begin(), returns_.end(), key,
+          [](const std::pair<TombKey, std::uint32_t>& r, const TombKey& k) {
+            return r.first < k;
+          });
+      if (it != returns_.end() && it->first == key && it->second > 0) {
+        --it->second;
+        ++matched;
+      } else {
+        pending_delivery_[kept++] = j;
+      }
+    }
+    pending_delivery_.resize(kept);
     // A requeue with no matching pop means the WAL lied; recovery's hole
     // check should have caught it. Keep the ledger loud in debug builds.
-    PH_ASSERT_MSG(false, "svc: requeue record without a matching popped job");
+    PH_ASSERT_MSG(matched == total, "svc: requeue record without a matching popped job");
   }
 
   bool take_tombstone(const Job& j) {
@@ -613,23 +668,21 @@ class SchedulerCore {
   /// losers and the rest resolve as delivered inside absorb_record.
   ///
   /// Due-hint bookkeeping: every job left in the heap after this transaction
-  /// is >= the popped frontier, and requeues are a subset of the pops — so
-  /// min(requeue deadlines) lower-bounds everything undelivered. The hint is
-  /// RAISED to that bound BEFORE the close record applies; admissions riding
-  /// the record lower it again through note_admitted. A raise is only legal
-  /// from this proof; everywhere else the hint only ever goes down.
-  void close_transaction(bool requeue_everything, bool truncated) {
+  /// is >= the last popped job, whose deadline is `frontier` (kNever when
+  /// the pop ran the heap dry, 0 when unknown), and requeues are a subset of
+  /// the pops — so min(frontier, requeue deadlines) lower-bounds everything
+  /// undelivered. The frontier term matters when the last pop was a cancel
+  /// marker or an annihilated victim: neither is requeued, yet later jobs
+  /// still wait behind it. The hint is RAISED to that bound BEFORE the close
+  /// record applies; admissions riding the record lower it again through
+  /// note_admitted. A raise is only legal from this proof; everywhere else
+  /// the hint only ever goes down.
+  void close_transaction(bool requeue_everything, std::uint64_t frontier) {
     if (requeue_everything) {
       requeue_.assign(pending_delivery_.begin(), pending_delivery_.end());
     }
-    std::uint64_t lb = std::numeric_limits<std::uint64_t>::max();
-    if (!requeue_.empty()) {
-      for (const Job& j : requeue_) lb = std::min(lb, j.deadline_ns);
-    } else if (truncated) {
-      // Budget-limited pop, everything delivered: the remainder is >= the
-      // popped frontier but its successor is unknown — poll next time.
-      lb = 0;
-    }
+    std::uint64_t lb = frontier;
+    for (const Job& j : requeue_) lb = std::min(lb, j.deadline_ns);
     next_due_lb_ = lb;
     for (Job& j : requeue_) j.flags |= kRequeuedFlag;
     if (pending_delivery_.empty() && requeue_.empty()) return;  // all annihilated
@@ -668,6 +721,7 @@ class SchedulerCore {
   std::vector<Job> pending_delivery_;
   std::vector<Job> delivered_buf_;
   std::vector<Job> requeue_;
+  std::vector<std::pair<TombKey, std::uint32_t>> returns_;  ///< take_pending input
   std::map<std::uint32_t, DueQueue> due_by_tenant_;
   std::vector<Job> sink_;
   SvcStats stats_;
@@ -675,6 +729,7 @@ class SchedulerCore {
   bool overloaded_ = false;
   std::uint32_t drr_cursor_ = std::numeric_limits<std::uint32_t>::max();
   std::uint64_t next_due_lb_ = 0;  ///< 0 = unknown: must pop
+  std::size_t last_due_popped_ = 0;  ///< due jobs the last POP run popped
   std::size_t admitted_in_record_ = 0;
   Live live_;
   obs::GaugeSet gauges_;

@@ -20,7 +20,9 @@
 //             parked ack flushes. This is the fsync-policy/latency tradeoff
 //             made real: batching N acks behind one record.
 //   write     drain outbufs; a connection whose outbuf exceeds the cap is a
-//             dead-slow consumer and is dropped (backpressure, not OOM).
+//             dead-slow consumer and is dropped (backpressure, not OOM). A
+//             connection marked for closing (peer EOF, protocol error)
+//             closes once it owes nothing: outbuf drained, no parked acks.
 //
 // Backpressure ladder (client-visible order): parked-ack depth over
 // max_inflight => immediate kOverloaded (cheapest — core untouched); then
@@ -132,6 +134,11 @@ class Server {
     return publisher_ ? publisher_->port() : -1;
   }
 
+  /// Open client connections, as of the last accept or reap. Any thread.
+  std::size_t open_connections() const noexcept {
+    return open_conns_.load(std::memory_order_relaxed);
+  }
+
   /// Requests drain-and-exit from another thread (or a signal handler via a
   /// self-pipe — phd uses a flag poked by SIGTERM).
   void stop() noexcept { stop_.store(true, std::memory_order_release); }
@@ -145,6 +152,9 @@ class Server {
       if (!draining_ && stop_.load(std::memory_order_acquire)) begin_drain();
 
       build_pollfds();
+      // Only these connections have a pollfd; accept_new() may append more
+      // below, and those wait for the next round.
+      const std::size_t polled = conns_.size();
       const int pr = ::poll(pfds_.data(), static_cast<nfds_t>(pfds_.size()),
                             cfg_.idle_timeout_ms);
       if (pr < 0 && errno != EINTR) break;
@@ -154,7 +164,7 @@ class Server {
         if ((pfds_[pi].revents & POLLIN) != 0) accept_new();
         ++pi;
       }
-      for (std::size_t ci = 0; ci < conns_.size(); ++ci, ++pi) {
+      for (std::size_t ci = 0; ci < polled; ++ci, ++pi) {
         Conn& c = *conns_[ci];
         if (c.fd < 0) continue;
         const short re = pfds_[pi].revents;
@@ -172,6 +182,12 @@ class Server {
 
       for (auto& c : conns_) {
         if (c->fd >= 0 && !c->outbuf_empty()) write_conn(*c);
+        // A peer that hung up owing nothing stays readable (EOF) forever:
+        // close it here, or every poll() returns at once and the loop spins.
+        if (c->fd >= 0 && c->kill && c->outbuf_empty() && c->parked.empty() &&
+            c.get() != shutdown_conn_) {
+          close_conn(*c);
+        }
       }
       reap_closed();
 
@@ -248,6 +264,7 @@ class Server {
       auto c = std::make_unique<Conn>();
       c->fd = fd;
       conns_.push_back(std::move(c));
+      open_conns_.store(conns_.size(), std::memory_order_relaxed);
     }
   }
 
@@ -469,6 +486,7 @@ class Server {
         ++i;
       }
     }
+    open_conns_.store(conns_.size(), std::memory_order_relaxed);
   }
 
   void begin_drain() {
@@ -498,6 +516,7 @@ class Server {
   bool draining_ = false;
   Conn* shutdown_conn_ = nullptr;
   std::atomic<bool> stop_{false};
+  std::atomic<std::size_t> open_conns_{0};
   std::unique_ptr<obs::SnapshotPublisher> publisher_;
   std::unique_ptr<robustness::PhaseWatchdog> watchdog_;
   std::size_t loop_channel_ = 0;

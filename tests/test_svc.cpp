@@ -1,18 +1,23 @@
 // Scheduler-service tests (src/svc/): the wire protocol codec, SchedulerCore
 // exactness against a client-side oracle under a fake clock, durable cancel
-// annihilation, DRR fair-share dispatch, backpressure, WAL-replay ledger
-// recovery (including a synthesized kill between a poll's POP and CLOSE
-// records — the unterminated-transaction path), and one end-to-end pass
-// through the TCP server. Everything seeded and deterministic; the clock is
-// a fn-pointer fake, never the wall.
+// annihilation, DRR fair-share dispatch, backpressure, the pop-until-not-due
+// rule (bounded requeues, due hint after a poll ending on a marker or
+// victim, delivered sequence vs a due-set + DRR oracle), WAL-replay ledger
+// recovery (including kills between a poll's POP and CLOSE records and
+// between two POP chunks — the unterminated-transaction path), and passes
+// through the TCP server (end to end, peer hang-up, accept bursts).
+// Everything seeded and deterministic; the core's clock is a fn-pointer
+// fake, never the wall.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
@@ -427,6 +432,213 @@ TEST(SchedulerCore, RandomizedExactnessVsOracle) {
   ASSERT_TRUE(core.check_invariants(&why)) << why;
 }
 
+// ------------------------------------------------------------ pop-until-due
+
+TEST(SchedulerCore, PollRequeuesAtMostOneChunkPastTheDueJobs) {
+  Dir dir("ph-svc-one-chunk");
+  SvcConfig cfg = small_cfg(dir.path);
+  cfg.node_capacity = 128;
+  SchedulerCore core(cfg);
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(core.schedule(static_cast<std::uint32_t>(i % 16), 3'600'000'000'000ull,
+                            i + 1, 0, 0),
+              Admit::kOk);
+  }
+  std::uint64_t next_id = 1'000'000;
+  std::vector<Job> due;
+  // Polls with growing due counts: each pops the due jobs plus at most the
+  // tail of one chunk, never a fixed max * poll_over_pull window (which
+  // would requeue ~2000 far-future jobs per poll here).
+  for (const std::uint64_t n_due : {5u, 40u, 3u, 300u, 0u}) {
+    for (std::uint64_t i = 0; i < n_due; ++i) {
+      ASSERT_EQ(core.schedule(static_cast<std::uint32_t>(i % 4), 1'000'000, next_id++,
+                              0, 0),
+                Admit::kOk);
+    }
+    advance_ms(5);
+    const std::uint64_t requeued_before = core.stats().requeued;
+    due.clear();
+    ASSERT_EQ(core.poll_due(1024, due), svc::PollStatus::kOk);
+    EXPECT_EQ(due.size(), n_due);
+    EXPECT_LE(core.stats().requeued - requeued_before, cfg.node_capacity)
+        << "poll with " << n_due << " due jobs";
+  }
+  EXPECT_EQ(core.backlog(), 10'000u);
+  std::string why;
+  EXPECT_TRUE(core.check_invariants(&why)) << why;
+}
+
+TEST(SchedulerCore, JobsBehindAPollEndingOnAMarkerOrVictimStillDeliver) {
+  // small_cfg's first POP chunk is 8 items. `ahead` due jobs, then a cancel
+  // marker + its victim, then job C, all later than the first poll: with 7
+  // ahead the chunk ends on the marker, with 6 on the annihilated victim.
+  // Neither is requeued, so a due hint taken from requeues alone would read
+  // "heap empty" and strand C forever.
+  for (const std::uint64_t ahead : {7u, 6u}) {
+    Dir dir("ph-svc-hint");
+    SchedulerCore core(small_cfg(dir.path));
+    for (std::uint64_t i = 0; i < ahead; ++i) {
+      ASSERT_EQ(core.schedule(1, 1'000'000, i + 1, 0, 0), Admit::kOk);
+    }
+    std::uint64_t victim_deadline = 0;
+    ASSERT_EQ(core.schedule(2, 50'000'000, 100, 0, 0, &victim_deadline), Admit::kOk);
+    ASSERT_EQ(core.cancel(2, victim_deadline, 100), Admit::kOk);
+    ASSERT_EQ(core.schedule(2, 60'000'000, 200, 0, 0), Admit::kOk);
+    advance_ms(2);
+    std::vector<Job> due;
+    ASSERT_EQ(core.poll_due(10, due), svc::PollStatus::kOk);
+    EXPECT_EQ(due.size(), ahead);
+    EXPECT_EQ(core.stats().requeued, 0u) << "the chunk must end on the marker/victim";
+    EXPECT_EQ(core.stats().cancelled, ahead == 6 ? 1u : 0u);
+    advance_ms(100);
+    due.clear();
+    ASSERT_EQ(core.poll_due(10, due), svc::PollStatus::kOk);
+    ASSERT_EQ(due.size(), 1u) << "job behind the " << (ahead == 7 ? "marker" : "victim")
+                              << " was stranded";
+    EXPECT_EQ(due[0].id, 200u);
+    EXPECT_EQ(core.backlog(), 0u);
+    EXPECT_EQ(core.stats().cancelled, 1u);
+    std::string why;
+    EXPECT_TRUE(core.check_invariants(&why)) << why;
+  }
+}
+
+/// Reference model for the seeded trace below: a sorted multiset of queued
+/// jobs and markers. A poll takes every due item, annihilates marked
+/// victims, and runs the same DRR over the due jobs. It models no pop
+/// budget: the trace keeps each poll's due items within it (`popped`).
+struct DispatchOracle {
+  using Key = std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>;
+  std::multiset<Job, svc::JobLess> queued;
+  std::map<Key, int> tombstones;
+  std::map<std::uint32_t, double> deficit;
+  std::uint32_t cursor = std::numeric_limits<std::uint32_t>::max();
+  std::size_t popped = 0;  ///< items (jobs and markers) the last poll took
+
+  static Key key(const Job& j) { return Key{j.deadline_ns, j.id, j.tenant}; }
+
+  std::vector<Job> poll(std::size_t max, std::uint64_t now, double quantum,
+                        double (*weight)(std::uint32_t)) {
+    std::vector<Job> due;
+    for (popped = 0; !queued.empty() && queued.begin()->deadline_ns <= now; ++popped) {
+      const Job j = *queued.begin();
+      queued.erase(queued.begin());
+      auto t = tombstones.find(key(j));
+      if ((j.flags & svc::kCancelFlag) != 0) {
+        ++tombstones[key(j)];
+      } else if (t != tombstones.end()) {
+        if (--t->second == 0) tombstones.erase(t);
+      } else {
+        due.push_back(j);
+      }
+    }
+    std::map<std::uint32_t, std::vector<std::size_t>> by_tenant;  // -> due index
+    for (std::size_t i = 0; i < due.size(); ++i) by_tenant[due[i].tenant].push_back(i);
+    std::map<std::uint32_t, std::size_t> head;
+    std::vector<bool> picked(due.size(), false);
+    std::size_t granted = 0, remaining = due.size();
+    while (granted < max && remaining > 0) {
+      bool progressed = false;
+      auto serve = [&](std::uint32_t t, const std::vector<std::size_t>& q) {
+        std::size_t& h = head[t];
+        if (h >= q.size() || granted >= max) return;
+        double& d = deficit[t];
+        d = std::min(d + quantum * weight(t), 2.0 * quantum * weight(t) + 1.0);
+        while (d >= 1.0 && h < q.size() && granted < max) {
+          picked[q[h++]] = true;
+          d -= 1.0;
+          ++granted;
+          --remaining;
+          progressed = true;
+          cursor = t;
+        }
+        if (h >= q.size()) d = 0.0;
+      };
+      auto start = by_tenant.upper_bound(cursor);
+      for (auto it = start; it != by_tenant.end(); ++it) serve(it->first, it->second);
+      for (auto it = by_tenant.begin(); it != start; ++it) serve(it->first, it->second);
+      if (!progressed) break;
+    }
+    std::vector<Job> delivered;
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      if (picked[i]) {
+        delivered.push_back(due[i]);
+      } else {
+        queued.insert(due[i]);
+      }
+    }
+    return delivered;
+  }
+};
+
+double oracle_weight(std::uint32_t t) { return 1.0 + static_cast<double>(t % 3); }
+
+TEST(SchedulerCore, SeededTraceDeliversExactlyWhatTheDueSetOracleSelects) {
+  Dir dir("ph-svc-due-oracle");
+  SvcConfig cfg = small_cfg(dir.path);
+  cfg.weight = &oracle_weight;
+  cfg.poll_over_pull = 64;  // room for every due item: budget >= 64 per poll
+  SchedulerCore core(cfg);
+  DispatchOracle oracle;
+  std::uint64_t rng = 0x5EEDF00Dull;
+  auto rnd = [&rng]() {
+    std::uint64_t z = (rng += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  };
+  std::vector<Job> scheduled;
+  std::vector<Job> due;
+  std::size_t polls = 0, delivered = 0;
+  auto poll_both = [&](std::size_t max) {
+    const std::size_t budget = std::min(
+        cfg.max_poll_batch, std::max(max * cfg.poll_over_pull, max));
+    const std::vector<Job> expect =
+        oracle.poll(max, fake_clock(), cfg.drr_quantum, &oracle_weight);
+    ASSERT_LE(oracle.popped, budget) << "trace outgrew the pop budget";
+    due.clear();
+    ASSERT_EQ(core.poll_due(max, due), svc::PollStatus::kOk);
+    ASSERT_EQ(due.size(), expect.size()) << "poll " << polls;
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      ASSERT_TRUE(svc::same_job(due[i], expect[i]))
+          << "poll " << polls << " slot " << i << ": got tenant " << due[i].tenant
+          << " id " << due[i].id << ", oracle tenant " << expect[i].tenant << " id "
+          << expect[i].id;
+    }
+    ++polls;
+    delivered += due.size();
+  };
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    Job j;
+    j.tenant = static_cast<std::uint32_t>(rnd() % 8);
+    j.id = i + 1;
+    ASSERT_EQ(core.schedule(j.tenant, rnd() % 30'000'000, j.id, 0, 0, &j.deadline_ns),
+              Admit::kOk);
+    oracle.queued.insert(j);
+    scheduled.push_back(j);
+    if (rnd() % 5 == 0) {
+      // Cancel a random earlier job: queued, in flight, or long delivered.
+      Job marker = scheduled[rnd() % scheduled.size()];
+      marker.flags = svc::kCancelFlag;
+      ASSERT_EQ(core.cancel(marker.tenant, marker.deadline_ns, marker.id), Admit::kOk);
+      oracle.queued.insert(marker);
+    }
+    if (i % 8 == 7) {
+      advance_ms(rnd() % 10);
+      ASSERT_NO_FATAL_FAILURE(poll_both(1 + rnd() % 24));
+    }
+  }
+  advance_ms(3'600'000);
+  for (int iter = 0; iter < 1000 && core.backlog() > 0; ++iter) {
+    ASSERT_NO_FATAL_FAILURE(poll_both(64));
+  }
+  EXPECT_EQ(core.backlog(), 0u);
+  EXPECT_TRUE(oracle.queued.empty());
+  EXPECT_EQ(core.stats().delivered, delivered);
+  std::string why;
+  EXPECT_TRUE(core.check_invariants(&why)) << why;
+}
+
 // ------------------------------------------------------------------ recovery
 
 TEST(SchedulerCore, RecoveryReplaysLedgerBitExactly) {
@@ -523,6 +735,76 @@ TEST(SchedulerCore, KillBetweenPopAndCloseRequeuesInFlight) {
     }
   }
   EXPECT_EQ(ids.size(), 40u);  // exactly once each, despite the torn poll
+  std::string why;
+  EXPECT_TRUE(core.check_invariants(&why)) << why;
+}
+
+TEST(SchedulerCore, DeathBetweenPopChunksRequeuesThePoppedPrefix) {
+  if (!robustness::kFailpoints) GTEST_SKIP() << "fail points compiled out";
+  Dir dir("ph-svc-torn-chunks");
+  std::vector<svc::TenantStatRow> before;
+  {
+    SchedulerCore core(small_cfg(dir.path));
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      ASSERT_EQ(core.schedule(static_cast<std::uint32_t>(i % 4), 1'000'000, i + 1, 0, 0),
+                Admit::kOk);
+    }
+    core.commit();
+    before = core.stat_rows();
+    advance_ms(5);
+    // Everything is due, so the poll pops an 8-item chunk, then a 16-item
+    // one. The second POP record's append dies (the segment is truncated
+    // back, as a kill mid-write leaves it) and the core is abandoned.
+    robustness::FireSpec spec;
+    spec.nth = 2;
+    robustness::arm(robustness::FailSite::kWalAppend, spec);
+    std::vector<Job> due;
+    EXPECT_THROW(core.poll_due(16, due), robustness::InjectedFault);
+    robustness::disarm_all();
+    EXPECT_TRUE(due.empty());
+  }
+  std::vector<svc::TenantStatRow> recovered;
+  {
+    SchedulerCore core(small_cfg(dir.path));
+    EXPECT_EQ(core.stats().recovered_inflight, 8u);  // the first chunk only
+    EXPECT_EQ(core.backlog(), 40u);
+    recovered = core.stat_rows();
+    ASSERT_EQ(recovered.size(), before.size());
+    std::uint64_t requeued = 0;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(recovered[i].acked, before[i].acked);
+      EXPECT_EQ(recovered[i].delivered, 0u);
+      EXPECT_EQ(recovered[i].cancelled, 0u);
+      requeued += recovered[i].requeued;
+    }
+    EXPECT_EQ(requeued, 8u);
+    std::string why;
+    EXPECT_TRUE(core.check_invariants(&why)) << why;
+  }
+  // The recovery's CLOSE record is in the WAL now: a second replay rebuilds
+  // the same ledger bit-exactly, with nothing left in flight.
+  SchedulerCore core(small_cfg(dir.path));
+  EXPECT_EQ(core.stats().recovered_inflight, 0u);
+  const auto again = core.stat_rows();
+  ASSERT_EQ(again.size(), recovered.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(again[i].tenant, recovered[i].tenant);
+    EXPECT_EQ(again[i].acked, recovered[i].acked);
+    EXPECT_EQ(again[i].cancel_reqs, recovered[i].cancel_reqs);
+    EXPECT_EQ(again[i].delivered, recovered[i].delivered);
+    EXPECT_EQ(again[i].cancelled, recovered[i].cancelled);
+    EXPECT_EQ(again[i].requeued, recovered[i].requeued);
+  }
+  std::vector<Job> due;
+  std::set<std::uint64_t> ids;
+  for (int iter = 0; iter < 100 && core.backlog() > 0; ++iter) {
+    due.clear();
+    core.poll_due(16, due);
+    for (const Job& j : due) {
+      EXPECT_TRUE(ids.insert(j.id).second) << "job " << j.id << " delivered twice";
+    }
+  }
+  EXPECT_EQ(ids.size(), 40u);
   std::string why;
   EXPECT_TRUE(core.check_invariants(&why)) << why;
 }
@@ -686,6 +968,107 @@ TEST(SvcServer, MalformedFrameGetsErrorThenClose) {
   EXPECT_TRUE(got_error);
   EXPECT_TRUE(closed);
   ::close(fd);
+  server.stop();
+  loop.join();
+}
+
+svc::ServerConfig server_cfg(const std::string& dir) {
+  svc::ServerConfig cfg;
+  cfg.core = small_cfg(dir);
+  cfg.core.clock = nullptr;
+  cfg.port = 0;
+  cfg.watchdog = false;
+  return cfg;
+}
+
+int connect_to(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ::sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd >= 0 && ::connect(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Sends one kStats request on `fd` and reads the reply.
+bool stats_round_trip(int fd, SvcMsg& reply) {
+  SvcMsg q;
+  q.type = SvcType::kStats;
+  std::vector<std::uint8_t> enc, wire, payload;
+  svc::encode_svc(q, enc);
+  if (!dist::send_frame_fd(fd, std::span<const std::uint8_t>(enc), wire)) return false;
+  dist::FrameParser parser;
+  while (parser.next(payload) != dist::FrameStatus::kFrame) {
+    std::uint8_t chunk[4096];
+    const ::ssize_t r = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (r <= 0) return false;
+    parser.feed(std::span<const std::uint8_t>(chunk, static_cast<std::size_t>(r)));
+  }
+  return svc::decode_svc(std::span<const std::uint8_t>(payload), reply);
+}
+
+std::uint64_t process_cpu_ns() {
+  ::timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
+/// Waits up to ~2 s for the server's open-connection count to reach `n`.
+bool await_connections(const svc::Server& server, std::size_t n) {
+  for (int i = 0; i < 400 && server.open_connections() != n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return server.open_connections() == n;
+}
+
+TEST(SvcServer, PeerCloseReleasesTheConnectionAndTheLoopIdles) {
+  Dir dir("ph-svc-hangup");
+  svc::Server server(server_cfg(dir.path));
+  std::thread loop([&server] { server.run(); });
+  const int fd = connect_to(server.port());
+  ASSERT_GE(fd, 0);
+  SvcMsg rep;
+  ASSERT_TRUE(stats_round_trip(fd, rep));
+  EXPECT_EQ(rep.type, SvcType::kStatsReply);
+  ASSERT_TRUE(await_connections(server, 1));
+  // A clean close with nothing owed: the server must drop the connection
+  // instead of polling its EOF forever.
+  ::close(fd);
+  EXPECT_TRUE(await_connections(server, 0));
+  // Idle now: the loop wakes once per idle_timeout_ms (10 ms). A busy spin
+  // would burn the whole 200 ms window in process CPU time.
+  const std::uint64_t before = process_cpu_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(process_cpu_ns() - before, 50'000'000u);
+  server.stop();
+  loop.join();
+}
+
+TEST(SvcServer, ServesConnectionsAcceptedInTheSamePollRound) {
+  Dir dir("ph-svc-accept-burst");
+  svc::Server server(server_cfg(dir.path));
+  // Connect and send before the loop runs, so its first poll round accepts
+  // all of them at once — none of which has a pollfd in that round.
+  constexpr int kConns = 6;
+  std::vector<int> fds;
+  for (int i = 0; i < kConns; ++i) {
+    fds.push_back(connect_to(server.port()));
+    ASSERT_GE(fds.back(), 0);
+  }
+  std::thread loop([&server] { server.run(); });
+  for (const int fd : fds) {
+    SvcMsg rep;
+    EXPECT_TRUE(stats_round_trip(fd, rep));
+    EXPECT_EQ(rep.type, SvcType::kStatsReply);
+  }
+  EXPECT_TRUE(await_connections(server, kConns));
+  for (const int fd : fds) ::close(fd);
+  EXPECT_TRUE(await_connections(server, 0));
   server.stop();
   loop.join();
 }
