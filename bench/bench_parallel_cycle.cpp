@@ -1,10 +1,10 @@
-// E15 — the parallel cycle: concurrent shard pipelines (PR7's tentpole)
-// against the two classic frontends that bracket the design space.
+// E15 — the parallel cycle: concurrent shard pipelines against the two
+// classic frontends that bracket the design space.
 //
 //  * strict sharded  — ShardedHeap with K=4 shard pipelines pulled by a
-//    worker team (W∈{0,1,2,4,6}; W=6 > K exercises the crew split of odd/
-//    even levels within one shard), putback overlapped with the caller's
-//    think phase, cross-shard min hint on. EXACT: the deletion stream is
+//    worker team (W∈{0,1,2,4,6}; W=6 > K asks for more workers than shards,
+//    which the team caps at K=4 striped threads), putback overlapped with
+//    the caller's think phase, cross-shard min hint on. EXACT: the deletion stream is
 //    REQUIRED to be bit-identical to the W=0 serial run — the bench hashes
 //    the full stream and exits nonzero on any mismatch, making it a
 //    correctness gate as well as a measurement.
@@ -92,12 +92,12 @@ StrictRow run_strict(unsigned workers, bool overlap) {
   const double wall_ns = t.seconds() * 1e9;
   out.ns_per_op = wall_ns / static_cast<double>(out.ops);
   out.stats = q.sharded_stats();
-  if (workers > 0) {
+  const auto& team = q.live().worker_busy_ns;  // min(W, K) threads
+  if (!team.empty()) {
     std::uint64_t busy = 0;
-    for (const auto& b : q.live().worker_busy_ns)
-      busy += b.load(std::memory_order_relaxed);
+    for (const auto& b : team) busy += b.load(std::memory_order_relaxed);
     out.occupancy = static_cast<double>(busy) /
-                    (wall_ns * static_cast<double>(workers));
+                    (wall_ns * static_cast<double>(team.size()));
   }
   return out;
 }

@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   columns("workload,shards,events,ev_per_s,imbalance,merge_width,putback_frac,exact");
   for (const std::size_t shards : kShardCounts) {
     sim::ShardedSimConfig cfg;
-    cfg.shards = shards;
+    cfg.queue.shards = shards;
     cfg.node_capacity = 256;
     cfg.batch = 256;
     const sim::ShardedSimResult res = sim::run_sharded_sim(model, horizon, cfg);

@@ -26,7 +26,7 @@
 //   3. Putback. Prefix items that lost the tournament are re-inserted into
 //      the shard they came from via an insert-only cycle (k = 0). Putback
 //      traffic is the price of not peeking across shards and is counted
-//      (ShardedStats::putbacks, telemetry kShardPutbacks); a well-balanced
+//      (ShardedStats::putbacks, gauge heap_putbacks); a well-balanced
 //      partition map keeps it near zero because the winning prefix comes
 //      from few shards (merge width ≈ 1).
 //
@@ -40,16 +40,18 @@
 // global cycle — no routing decisions, no putback — so sharded_heap<K=1>
 // is bit-for-bit the unsharded PipelinedParallelHeap (pinned by
 // test_sharded.cpp and the differential harness).
-// Concurrency (PR 7). With Config::workers > 0 the cycle actually runs in
-// parallel, under the same exact-output contract (bit-exact vs workers=0 at
-// any K, pinned differentially):
 //
-//   - Phase 2 (per-shard pulls) dispatches onto a persistent ThreadTeam.
-//     With W ≤ A active shards each worker serially cycles the shards
-//     i ≡ w (mod W); with W > A the surplus workers form per-shard CREWS
-//     that split each half-step's independent node groups across ranks —
-//     the paper's odd/even processor assignment within one heap. The K-way
-//     tournament (phase 3) is the only cross-shard synchronization point.
+// Concurrency. With Config::workers > 0 the cycle actually runs in parallel,
+// under the same exact-output contract (bit-exact vs workers=0 at any K,
+// pinned differentially):
+//
+//   - Phase 2 (per-shard pulls) dispatches onto a persistent ThreadTeam of
+//     min(workers, shards) threads: worker w serially cycles the active
+//     shards at positions i ≡ w (mod W), and a worker past the active count
+//     (after a quarantine) idles. Whole pipelines are the parallel units;
+//     the odd/even split inside one heap is ParallelHeapEngine's job. The
+//     K-way tournament (phase 3) is the only cross-shard synchronization
+//     point.
 //   - Phase 4 (putback) runs on the same team; with Config::overlap_putback
 //     the dispatch is asynchronous and cycle() returns right after the
 //     tournament, so the caller's think phase overlaps maintenance. The
@@ -61,6 +63,10 @@
 //     insert-only cycle so their pipelines advance). This kills the
 //     delete-side putback storm without any cross-shard peeking at pull
 //     time; see compute_pull_budgets() for the exactness argument.
+//
+// Every ShardedStats counter lives once, as a relaxed atomic in the Live
+// block: sharded_stats() and the heap_* gauges read the same words, and the
+// driver thread is their only writer.
 //
 // Injected-fault / deadline / recovery cycles fall back to the serial pull
 // loop (fire_fault ordering and checkpoint-rollback are order-sensitive);
@@ -75,6 +81,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipelined_heap.hpp"
@@ -84,7 +91,6 @@
 #include "robustness/watchdog.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
-#include "util/barrier.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -203,11 +209,10 @@ class ShardedHeap {
     std::uint64_t cycle_deadline_ns = 0;
     /// Worker threads running phase 2 (per-shard pulls) and phase 4
     /// (putback) concurrently; 0 = fully serial cycle, which stays the
-    /// differential baseline. With more workers than active shards the
-    /// surplus forms per-shard crews splitting each half-step's node groups
-    /// (the paper's odd/even processor assignment within one heap). Output
-    /// is bit-exact vs workers=0 at any count; cold cycles (armed
-    /// fail-points, deadlines, recovery) run serial regardless.
+    /// differential baseline. The team is capped at `shards` threads (a
+    /// surplus thread could never receive a shard). Output is bit-exact vs
+    /// workers=0 at any count; cold cycles (armed fail-points, deadlines,
+    /// recovery) run serial regardless.
     unsigned workers = 0;
     /// With workers > 0: cycle() returns right after the tournament and the
     /// putback runs asynchronously on the team; the completion handshake is
@@ -219,7 +224,7 @@ class ShardedHeap {
     /// over the predictions, and drop provably-losing shards' pull budgets
     /// to 0 — insert-only cycles that skip the pull AND the putback
     /// round-trip. Exact (see compute_pull_budgets()); counted by
-    /// ShardedStats::hint_skips / telemetry kShardHintSkips.
+    /// ShardedStats::hint_skips / gauge heap_hint_skips.
     bool min_hint = true;
     /// Routing override: item -> band, taken modulo the active shard count
     /// (unset = key-range quantile partitioner). The tournament never
@@ -247,18 +252,20 @@ class ShardedHeap {
     pull_k_.resize(cfg_.shards);
     hint_.resize(cfg_.shards);
     hint_take_.resize(cfg_.shards);
-    if (cfg_.workers > 0) {
-      team_ = std::make_unique<ThreadTeam>(cfg_.workers, false, "shard");
-      worker_exc_.resize(cfg_.workers);
-      worker_sink_.resize(cfg_.workers);
+    const unsigned team_w = static_cast<unsigned>(
+        std::min<std::size_t>(cfg_.workers, cfg_.shards));
+    if (team_w > 0) {
+      team_.threads = std::make_unique<ThreadTeam>(team_w, false, "shard");
+      worker_exc_.resize(team_w);
+      worker_sink_.resize(team_w);
     }
-    live_ = std::make_unique<Live>(cfg_.shards, cfg_.workers);
+    live_ = std::make_unique<Live>(cfg_.shards, team_w);
     reset_active();
     update_live(0);
   }
 
   ~ShardedHeap() {
-    if (putback_pending_ && team_ != nullptr) {
+    if (team_.pending) {
       try {
         quiesce();
       } catch (...) {
@@ -273,6 +280,8 @@ class ShardedHeap {
     }
   }
 
+  /// Moving joins any overlapped putback first (see Team); the moved-to
+  /// heap completes the handshake at its next quiesce().
   ShardedHeap(ShardedHeap&&) = default;
   ShardedHeap& operator=(ShardedHeap&&) = default;
 
@@ -289,7 +298,18 @@ class ShardedHeap {
   }
   bool empty() const noexcept { return size() == 0; }
 
-  const ShardedStats& sharded_stats() const noexcept { return stats_; }
+  /// The sharding counters, read from their one copy in the Live block.
+  ShardedStats sharded_stats() const noexcept {
+    const Live& lv = *live_;
+    auto get = [](const std::atomic<std::uint64_t>& a) {
+      return a.load(std::memory_order_relaxed);
+    };
+    return ShardedStats{get(lv.cycles),          get(lv.routed),
+                        get(lv.routed_max_sum),  get(lv.putbacks),
+                        get(lv.rebalances),      get(lv.merge_width_sum),
+                        get(lv.quarantines),     get(lv.hint_skips),
+                        get(lv.parallel_cycles)};
+  }
   const KeyRangePartitioner<T, Compare>& partitioner() const noexcept { return part_; }
   Shard& shard(std::size_t i) noexcept { return shards_[i]; }
 
@@ -330,20 +350,14 @@ class ShardedHeap {
     PH_ASSERT(s.shard_items.size() == shards_.size());
     PH_ASSERT(s.active.size() == shards_.size());
     active_ = s.active;
-    dense_.clear();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      if (active_[i] != 0) dense_.push_back(i);
-    }
-    PH_ASSERT(!dense_.empty());
-    part_ = KeyRangePartitioner<T, Compare>(dense_.size(), cmp_);
+    sample_.clear();
+    sample_cursor_ = 0;
+    rebuild_routing();  // empty sample: an unseeded map at the active width
+    // A pre-seed snapshot (or a width mismatch) stays unseeded: reseed lazily.
     if (s.splits.size() + 1 == dense_.size()) {
       part_.set_splits(s.splits);
       seeded_ = s.seeded;
-    } else {
-      seeded_ = false;  // pre-seed snapshot (or width mismatch): reseed lazily
     }
-    sample_.clear();
-    sample_cursor_ = 0;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       shards_[i].build(s.shard_items[i]);
     }
@@ -371,10 +385,12 @@ class ShardedHeap {
   /// The watchdog channel id serving shard `s` (tests beat/poke these).
   std::size_t watchdog_channel(std::size_t s) const noexcept { return wd_ch_[s]; }
 
-  /// Lock-free mirror of the structure's live state, refreshed at every
-  /// cycle boundary (and by build/restore). This is what gauge callbacks
-  /// read: a scrape thread never touches the real shards, so it can run
-  /// mid-cycle without synchronizing with the engine.
+  /// Lock-free live state: what gauge callbacks read, so a scrape thread
+  /// never touches the real shards and can run mid-cycle without
+  /// synchronizing with the engine. The state mirrors (sizes, active mask,
+  /// last_cycle_ns) are refreshed at every cycle boundary and by
+  /// build/restore; the ShardedStats counters are the counters themselves,
+  /// bumped by the driver as each event happens.
   struct Live {
     Live(std::size_t shards, std::size_t workers)
         : shard_size(shards),
@@ -385,13 +401,11 @@ class ShardedHeap {
     std::vector<std::atomic<std::uint64_t>> shard_active;  ///< 0/1
     std::atomic<std::uint64_t> active_shards{0};
     std::atomic<std::uint64_t> total_size{0};
-    std::atomic<std::uint64_t> cycles{0};
-    std::atomic<std::uint64_t> routed{0};
-    std::atomic<std::uint64_t> putbacks{0};
-    std::atomic<std::uint64_t> rebalances{0};
-    std::atomic<std::uint64_t> quarantines{0};
-    std::atomic<std::uint64_t> hint_skips{0};
     std::atomic<std::uint64_t> last_cycle_ns{0};
+    // ShardedStats, field for field.
+    std::atomic<std::uint64_t> cycles{0}, routed{0}, routed_max_sum{0},
+        putbacks{0}, rebalances{0}, merge_width_sum{0}, quarantines{0},
+        hint_skips{0}, parallel_cycles{0};
     /// Per-worker phase occupancy: cumulative ns spent inside pull/putback
     /// stints and the number of stints, written by the workers themselves
     /// as each stint ends (not at cycle boundaries) — a scraper divides
@@ -467,10 +481,8 @@ class ShardedHeap {
     if (cfg_.router) return;  // banded routing bypasses the partition map
     if (sample_.empty() || active_shards() == 1) return;
     part_.rebalance(std::span<const T>(sample_));
-    ++stats_.rebalances;
-    telemetry::count(telemetry::Counter::kShardRebalances);
+    bump(live_->rebalances);
     obs::flight(obs::FlightKind::kRebalance, active_shards());
-    if (live_) live_->rebalances.store(stats_.rebalances, std::memory_order_relaxed);
   }
 
   /// Replaces the content: seeds the partition map from `items` and
@@ -502,7 +514,7 @@ class ShardedHeap {
     // dispatched asynchronously) must finish before anything reads or
     // routes — the caller's think time since then is what got overlapped.
     quiesce();
-    ++stats_.cycles;
+    bump(live_->cycles);
     recovery_.clear();
 
     // Causal identity: every span recorded during this cycle — route, each
@@ -524,12 +536,11 @@ class ShardedHeap {
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         if (active_[s] == 0 || active_shards() <= 1) continue;
         if (wd_->consecutive_stalls(wd_ch_[s]) >= wd_polls_) {
-          extra_.clear();
           // The shard's last pulled prefix was already put back (phase 4 of
           // the previous cycle), so its survivors are inside the shard and
-          // will drain into the recovery run — the stale pulled_ copy must
-          // not re-enter the tournament.
-          pulled_[s].clear();
+          // drain into the recovery run; the stale pulled_ copy stays out of
+          // the tournament because only this cycle's slots compete.
+          extra_.clear();
           quarantine_shard(s);
         }
       }
@@ -551,9 +562,8 @@ class ShardedHeap {
     if (!fresh.empty()) {
       std::size_t mx = 0;
       for (const auto& b : route_buf_) mx = std::max(mx, b.size());
-      stats_.routed += fresh.size();
-      stats_.routed_max_sum += mx;
-      telemetry::count(telemetry::Counter::kShardRouted, fresh.size());
+      bump(live_->routed, fresh.size());
+      bump(live_->routed_max_sum, mx);
       observe(fresh);
     }
 
@@ -575,10 +585,9 @@ class ShardedHeap {
             robustness::site_bit(robustness::FailSite::kShardPutback)) ||
         cfg_.cycle_deadline_ns > 0 || !recovery_.empty();
     compute_pull_budgets(k, cold);
-    const bool on_team = team_ != nullptr && !cold;
+    const bool on_team = team_.threads != nullptr && !cold;
     if (on_team) {
-      ++stats_.parallel_cycles;
-      telemetry::count(telemetry::Counter::kShardParallelCycles);
+      bump(live_->parallel_cycles);
       run_parallel_pulls();
     } else {
     for (const std::size_t s : cycle_slots_) {
@@ -630,7 +639,8 @@ class ShardedHeap {
     // Phase 3: K-way tournament over the sorted prefixes (plus the recovery
     // run, if a quarantine happened this cycle); ties go to the lowest
     // shard index, with the recovery run losing all ties (deterministic;
-    // invisible under multiset keys).
+    // invisible under multiset keys). Only this cycle's slots compete: a
+    // shard retired earlier keeps no prefix.
     std::size_t taken = 0;
     std::size_t rec_take = 0;
     {
@@ -641,7 +651,7 @@ class ShardedHeap {
       std::fill(take_.begin(), take_.end(), std::size_t{0});
       while (taken < k) {
         std::size_t best = shards_.size();
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
+        for (const std::size_t s : cycle_slots_) {
           if (take_[s] >= pulled_[s].size()) continue;
           if (best == shards_.size() ||
               cmp_(pulled_[s][take_[s]], pulled_[best][take_[best]])) {
@@ -661,50 +671,45 @@ class ShardedHeap {
         ++taken;
       }
     }
-    std::size_t width = 0;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
+    // Every prefix item not taken, and the untaken recovery remainder, goes
+    // back into a shard in phase 4.
+    std::size_t width = rec_take > 0 ? 1 : 0;
+    std::size_t put_total = recovery_.size() - rec_take;
+    for (const std::size_t s : cycle_slots_) {
       if (take_[s] > 0) ++width;
+      put_total += pulled_[s].size() - take_[s];
     }
-    if (rec_take > 0) ++width;
-    stats_.merge_width_sum += width;
-    telemetry::count(telemetry::Counter::kShardMergeWidth, width);
+    bump(live_->merge_width_sum, width);
+    bump(live_->putbacks, put_total);
 
     // Phase 4: put losing prefix suffixes back where they came from
     // (insert-only cycles; k = 0 advances nothing out of the shard).
     if (on_team) {
-      // Per-shard putbacks are independent; stats are accounted here, at
-      // dispatch, so the deferred handshake only owes rebalance + Live.
-      std::size_t put_total = 0;
-      for (const std::size_t s : cycle_slots_) {
-        if (take_[s] < pulled_[s].size()) put_total += pulled_[s].size() - take_[s];
-      }
+      // Per-shard putbacks are independent (a team cycle has no recovery
+      // run), so the deferred handshake only owes rebalance + Live.
       if (put_total > 0) {
-        stats_.putbacks += put_total;
-        telemetry::count(telemetry::Counter::kShardPutbacks, put_total);
         putback_done_.assign(shards_.size(), std::uint8_t{0});
         putback_fn_ = [this](unsigned w) { putback_worker(w); };
         if (cfg_.overlap_putback) {
           // Overlap handshake, dispatch side: hand phase 4 to the team and
           // return with the tournament result; the caller thinks while the
           // putback cycles run. quiesce() completes the handshake.
-          putback_pending_ = true;
+          team_.pending = true;
           pending_cycle_ns_ = cycle_timer.nanos();
-          team_->begin(putback_fn_);
+          team_.threads->begin(putback_fn_);
           return taken;
         }
-        team_->run(putback_fn_);
+        team_.threads->run(putback_fn_);
         recover_deferred_putbacks();
         rethrow_worker_exc();
       }
     } else {
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
+      for (const std::size_t s : cycle_slots_) {
         if (take_[s] >= pulled_[s].size()) continue;
         telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
         const auto rest = std::span<const T>(pulled_[s]).subspan(take_[s]);
         sink_.clear();
         shards_[s].cycle(rest, 0, sink_);
-        stats_.putbacks += rest.size();
-        telemetry::count(telemetry::Counter::kShardPutbacks, rest.size());
       }
 
       // Phase 4b: redistribute the untaken recovery remainder across the
@@ -720,8 +725,6 @@ class ShardedHeap {
           if (redist_[s].empty()) continue;
           sink_.clear();
           shards_[s].cycle(redist_[s], 0, sink_);
-          stats_.putbacks += redist_[s].size();
-          telemetry::count(telemetry::Counter::kShardPutbacks, redist_[s].size());
         }
       }
     }
@@ -729,10 +732,7 @@ class ShardedHeap {
 
     // Phase 5: periodic partition-map re-estimation, always between cycles
     // (never while shard pipelines are mid-half-step).
-    if (cfg_.rebalance_interval != 0 &&
-        stats_.cycles % cfg_.rebalance_interval == 0) {
-      rebalance_now();
-    }
+    if (rebalance_due()) rebalance_now();
     update_live(cycle_timer.nanos());
     return taken;
   }
@@ -744,20 +744,17 @@ class ShardedHeap {
   /// overlap — and so does every other state-touching entry point; call it
   /// directly only before reading size()/live() at a true quiescent point.
   void quiesce() {
-    if (!putback_pending_ || team_ == nullptr) return;
-    putback_pending_ = false;
-    team_->wait();
+    if (!team_.pending) return;
+    team_.pending = false;
+    team_.threads->wait();
     recover_deferred_putbacks();
     rethrow_worker_exc();
-    if (cfg_.rebalance_interval != 0 &&
-        stats_.cycles % cfg_.rebalance_interval == 0) {
-      rebalance_now();
-    }
+    if (rebalance_due()) rebalance_now();
     update_live(pending_cycle_ns_);
   }
 
   /// True while an overlapped putback is still outstanding.
-  bool putback_pending() const noexcept { return putback_pending_; }
+  bool putback_pending() const noexcept { return team_.pending; }
 
   /// Verifies every shard's structural invariants (drains their pipelines).
   bool check_invariants(std::string* why = nullptr) {
@@ -821,8 +818,8 @@ class ShardedHeap {
 
  private:
   /// Recomputes dense_ from active_ and re-estimates the partition map at
-  /// the new width from the rolling sample (quarantine_shard's narrowing
-  /// logic, shared with the handoff seam which also widens).
+  /// the new width from the rolling sample: quarantine and release narrow
+  /// it, adopt and reset_active widen it, restore rebuilds it.
   void rebuild_routing() {
     dense_.clear();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -903,174 +900,47 @@ class ShardedHeap {
         ++skips;
       }
     }
-    if (skips > 0) {
-      stats_.hint_skips += skips;
-      telemetry::count(telemetry::Counter::kShardHintSkips, skips);
-    }
+    bump(live_->hint_skips, skips);
   }
 
-  /// Phase 2 on the worker team. With W <= A each worker serially cycles
-  /// the shards at positions ≡ its id (mod W) — whole pipelines are the
-  /// parallel units. With W > A every shard gets a crew (build_crews) that
-  /// splits each half-step's independent node groups across its ranks.
+  /// Phase 2 on the worker team: worker w serially cycles the active
+  /// shards at positions ≡ w (mod W) — whole pipelines are the parallel
+  /// units. After a quarantine leaves fewer active shards than workers, the
+  /// surplus workers find no position and idle.
   void run_parallel_pulls() {
     const std::size_t nslots = cycle_slots_.size();
-    const unsigned team_w = team_->size();
-    if (crew_built_for_ != nslots) build_crews(nslots);
+    const unsigned team_w = team_.threads->size();
     std::fill(worker_exc_.begin(), worker_exc_.end(), std::exception_ptr{});
     for (const std::size_t s : cycle_slots_) pulled_[s].clear();
     pull_fn_ = [this, nslots, team_w](unsigned w) {
       telemetry::SpanScope span(telemetry::Phase::kShardPull);
       Timer busy;
-      if (team_w <= nslots) {
-        for (std::size_t i = w; i < nslots; i += team_w) {
-          pull_one(w, cycle_slots_[i]);
+      for (std::size_t i = w; i < nslots; i += team_w) {
+        const std::size_t s = cycle_slots_[i];
+        telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
+        try {
+          shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
+        } catch (...) {
+          if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
         }
-      } else {
-        const std::size_t c = w % nslots;
-        if (w / nslots == 0) {
-          crew_primary(w, c);
-        } else {
-          crew_helper(w, c, w / nslots);
-        }
+        if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
       }
       note_worker_busy(w, busy.nanos());
     };
-    team_->run(pull_fn_);
+    team_.threads->run(pull_fn_);
     rethrow_worker_exc();
-  }
-
-  /// One shard's full pull, run serially by one worker (the W <= A stripes
-  /// and single-member crews).
-  void pull_one(unsigned w, std::size_t s) {
-    telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-    try {
-      shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
-    } catch (...) {
-      if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-    }
-    if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
-  }
-
-  /// Crew primary (rank 0): drives its shard's composed cycle —
-  /// advance(1) + root_work + advance(0), the same decomposition step()
-  /// makes — publishing each half-step's (ngroups, fn) to the helper ranks.
-  /// ngroups/fn are plain fields: the SenseBarrier's acq_rel RMW chain
-  /// orders the primary's stores before every helper's loads, and the
-  /// helpers' ServiceCtx writes before the primary's merges after the
-  /// second crossing. Helpers always see exactly two phases per cycle:
-  /// advance_with() returning without calling the runner (empty half-step)
-  /// and thrown exceptions both publish empty phases so nobody is left at
-  /// the barrier.
-  void crew_primary(unsigned w, std::size_t c) {
-    const std::size_t s = cycle_slots_[c];
-    const std::size_t q = crew_ctx_[c].size();
-    if (q == 1) {  // the surplus ranks didn't reach this shard
-      pull_one(w, s);
-      return;
-    }
-    CrewSlot& crew = crews_[c];
-    telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-    bool sense = crew_sense_[w] != 0;
-    int published = 0;
-    auto runner = [&](std::size_t ngroups,
-                      const std::function<void(std::size_t, ServiceCtx&)>& fn) {
-      ++published;
-      crew.ngroups = ngroups;
-      crew.fn = &fn;
-      crew.bar->arrive_and_wait(sense);
-      try {
-        for (std::size_t g = 0; g < ngroups; g += q) fn(g, crew_ctx_[c][0]);
-      } catch (...) {
-        if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-      }
-      crew.bar->arrive_and_wait(sense);
-      // Rank order fixes the spawn/park sequence, keeping the composed
-      // cycle bit-identical to the serial one (the MT adapter discipline).
-      for (std::size_t rk = 0; rk < q; ++rk) {
-        shards_[s].merge_ctx(crew_ctx_[c][rk]);
-      }
-    };
-    auto empty_phase = [&] {
-      ++published;
-      crew.ngroups = 0;
-      crew.fn = nullptr;
-      crew.bar->arrive_and_wait(sense);
-      crew.bar->arrive_and_wait(sense);
-    };
-    try {
-      int before = published;
-      shards_[s].advance_with(1, runner);
-      if (published == before) empty_phase();
-      shards_[s].root_work_public(route_buf_[s], pull_k_[s], pulled_[s]);
-      before = published;
-      shards_[s].advance_with(0, runner);
-      if (published == before) empty_phase();
-    } catch (...) {
-      if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-      while (published < 2) empty_phase();
-    }
-    crew_sense_[w] = sense ? std::uint8_t{1} : std::uint8_t{0};
-    if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
-  }
-
-  /// Crew helper (rank > 0): services its stride of each published
-  /// half-step's groups into its own ServiceCtx. Never throws past a
-  /// barrier — an exception is stashed and the remaining crossings still
-  /// happen, so the crew's phase count always balances.
-  void crew_helper(unsigned w, std::size_t c, std::size_t rank) {
-    const std::size_t s = cycle_slots_[c];
-    CrewSlot& crew = crews_[c];
-    const std::size_t q = crew_ctx_[c].size();
-    telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-    bool sense = crew_sense_[w] != 0;
-    for (int phase = 0; phase < 2; ++phase) {
-      crew.bar->arrive_and_wait(sense);
-      const std::size_t n = crew.ngroups;
-      const auto* fn = crew.fn;
-      try {
-        for (std::size_t g = rank; g < n; g += q) {
-          (*fn)(g, crew_ctx_[c][rank]);
-        }
-      } catch (...) {
-        if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-      }
-      crew.bar->arrive_and_wait(sense);
-    }
-    crew_sense_[w] = sense ? std::uint8_t{1} : std::uint8_t{0};
-  }
-
-  /// Rebuilds the crew tables for an active-shard count (W > A only): crew
-  /// c gets ceil((W - c) / A) members — every crew at least one — plus a
-  /// barrier when it has helpers. Barrier senses reset with the tables.
-  void build_crews(std::size_t nslots) {
-    const unsigned team_w = team_->size();
-    crews_.clear();
-    crews_.resize(nslots);
-    crew_ctx_.clear();
-    crew_ctx_.resize(nslots);
-    for (std::size_t c = 0; c < nslots; ++c) {
-      const std::size_t q =
-          team_w > nslots ? (team_w - c + nslots - 1) / nslots : 1;
-      crew_ctx_[c].resize(q);
-      if (q > 1) {
-        crews_[c].bar = std::make_unique<SenseBarrier>(static_cast<std::uint32_t>(q));
-      }
-    }
-    crew_sense_.assign(team_w, std::uint8_t{0});
-    crew_built_for_ = nslots;
   }
 
   /// Phase 4 on the worker team: each worker handles its stripe of shards'
   /// losing suffixes via insert-only cycles (stats were accounted at
-  /// dispatch). Runs either synchronously (team_->run) or detached behind
-  /// the overlap handshake; either way the scratch it reads (cycle_slots_,
-  /// take_, pulled_) is not touched again until quiesce().
+  /// dispatch). Runs either synchronously (ThreadTeam::run) or detached
+  /// behind the overlap handshake; either way the scratch it reads
+  /// (cycle_slots_, take_, pulled_) is not touched again until quiesce().
   void putback_worker(unsigned w) {
     telemetry::SpanScope span(telemetry::Phase::kShardPutback);
     Timer busy;
     const std::size_t nslots = cycle_slots_.size();
-    const unsigned team_w = team_->size();
+    const unsigned team_w = team_.threads->size();
     for (std::size_t i = w; i < nslots; i += team_w) {
       const std::size_t s = cycle_slots_[i];
       if (take_[s] >= pulled_[s].size()) continue;
@@ -1161,16 +1031,7 @@ class ShardedHeap {
   void reset_active() {
     if (!active_.empty() && dense_.size() == shards_.size()) return;
     active_.assign(cfg_.shards, std::uint8_t{1});
-    dense_.resize(cfg_.shards);
-    for (std::size_t i = 0; i < cfg_.shards; ++i) dense_[i] = i;
-    if (part_.shards() != cfg_.shards) {
-      part_ = KeyRangePartitioner<T, Compare>(cfg_.shards, cmp_);
-      seeded_ = false;
-      if (!sample_.empty()) {
-        part_.rebalance(std::span<const T>(sample_));
-        seeded_ = true;
-      }
-    }
+    rebuild_routing();
   }
 
   /// Retires shard `s`: drains it (plus `extra_`, the caller-supplied
@@ -1202,12 +1063,11 @@ class ShardedHeap {
                        recovery_.begin() + static_cast<std::ptrdiff_t>(mid),
                        recovery_.end(),
                        [this](const T& a, const T& b) { return cmp_(a, b); });
-    ++stats_.quarantines;
-    telemetry::count(telemetry::Counter::kShardQuarantines);
+    bump(live_->quarantines);
     obs::flight(obs::FlightKind::kQuarantine, s, drained.size());
   }
 
-  /// Refreshes the lock-free Live mirror from authoritative state. Cycle
+  /// Refreshes Live's state mirrors from authoritative state. Cycle
   /// boundaries only — the one place shard sizes are consistent.
   void update_live(std::uint64_t cycle_ns) noexcept {
     Live& lv = *live_;
@@ -1220,13 +1080,19 @@ class ShardedHeap {
     }
     lv.total_size.store(total, std::memory_order_relaxed);
     lv.active_shards.store(dense_.size(), std::memory_order_relaxed);
-    lv.cycles.store(stats_.cycles, std::memory_order_relaxed);
-    lv.routed.store(stats_.routed, std::memory_order_relaxed);
-    lv.putbacks.store(stats_.putbacks, std::memory_order_relaxed);
-    lv.rebalances.store(stats_.rebalances, std::memory_order_relaxed);
-    lv.quarantines.store(stats_.quarantines, std::memory_order_relaxed);
-    lv.hint_skips.store(stats_.hint_skips, std::memory_order_relaxed);
     if (cycle_ns != 0) lv.last_cycle_ns.store(cycle_ns, std::memory_order_relaxed);
+  }
+
+  /// Adds n to one Live counter. The driver thread is every counter's only
+  /// writer, so a relaxed load + store is exact (and cheaper than an RMW).
+  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
+
+  /// Phase 5's trigger: the periodic re-estimation interval just elapsed.
+  bool rebalance_due() const noexcept {
+    return cfg_.rebalance_interval != 0 &&
+           live_->cycles.load(std::memory_order_relaxed) % cfg_.rebalance_interval == 0;
   }
 
   /// Rolling insert sample backing rebalance (overwrite-oldest ring; cheap,
@@ -1250,6 +1116,33 @@ class ShardedHeap {
     }
   }
 
+  /// The worker team (Config::workers > 0) and the overlap handshake's open
+  /// flag. Its workers write through `this` (shards_, pulled_,
+  /// putback_done_, worker_sink_), so a move must join them before any of
+  /// those members moves: team_ is declared first, and Team's moves join
+  /// both sides. The handshake's remaining steps (fault repair, rethrow,
+  /// rebalance, Live) travel with `pending` to the moved-to heap.
+  struct Team {
+    std::unique_ptr<ThreadTeam> threads;
+    bool pending = false;  ///< overlapped putback dispatched, not yet joined
+
+    Team() = default;
+    Team(Team&& o) noexcept
+        : threads((o.join(), std::move(o.threads))),
+          pending(std::exchange(o.pending, false)) {}
+    Team& operator=(Team&& o) noexcept {
+      join();
+      o.join();
+      threads = std::move(o.threads);
+      pending = std::exchange(o.pending, false);
+      return *this;
+    }
+    void join() noexcept {
+      if (pending) threads->wait();
+    }
+  };
+  Team team_;
+
   std::size_t r_;
   Config cfg_;
   Compare cmp_;
@@ -1262,7 +1155,6 @@ class ShardedHeap {
   std::vector<std::uint8_t> active_;
   std::vector<std::size_t> dense_;
 
-  ShardedStats stats_;
   std::vector<T> sample_;
   std::size_t sample_cursor_ = 0;
 
@@ -1282,31 +1174,14 @@ class ShardedHeap {
   std::vector<std::size_t> take_, cycle_slots_;
   std::vector<T> sink_, recovery_, extra_;
 
-  /// One active shard's crew (W > A only): the publication slot its
-  /// primary writes and its helpers read, ordered by the barrier's
-  /// crossings. bar is null for single-member crews.
-  struct CrewSlot {
-    std::unique_ptr<SenseBarrier> bar;
-    std::size_t ngroups = 0;
-    const std::function<void(std::size_t, ServiceCtx&)>* fn = nullptr;
-  };
-
-  // Concurrency (Config::workers > 0). The team persists across cycles;
+  // Concurrency (Config::workers > 0; the team is team_, above).
   // pull_fn_/putback_fn_ are members because begin()/wait() pairs (the
   // overlap handshake) must outlive the dispatching call.
-  std::unique_ptr<ThreadTeam> team_;
   std::vector<std::exception_ptr> worker_exc_;  ///< first failure per worker
   std::vector<std::vector<T>> worker_sink_;     ///< per-worker putback sinks
   std::vector<std::uint8_t> putback_done_;      ///< per-shard putback landed
   std::function<void(unsigned)> pull_fn_, putback_fn_;
-  bool putback_pending_ = false;                ///< overlap handshake open
   std::uint64_t pending_cycle_ns_ = 0;          ///< cycle timer at dispatch
-
-  // Crew tables, rebuilt when the active-shard count changes.
-  std::vector<CrewSlot> crews_;
-  std::vector<std::vector<ServiceCtx>> crew_ctx_;  ///< [crew][rank]
-  std::vector<std::uint8_t> crew_sense_;           ///< per-worker barrier sense
-  std::size_t crew_built_for_ = static_cast<std::size_t>(-1);
 
   // Min-hint scratch (compute_pull_budgets).
   std::vector<std::size_t> pull_k_;   ///< per-slot deletion budget this cycle

@@ -15,9 +15,10 @@
 // (publisher.hpp) serves over TCP or writes to a file.
 //
 // Gauge callbacks must be safe to invoke from the publisher's thread while
-// the engine runs. The convention (see ShardedHeap::LiveStats) is: the
-// component keeps relaxed-atomic mirrors updated at phase boundaries and
-// the callback only loads them — never walks live data structures.
+// the engine runs. The convention (see ShardedHeap::Live) is: the
+// component keeps its observable state in relaxed atomics — mirrors
+// refreshed at phase boundaries, or the counters themselves — and the
+// callback only loads them, never walking live data structures.
 #pragma once
 
 #include <atomic>

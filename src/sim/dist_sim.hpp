@@ -37,8 +37,8 @@ struct DistSimConfig {
   /// (1-based; 0 = no kill). Detection and recovery run mid-simulation.
   std::uint64_t kill_at_cycle = 0;
   std::size_t kill_shard = 0;
-  /// Timestamp-band width (sharded_sim.hpp semantics): > 0 explicit,
-  /// 0 = the model's lookahead, < 0 = stateless value-hash routing.
+  /// Timestamp-band width (sim::band_router): > 0 explicit, 0 = the
+  /// model's lookahead, < 0 = stateless value-hash routing.
   double band_width = 0.0;
 };
 
@@ -77,14 +77,7 @@ inline DistSimResult run_dist_sim(const Model& model, double end_time,
   qcfg.fsync = cfg.fsync;
   qcfg.checkpoint_interval = cfg.checkpoint_interval;
   qcfg.use_processes = cfg.use_processes;
-  const double band = cfg.band_width > 0
-                          ? cfg.band_width
-                          : (cfg.band_width == 0 ? model.lookahead() : -1.0);
-  if (band > 0) {
-    qcfg.router = [band](const Event& e) {
-      return static_cast<std::size_t>(e.ts >= 0 ? e.ts / band : 0.0);
-    };
-  }
+  qcfg.router = band_router(model, cfg.band_width);
   DistEventSupervisor sup(std::move(qcfg));
   dist_detail::KillingQueue q{sup, cfg.kill_at_cycle, cfg.kill_shard};
   DistSimResult res;

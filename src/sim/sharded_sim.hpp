@@ -27,22 +27,14 @@ namespace ph::sim {
 using ShardedEventHeap = ShardedHeap<Event, EventOrder>;
 
 struct ShardedSimConfig {
-  std::size_t shards = 2;
-  std::size_t node_capacity = 64;       ///< r of each shard engine
-  std::size_t batch = 64;               ///< deletion budget per cycle (<= r)
-  std::size_t rebalance_interval = 32;  ///< cycles between map re-estimations
-  bool quarantine = false;              ///< retire a shard that trips a fail-point
-  std::uint64_t cycle_deadline_ns = 0;  ///< retire a shard slower than this (0=off)
-  unsigned workers = 0;                 ///< shard-pull worker threads (0 = serial)
-  bool overlap_putback = false;         ///< overlap putback with the think phase
-  bool min_hint = true;                 ///< cross-shard min hint (exact skip)
-  /// Timestamp-band routing (the delete-hotspot fix): events route to shard
-  /// floor(ts / band) mod K instead of by key-range quantiles, so one cycle's
-  /// delete wave — which is at most `lookahead` wide by the hold-model
-  /// property — spans bands instead of hammering the earliest-range shard.
-  /// > 0: explicit band width in sim-time units; 0: auto (the model's
-  /// lookahead, i.e. one conservative window per band); < 0: disabled, keep
-  /// the quantile partitioner.
+  /// The sharded queue's own knobs (shards, workers, quarantine, min hint,
+  /// ...), passed through as is; `router` is set from band_width.
+  ShardedEventHeap::Config queue{/*shards=*/2, /*rebalance_interval=*/32};
+  std::size_t node_capacity = 64;  ///< r of each shard engine
+  std::size_t batch = 64;          ///< deletion budget per cycle (<= r)
+  /// Timestamp-band routing, the delete-hotspot fix (sim::band_router):
+  /// > 0 explicit band width in sim-time units; 0 the model's lookahead;
+  /// < 0 disabled, keep the quantile partitioner.
   double band_width = -1.0;
 };
 
@@ -52,27 +44,12 @@ struct ShardedSimResult {
 };
 
 /// Runs the conservative window simulation over a key-range-sharded global
-/// event queue. Exact for any shard count; cfg.shards == 1 degenerates to
-/// run_sync_sim over a single pipelined heap.
+/// event queue. Exact for any shard count; cfg.queue.shards == 1
+/// degenerates to run_sync_sim over a single pipelined heap.
 inline ShardedSimResult run_sharded_sim(const Model& model, double end_time,
                                         const ShardedSimConfig& cfg) {
-  ShardedEventHeap::Config qcfg;
-  qcfg.shards = cfg.shards;
-  qcfg.rebalance_interval = cfg.rebalance_interval;
-  qcfg.sample_capacity = 1024;
-  qcfg.quarantine = cfg.quarantine;
-  qcfg.cycle_deadline_ns = cfg.cycle_deadline_ns;
-  qcfg.workers = cfg.workers;
-  qcfg.overlap_putback = cfg.overlap_putback;
-  qcfg.min_hint = cfg.min_hint;
-  const double band =
-      cfg.band_width > 0 ? cfg.band_width
-                         : (cfg.band_width == 0 ? model.lookahead() : -1.0);
-  if (band > 0) {
-    qcfg.router = [band](const Event& e) {
-      return static_cast<std::size_t>(e.ts >= 0 ? e.ts / band : 0.0);
-    };
-  }
+  ShardedEventHeap::Config qcfg = cfg.queue;
+  qcfg.router = band_router(model, cfg.band_width);
   ShardedEventHeap q(cfg.node_capacity, qcfg);
   ShardedSimResult res;
   res.sim = run_sync_sim(q, model, end_time, cfg.batch);

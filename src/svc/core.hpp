@@ -437,11 +437,14 @@ class SchedulerCore {
   const Live& live() const noexcept { return live_; }
 
   /// Publishes the svc_* gauges ph_top renders (tenants, queue depth, shed,
-  /// delivered/acked totals) under the `heap` label.
+  /// delivered/acked totals) under the `heap` label, along with every inner
+  /// layer's gauges (ingest_*, durable_*, and the ShardedHeap's shard_* and
+  /// heap_* — its routed and putback totals among them).
   void register_gauges(const std::string& heap = "svc") {
     gauges_.clear();
     tier_.register_gauges(heap);
     durable().register_gauges(heap);
+    durable().heap().register_gauges(heap);
     Live* lv = &live_;
     struct Simple { const char* name; const char* help; std::atomic<std::uint64_t> Live::*field; };
     static constexpr Simple kSimple[] = {

@@ -73,12 +73,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kSteals: return "steals";
     case Counter::kThinkItems: return "think_items";
     case Counter::kHalfSteps: return "half_steps";
-    case Counter::kShardRouted: return "shard_routed";
-    case Counter::kShardPutbacks: return "shard_putbacks";
-    case Counter::kShardRebalances: return "shard_rebalances";
-    case Counter::kShardMergeWidth: return "shard_merge_width";
     case Counter::kWatchdogStalls: return "watchdog_stalls";
-    case Counter::kShardQuarantines: return "shard_quarantines";
     case Counter::kThinkFaults: return "think_faults";
     case Counter::kCkptWrites: return "ckpt_writes";
     case Counter::kCkptBytes: return "ckpt_bytes";
@@ -87,8 +82,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kWalFsyncs: return "wal_fsyncs";
     case Counter::kWalReplayed: return "wal_replayed";
     case Counter::kRecoveries: return "recoveries";
-    case Counter::kShardHintSkips: return "shard_hint_skips";
-    case Counter::kShardParallelCycles: return "shard_parallel_cycles";
     case Counter::kLaneQuarantines: return "lane_quarantines";
     case Counter::kIngestStaged: return "ingest_staged";
     case Counter::kIngestRuns: return "ingest_runs";

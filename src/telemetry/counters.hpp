@@ -1,14 +1,13 @@
 // Thread-safe telemetry core: per-thread slots, merged on demand.
 //
-// StatRegistry (util/stats.hpp) is deliberately not thread-safe — concurrent
-// components were expected to keep private counters and merge at phase
-// boundaries, which meant nothing could be observed *during* a run and every
-// component invented its own merge. This registry closes that gap the way
-// the cacheline.hpp comment prescribes: each thread registers once and gets
-// a cache-line-aligned slot of relaxed-atomic counters, per-phase latency
-// histograms, and a private trace ring. Writers never share a line; readers
-// (collect(), write_chrome_trace()) merge every slot on demand without
-// stopping the writers.
+// Concurrent components must be observable *during* a run without each one
+// inventing its own merge. This registry does it the way the cacheline.hpp
+// comment prescribes: each thread registers once and gets a cache-line-
+// aligned slot of relaxed-atomic counters, per-phase latency histograms, and
+// a private trace ring. Writers never share a line; readers (collect(),
+// write_chrome_trace()) merge every slot on demand without stopping the
+// writers. Counters here are process-wide; a per-instance quantity (one
+// ShardedHeap's putbacks, say) belongs in that instance's gauges instead.
 #pragma once
 
 #include <array>
@@ -66,12 +65,7 @@ enum class Counter : unsigned {
   kThinkItems,       ///< items successfully thought (requeued shares recount
                      ///< only when re-thought, never at delivery)
   kHalfSteps,
-  kShardRouted,      ///< items routed across shards by the partition map
-  kShardPutbacks,    ///< pulled-but-untaken prefix items returned to shards
-  kShardRebalances,  ///< partition-map re-estimations applied
-  kShardMergeWidth,  ///< shards contributing to a deletion batch, summed
   kWatchdogStalls,   ///< watchdog polls that found a stalled channel
-  kShardQuarantines, ///< shards retired by fault or deadline
   kThinkFaults,      ///< engine think-callbacks that threw (lane recovered)
   kCkptWrites,       ///< checkpoints published (atomic rename completed)
   kCkptBytes,        ///< bytes written into published checkpoint files
@@ -80,8 +74,6 @@ enum class Counter : unsigned {
   kWalFsyncs,        ///< fsync(2) calls issued by the WAL writer
   kWalReplayed,      ///< WAL records applied during recovery
   kRecoveries,       ///< completed recovery passes (DurableHeap opens)
-  kShardHintSkips,   ///< shard pulls skipped by the cross-shard min hint
-  kShardParallelCycles, ///< sharded cycles whose pulls ran on the worker team
   kLaneQuarantines,  ///< engine think lanes retired after repeated failures
   kIngestStaged,     ///< items staged into producer buffers (ingest tier)
   kIngestRuns,       ///< sorted runs coalesced out of the staging buffers

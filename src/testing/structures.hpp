@@ -35,7 +35,6 @@
 #include "core/parallel_heap.hpp"
 #include "core/pipelined_heap.hpp"
 #include "core/sharded_heap.hpp"
-#include "core/stable_heap.hpp"
 #include "dist/supervisor.hpp"
 #include "ingest/ingest_tier.hpp"
 #include <optional>
@@ -47,31 +46,6 @@
 #include "util/thread_pool.hpp"
 
 namespace ph::testing {
-
-/// Drives StableParallelHeap through the plain uint64 cycle interface
-/// (entries carry null payloads — allowed by the stable heap's contract).
-class StableHeapBatchAdapter {
- public:
-  explicit StableHeapBatchAdapter(std::size_t r) : h_(r) {}
-
-  std::size_t cycle(std::span<const std::uint64_t> fresh, std::size_t k,
-                    std::vector<std::uint64_t>& out) {
-    entries_.clear();
-    for (std::uint64_t key : fresh) entries_.push_back({key, nullptr});
-    eout_.clear();
-    const std::size_t n = h_.cycle(entries_, k, eout_);
-    for (const auto& e : eout_) out.push_back(e.key);
-    return n;
-  }
-
-  bool check_invariants(std::string* why) { return h_.heap().check_invariants(why); }
-
- private:
-  using Heap = StableParallelHeap<std::uint64_t, char>;
-  Heap h_;
-  std::vector<Heap::Entry> entries_;
-  std::vector<Heap::Entry> eout_;
-};
 
 namespace structures_detail {
 struct U64Key {
@@ -440,10 +414,10 @@ class IngestTierAdapter {
 inline const std::vector<std::string>& default_structures() {
   static const std::vector<std::string> names = {
       "parallel_heap",      "parallel_heap_d4",   "pipelined_heap",
-      "pipelined_heap_mt",  "stable_heap",        "locked_binary_heap",
+      "pipelined_heap_mt",  "locked_binary_heap",
       "batch_binary_heap",  "batch_dary4_heap",   "batch_skew_heap",
       "batch_pairing_heap", "batch_leftist_heap", "batch_calendar_queue",
-      "sharded_heap",       "sharded_heap_conc",  "sharded_heap_crew",
+      "sharded_heap",       "sharded_heap_conc",  "sharded_heap_wide",
       "engine_pipeline",    "engine_team",        "local_heaps",
       "local_heaps_mt",     "flat_combining_mt",  "durable_pipelined",
       "ingest_pipelined",   "ingest_sharded_strict", "ingest_sharded_relaxed"};
@@ -497,11 +471,6 @@ inline DiffFailure run_trace(const OpTrace& t) {
     MtPipelinedHeapAdapter q(t.r);
     return run_differential(q, t, opt);
   }
-  if (s == "stable_heap") {
-    opt.invariant_stride = 64;
-    StableHeapBatchAdapter q(t.r);
-    return run_differential(q, t, opt);
-  }
   if (s == "locked_binary_heap") {
     LockedPQ<BinaryHeap<U64>, U64> q;
     return run_differential(q, t, opt);
@@ -537,19 +506,18 @@ inline DiffFailure run_trace(const OpTrace& t) {
                                                      /*sample_capacity=*/1024});
     return run_differential(q, t, opt);
   }
-  if (s == "sharded_heap_conc" || s == "sharded_heap_crew") {
-    // The PR7 concurrency paths, pinned bit-exact against the oracle:
-    // "conc" runs 2 workers over 3 shards (striped assignment, one worker
-    // serially cycling its shards); "crew" runs 5 workers over 3 shards so
-    // every shard gets a multi-worker crew and the odd/even level split
-    // crosses the SenseBarrier publication protocol each cycle. Both overlap
-    // putback with the caller (quiesce handshake) and use the min hint.
+  if (s == "sharded_heap_conc" || s == "sharded_heap_wide") {
+    // The worker-team paths, pinned bit-exact against the oracle: "conc"
+    // runs 2 workers over 3 shards (one worker serially cycles two shards);
+    // "wide" asks for 5 workers over 3 shards, which the team caps at 3.
+    // Both overlap putback with the caller (quiesce handshake) and use the
+    // min hint.
     opt.invariant_stride = 64;
     ShardedHeap<U64>::Config c;
     c.shards = 3;
     c.rebalance_interval = 16;
     c.sample_capacity = 1024;
-    c.workers = (s == "sharded_heap_crew") ? 5 : 2;
+    c.workers = (s == "sharded_heap_wide") ? 5 : 2;
     c.overlap_putback = true;
     ShardedHeap<U64> q(t.r, c);
     return run_differential(q, t, opt);

@@ -448,10 +448,10 @@ TEST(Quarantine, DesOutcomeExactWithShardKilledMidRun) {
   ASSERT_GT(want.processed, 0u);
 
   sim::ShardedSimConfig cfg;
-  cfg.shards = 4;
+  cfg.queue.shards = 4;
   cfg.node_capacity = 32;
   cfg.batch = 32;
-  cfg.quarantine = true;
+  cfg.queue.quarantine = true;
   // Kill one shard mid-run (evals advance once per active shard per cycle).
   rb::arm(rb::FailSite::kShardCycle, rb::FireSpec{4 * 10 + 2, 0, 1, 0});
   const sim::ShardedSimResult got = sim::run_sharded_sim(model, end_time, cfg);

@@ -1,12 +1,15 @@
-// Tests for PR7's concurrent shard pipelines (core/sharded_heap.hpp):
-// worker-team bit-exactness across assignments (striped W<=A and crewed
-// W>A), the overlapped-putback handshake, the cross-shard min hint's
-// exactness and putback reduction, per-worker occupancy accounting, the
-// timestamp-band DES routing, and the new differential-registry entries.
+// Tests for the concurrent shard pipelines (core/sharded_heap.hpp):
+// worker-team bit-exactness across team sizes (including more workers than
+// shards, which the team caps), the overlapped-putback handshake and moving
+// a heap mid-handshake, the cross-shard min hint's exactness and putback
+// reduction, per-worker occupancy accounting, the timestamp-band DES
+// routing, and the concurrent differential-registry entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,9 +43,8 @@ ShardedHeap<U64>::Config base_cfg(std::size_t shards) {
 TEST(ParallelCycle, WorkerTeamBitExactAcrossAssignments) {
   // Every (shards, workers, overlap) combination must produce the byte-
   // identical deletion stream of the serial (workers=0) reference — per
-  // cycle AND through the final drain. workers > shards exercises the crew
-  // split of odd/even levels inside one shard; workers <= shards the striped
-  // whole-pipeline assignment.
+  // cycle AND through the final drain. workers <= shards exercises the
+  // striped whole-pipeline assignment; workers > shards the team-size cap.
   GenConfig gen;
   gen.r = 8;
   gen.cycles = 250;
@@ -141,6 +143,55 @@ TEST(ParallelCycle, OverlapPutbackHandshake) {
   EXPECT_EQ(q.sorted_contents(), oracle.contents());
 }
 
+TEST(ParallelCycle, MoveWhilePutbackInFlight) {
+  // The team's workers write through the heap's `this`; moving a heap whose
+  // overlapped putback is still running must join them before the members
+  // move. Move-construct mid-handshake (and, every other time, move-assign
+  // over a heap with its own putback in flight); the stream must stay the
+  // serial one.
+  GenConfig gen;
+  gen.r = 8;
+  gen.cycles = 200;
+  gen.seed = 5;
+  const OpTrace t = generate_trace(gen);
+  ShardedHeap<U64> ref(gen.r, base_cfg(3));
+  ShardedHeap<U64>::Config cfg = base_cfg(3);
+  cfg.workers = 2;
+  cfg.overlap_putback = true;
+  cfg.min_hint = false;  // more putbacks, so more handshakes to move into
+  auto q = std::make_unique<ShardedHeap<U64>>(gen.r, cfg);
+  Xoshiro256 rng(3);
+  std::vector<U64> got, want, sink;
+  std::size_t moves = 0;
+  auto step = [&](std::span<const U64> fresh, std::size_t k) {
+    got.clear();
+    want.clear();
+    const std::size_t n = q->cycle(fresh, k, got);
+    ref.cycle(fresh, k, want);
+    EXPECT_EQ(got, want) << "after " << moves << " moves";
+    if (!q->putback_pending()) return n;
+    if (moves++ % 2 == 0) {
+      q = std::make_unique<ShardedHeap<U64>>(std::move(*q));
+      return n;
+    }
+    ShardedHeap<U64> target(gen.r, cfg);
+    for (int i = 0; i < 64 && !target.putback_pending(); ++i) {
+      const U64 items[] = {rng.next_below(1000), rng.next_below(1000),
+                           rng.next_below(1000)};
+      sink.clear();
+      target.cycle(items, 1, sink);
+    }
+    target = std::move(*q);
+    q = std::make_unique<ShardedHeap<U64>>(std::move(target));
+    return n;
+  };
+  for (const auto& op : t.ops) step(op.fresh, std::min(op.k, gen.r));
+  for (int guard = 0; guard < 1 << 12 && step({}, gen.r) != 0; ++guard) {
+  }
+  EXPECT_GT(moves, 1u) << "no putback was in flight at a move";
+  EXPECT_TRUE(q->empty());
+}
+
 // ------------------------------------------------------------ min hint
 
 TEST(ParallelCycle, MinHintSkipsLosingShardsExactly) {
@@ -232,7 +283,7 @@ TEST(ParallelCycle, BandedRoutingExactOnDes) {
 
   for (double band : {0.0, 0.5, 4.0}) {  // 0 = auto (lookahead width)
     sim::ShardedSimConfig cfg;
-    cfg.shards = 3;
+    cfg.queue.shards = 3;
     cfg.node_capacity = 32;
     cfg.batch = 32;
     cfg.band_width = band;
@@ -254,12 +305,12 @@ TEST(ParallelCycle, BandedRoutingWithWorkersExact) {
   const sim::SimResult want = sim::run_serial_sim(model, end_time);
 
   sim::ShardedSimConfig cfg;
-  cfg.shards = 3;
+  cfg.queue.shards = 3;
   cfg.node_capacity = 32;
   cfg.batch = 32;
   cfg.band_width = 0.0;  // auto
-  cfg.workers = 2;
-  cfg.overlap_putback = true;
+  cfg.queue.workers = 2;
+  cfg.queue.overlap_putback = true;
   const sim::ShardedSimResult got = sim::run_sharded_sim(model, end_time, cfg);
   EXPECT_TRUE(got.sim.same_outcome(want));
   EXPECT_GT(got.shard.parallel_cycles, 0u);
@@ -295,7 +346,7 @@ TEST(ParallelCycle, RegistryEntriesPassDifferential) {
   // concurrent sharded configs bit-exact, the engine surface bit-exact, the
   // flat-combining team under conservation checking.
   for (const char* name :
-       {"sharded_heap_conc", "sharded_heap_crew", "engine_team",
+       {"sharded_heap_conc", "sharded_heap_wide", "engine_team",
         "flat_combining_mt"}) {
     for (std::uint64_t seed : {11u, 47u}) {
       GenConfig gen;
@@ -308,6 +359,10 @@ TEST(ParallelCycle, RegistryEntriesPassDifferential) {
       EXPECT_FALSE(f.failed) << name << " seed " << seed << ": " << f.message;
     }
   }
+  // "wide" asks for 5 workers over 3 shards; the team holds only 3.
+  ShardedHeap<U64>::Config wide = base_cfg(3);
+  wide.workers = 5;
+  EXPECT_EQ(ShardedHeap<U64>(8, wide).live().worker_busy_ns.size(), 3u);
 }
 
 }  // namespace

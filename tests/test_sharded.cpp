@@ -330,6 +330,43 @@ TEST(ShardedHeap, ReleaseAdoptHandoffConservesAndStaysExact) {
   EXPECT_EQ(drained, want_all);
 }
 
+TEST(ShardedHeap, ReleaseAfterCyclesKeepsSurvivorStreamExact) {
+  // A shard released after it has pulled prefixes must not bring its last
+  // (already delivered or put back) prefix into the next tournament.
+  ShardedHeap<U64>::Config cfg;
+  cfg.shards = 3;
+  ShardedHeap<U64> q(8, cfg);
+  SortedOracle all;
+  std::vector<U64> got, want, items;
+  for (U64 v = 0; v < 96; ++v) items.push_back((v * 53) % 257);
+  q.build(items);
+  all.cycle(std::span<const U64>(items), 0, want);
+  for (U64 c = 0; c < 12; ++c) {
+    const U64 fresh[] = {(c * 97) % 211, (c * 31) % 211, (c * 59) % 211};
+    got.clear();
+    want.clear();
+    q.cycle(std::span<const U64>(fresh, 3), 2, got);
+    all.cycle(std::span<const U64>(fresh, 3), 2, want);
+    ASSERT_EQ(got, want) << "warm-up cycle " << c;
+  }
+  // Shard 0 holds the smallest keys, so it contributed to the last cycle.
+  const std::vector<U64> handed = q.release_shard(0);
+  SortedOracle survivors;
+  {
+    const std::vector<U64> rest = q.sorted_contents();
+    survivors.cycle(std::span<const U64>(rest), 0, want);
+  }
+  for (int c = 0; c < 40; ++c) {
+    got.clear();
+    want.clear();
+    q.cycle({}, 4, got);
+    survivors.cycle({}, 4, want);
+    ASSERT_EQ(got, want) << "survivor cycle " << c;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(handed.empty());
+}
+
 TEST(ShardedSim, MatchesSerialReferenceAcrossShardCounts) {
   const sim::Topology topo = sim::make_torus(8, 8);
   sim::ModelConfig mc;
@@ -341,7 +378,7 @@ TEST(ShardedSim, MatchesSerialReferenceAcrossShardCounts) {
 
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     sim::ShardedSimConfig cfg;
-    cfg.shards = shards;
+    cfg.queue.shards = shards;
     cfg.node_capacity = 32;
     cfg.batch = 32;
     const sim::ShardedSimResult got = sim::run_sharded_sim(model, end_time, cfg);

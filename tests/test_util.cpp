@@ -2,17 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <numeric>
 #include <thread>
 #include <vector>
 
 #include "util/barrier.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -145,77 +141,6 @@ TEST(Rng, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(Stats, Pow2HistogramBuckets) {
-  Pow2Histogram h;
-  h.add(0);
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(4);
-  h.add(1000);
-  EXPECT_EQ(h.total(), 6u);
-  const auto& b = h.buckets();
-  ASSERT_GE(b.size(), 11u);
-  EXPECT_EQ(b[0], 2u);  // 0 and 1
-  EXPECT_EQ(b[1], 1u);  // 2
-  EXPECT_EQ(b[2], 2u);  // 3..4
-  EXPECT_EQ(b[10], 1u); // 513..1024
-}
-
-TEST(Stats, SummaryTracksMinMaxMean) {
-  Summary s;
-  s.add(2.0);
-  s.add(4.0);
-  s.add(9.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(Stats, SummaryStddevMatchesDirectFormula) {
-  Summary s;
-  const double xs[] = {3.0, 7.0, 7.0, 19.0};
-  double mean = 0;
-  for (double x : xs) mean += x / 4.0;
-  double var = 0;
-  for (double x : xs) var += (x - mean) * (x - mean) / 3.0;  // Bessel
-  for (double x : xs) s.add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), mean);
-  EXPECT_DOUBLE_EQ(s.stddev(), std::sqrt(var));
-  Summary single;
-  single.add(5.0);
-  EXPECT_DOUBLE_EQ(single.stddev(), 0.0);
-}
-
-TEST(Stats, SummaryWelfordIsStableAtLargeOffset) {
-  // Naive sum-of-squares cancels catastrophically here; Welford must not.
-  Summary s;
-  const double base = 1e9;
-  for (double d : {0.0, 1.0, 2.0}) s.add(base + d);
-  EXPECT_NEAR(s.stddev(), 1.0, 1e-6);
-}
-
-TEST(Stats, SummaryRejectsNaN) {
-  Summary s;
-  s.add(2.0);
-  s.add(std::numeric_limits<double>::quiet_NaN());
-  s.add(4.0);
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_EQ(s.nan_count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_FALSE(std::isnan(s.stddev()));
-  // NaN first must not poison the aggregates either.
-  Summary t;
-  t.add(std::numeric_limits<double>::quiet_NaN());
-  t.add(1.0);
-  EXPECT_EQ(t.count(), 1u);
-  EXPECT_DOUBLE_EQ(t.min(), 1.0);
-  EXPECT_DOUBLE_EQ(t.max(), 1.0);
-}
-
 TEST(PhaseTimer, UnmatchedStopIsNoOp) {
   // Regression: stop() without a matching start() used to fold in time
   // measured from the timer's construction (an arbitrary origin).
@@ -244,17 +169,6 @@ TEST(PhaseTimer, AccumulatesAcrossEpisodes) {
   t.start();
   t.stop();
   EXPECT_GE(t.total_seconds(), one);
-}
-
-TEST(Stats, RegistryAccumulates) {
-  StatRegistry reg;
-  reg.add("x", 3);
-  reg.add("x", 4);
-  reg.add("y", 1);
-  EXPECT_EQ(reg.get("x"), 7u);
-  EXPECT_EQ(reg.get("y"), 1u);
-  EXPECT_EQ(reg.get("missing"), 0u);
-  EXPECT_EQ(reg.to_string(), "x=7 y=1");
 }
 
 }  // namespace

@@ -3,9 +3,10 @@
 // Polls a SnapshotPublisher (either the HTTP endpoint a bench exposes with
 // --metrics-port, or the JSON file it writes with --metrics-file) and renders
 // per-shard sizes, cycle/route/putback *rates* (computed from successive
-// snapshots — the publisher only exports monotone totals), and key phase
-// latency percentiles. Zero dependencies: raw POSIX sockets for the GET,
-// util/mini_json.hpp for parsing.
+// snapshots — the publisher only exports monotone totals: telemetry counters,
+// and the heap_routed / heap_putbacks gauges summed over every `heap`
+// label), and key phase latency percentiles. Zero dependencies: raw POSIX
+// sockets for the GET, util/mini_json.hpp for parsing.
 //
 //   ph_top --port 9137                poll http://127.0.0.1:9137/metrics.json
 //   ph_top --file /tmp/ph.json       poll a --metrics-file target
@@ -27,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/mini_json.hpp"
@@ -95,22 +97,28 @@ double num_or(const ph::minijson::Value& obj, const std::string& key, double dfl
   return it->second.number();
 }
 
+/// Monotone totals by name: every telemetry counter, plus the gauges in
+/// kSummedGauges summed over their `heap` labels.
+using Totals = std::map<std::string, double>;
+constexpr const char* kSummedGauges[] = {"heap_routed", "heap_putbacks"};
+
 struct Prev {
   bool valid = false;
   double t_ns = 0;
-  std::map<std::string, double> counters;
+  Totals totals;
 };
 
-/// Per-second rate of counter `name` between the previous and current
+/// Per-second rate of total `name` between the previous and current
 /// snapshot (0 before two samples exist).
-double rate(const Prev& prev, const ph::minijson::Value& counters, double t_ns,
+double rate(const Prev& prev, const Totals& now, double t_ns,
             const std::string& name) {
   if (!prev.valid) return 0.0;
   const double dt = (t_ns - prev.t_ns) / 1e9;
   if (dt <= 0) return 0.0;
-  const auto it = prev.counters.find(name);
-  if (it == prev.counters.end()) return 0.0;
-  return (num_or(counters, name, 0) - it->second) / dt;
+  const auto it = prev.totals.find(name);
+  const auto cur = now.find(name);
+  if (it == prev.totals.end() || cur == now.end()) return 0.0;
+  return (cur->second - it->second) / dt;
 }
 
 int render(const std::string& body, Prev& prev) try {
@@ -118,14 +126,12 @@ int render(const std::string& body, Prev& prev) try {
   const double seq = num_or(doc, "seq", 0);
   const double t_ns = num_or(doc, "t_ns", 0);
   const auto& telem = doc.at("telemetry");
-  const auto& counters = telem.at("counters");
-
-  std::printf("ph_top  seq=%-6.0f uptime=%8.1fs  cycles/s=%9.1f  routed/s=%11.1f  "
-              "putback/s=%9.1f  fsync/s=%7.1f\n",
-              seq, t_ns / 1e9, rate(prev, counters, t_ns, "cycles"),
-              rate(prev, counters, t_ns, "shard_routed"),
-              rate(prev, counters, t_ns, "shard_putbacks"),
-              rate(prev, counters, t_ns, "wal_fsyncs"));
+  Totals totals;
+  if (telem.at("counters").is_object()) {
+    for (const auto& [k, v] : telem.at("counters").object()) {
+      if (v.is_number()) totals[k] = v.number();
+    }
+  }
 
   // Per-shard table, assembled from the gauge list ({heap, shard} labels).
   struct ShardRow { double size = -1, active = -1; };
@@ -141,6 +147,9 @@ int render(const std::string& body, Prev& prev) try {
       const std::string heap =
           heap_it != labels.end() ? heap_it->second.str() : "";
       const double v = g.at("value").number();
+      for (const char* summed : kSummedGauges) {
+        if (name == summed) totals[name] += v;
+      }
       if (shard_it != labels.end()) {
         auto& row = shardrows[{heap, shard_it->second.str()}];
         if (name == "shard_size") row.size = v;
@@ -152,6 +161,12 @@ int render(const std::string& body, Prev& prev) try {
       }
     }
   }
+  std::printf("ph_top  seq=%-6.0f uptime=%8.1fs  cycles/s=%9.1f  routed/s=%11.1f  "
+              "putback/s=%9.1f  fsync/s=%7.1f\n",
+              seq, t_ns / 1e9, rate(prev, totals, t_ns, "cycles"),
+              rate(prev, totals, t_ns, "heap_routed"),
+              rate(prev, totals, t_ns, "heap_putbacks"),
+              rate(prev, totals, t_ns, "wal_fsyncs"));
   if (!shardrows.empty()) {
     std::printf("  %-18s %-6s %12s %s\n", "heap", "shard", "size", "active");
     for (const auto& [key, row] : shardrows) {
@@ -171,8 +186,8 @@ int render(const std::string& body, Prev& prev) try {
                 "shed=%-8.0f dispatch/s=%9.1f ack/s=%9.1f%s%s\n",
                 sv("svc_tenants"), sv("svc_queue_depth"),
                 sv("svc_pending_delivery"), sv("svc_shed_total"),
-                rate(prev, counters, t_ns, "svc_delivered"),
-                rate(prev, counters, t_ns, "svc_acked"),
+                rate(prev, totals, t_ns, "svc_delivered"),
+                rate(prev, totals, t_ns, "svc_acked"),
                 sv("svc_overloaded") > 0 ? "  [OVERLOADED]" : "",
                 sv("svc_draining") > 0 ? "  [DRAINING]" : "");
   }
@@ -198,12 +213,7 @@ int render(const std::string& body, Prev& prev) try {
 
   prev.valid = true;
   prev.t_ns = t_ns;
-  prev.counters.clear();
-  if (counters.is_object()) {
-    for (const auto& [k, v] : counters.object()) {
-      if (v.is_number()) prev.counters[k] = v.number();
-    }
-  }
+  prev.totals = std::move(totals);
   return 0;
 } catch (const std::exception& e) {
   // Covers both a non-JSON body and a shape mismatch (at() throws): either
