@@ -9,6 +9,7 @@
 //   merge work per item  (falls then flattens as r grows)
 //   root-phase share     (serial fraction; falls with r)
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -38,11 +39,15 @@ int main(int argc, char** argv) {
     const HoldResult res = batch_hold(q, cfg, r);
     const double secs = t.seconds();
     const auto& st = q.stats();
+    const double merged_per_op =
+        static_cast<double>(st.items_merged) / static_cast<double>(res.ops);
     row("%zu,%.2f,%.2f,%.2f,%.2f", r,
         static_cast<double>(res.ops) / secs / 1e6,
-        secs / static_cast<double>(st.cycles) * 1e6,
-        static_cast<double>(st.items_merged) / static_cast<double>(res.ops),
+        secs / static_cast<double>(st.cycles) * 1e6, merged_per_op,
         static_cast<double>(st.nodes_touched) / static_cast<double>(st.cycles));
+    json_metric("node_size_ns_per_op_r" + std::to_string(r),
+                secs / static_cast<double>(res.ops) * 1e9);
+    json_metric("node_size_items_merged_per_op_r" + std::to_string(r), merged_per_op);
   }
   note("n=%zu ops=%llu; r is also the batch width handed to workers per cycle",
        cfg.n, static_cast<unsigned long long>(cfg.ops));

@@ -35,7 +35,7 @@ namespace ph {
 /// Scratch buffers for fix_node (reuse across calls to stay allocation-free).
 template <typename T>
 struct FixScratch {
-  std::vector<T> kid_prefix, dirty, lsuf, rsuf, tmp;
+  std::vector<T> kid_prefix, dirty;
 };
 
 template <typename T>
@@ -46,6 +46,44 @@ struct FixOutcome {
   bool r_violates = false;
   std::size_t items_moved = 0;  ///< total items written (work accounting)
 };
+
+namespace detail {
+
+/// The exchange both repairs end with, once discovery has put the t child
+/// items to pull up in s.kid_prefix and child c's share in taken[c]. Saves
+/// v's t largest as the fills, merges the kid prefix into v's kept part from
+/// the back, then refills each child in `order`: child c keeps
+/// child[taken[c], |c|) and takes the next taken[c] fills, merged forward in
+/// place. Sets violates[c] for each refilled child; returns items moved.
+template <typename T, typename Compare>
+std::size_t exchange(std::span<T> sv, std::span<const std::span<T>> children,
+                     std::span<const std::size_t> order,
+                     std::span<const std::size_t> taken,
+                     std::span<const T* const> grandmins, std::span<bool> violates,
+                     FixScratch<T>& s, Compare cmp) {
+  const std::size_t nv = sv.size();
+  const std::size_t t = s.kid_prefix.size();
+  s.dirty.assign(sv.begin() + static_cast<std::ptrdiff_t>(nv - t), sv.end());
+  merge_back_into(sv, nv - t, std::span<const T>(s.kid_prefix), cmp);
+  std::size_t moved = nv;
+
+  std::size_t offset = 0;
+  for (const std::size_t c : order) {
+    const std::size_t k = taken[c];
+    if (k == 0) continue;
+    const std::span<T> kid = children[c];
+    std::size_t i = k, j = 0;
+    merge_n(std::span<const T>(kid), i, std::span<const T>(s.dirty.data() + offset, k), j,
+            kid.size(), kid.data(), cmp);
+    moved += kid.size();
+    violates[c] = grandmins[c] != nullptr && cmp(*grandmins[c], kid.back());
+    offset += k;
+  }
+  PH_ASSERT(offset == t);
+  return moved;
+}
+
+}  // namespace detail
 
 /// Repairs v against its children in place. `gl`/`gr` are the minima of L's
 /// and R's own children (nullptr when none) — used both to route the larger
@@ -82,39 +120,22 @@ FixOutcome<T> fix_node(std::span<T> sv, std::span<T> sl, std::span<T> sr,
   out.taken_r = ir;
   if (t == 0) return out;
 
-  // Save the displaced suffix of v, then rebuild v = merge(kept, kid_prefix).
-  s.dirty.assign(sv.begin() + static_cast<std::ptrdiff_t>(nv - t), sv.end());
-  s.tmp.clear();
-  merge2(std::span<const T>(sv.data(), nv - t), std::span<const T>(s.kid_prefix),
-         s.tmp, cmp);
-  std::copy(s.tmp.begin(), s.tmp.end(), sv.begin());
-  out.items_moved += nv;
-
-  // Route the larger fills to the child whose grandchildren start later.
+  // Route the larger fills to the child whose grandchildren start later:
+  // the first child in `order` takes the lower slice of the fills.
   const bool larger_to_left = gr == nullptr || (gl != nullptr && !cmp(*gl, *gr));
-  const std::size_t l_off = larger_to_left ? ir : 0;
-  const std::size_t r_off = larger_to_left ? 0 : il;
-
-  if (il > 0) {
-    s.lsuf.assign(sl.begin() + static_cast<std::ptrdiff_t>(il), sl.end());
-    s.tmp.clear();
-    merge2(std::span<const T>(s.lsuf), std::span<const T>(s.dirty.data() + l_off, il),
-           s.tmp, cmp);
-    PH_ASSERT(s.tmp.size() == nl);
-    std::copy(s.tmp.begin(), s.tmp.end(), sl.begin());
-    out.items_moved += nl;
-    out.l_violates = gl != nullptr && cmp(*gl, s.tmp.back());
-  }
-  if (ir > 0) {
-    s.rsuf.assign(sr.begin() + static_cast<std::ptrdiff_t>(ir), sr.end());
-    s.tmp.clear();
-    merge2(std::span<const T>(s.rsuf), std::span<const T>(s.dirty.data() + r_off, ir),
-           s.tmp, cmp);
-    PH_ASSERT(s.tmp.size() == nr);
-    std::copy(s.tmp.begin(), s.tmp.end(), sr.begin());
-    out.items_moved += nr;
-    out.r_violates = gr != nullptr && cmp(*gr, s.tmp.back());
-  }
+  const std::array<std::span<T>, 2> kids{sl, sr};
+  const std::array<std::size_t, 2> order =
+      larger_to_left ? std::array<std::size_t, 2>{1, 0} : std::array<std::size_t, 2>{0, 1};
+  const std::array<std::size_t, 2> taken{il, ir};
+  const std::array<const T*, 2> gms{gl, gr};
+  std::array<bool, 2> viol{false, false};
+  out.items_moved = detail::exchange(sv, std::span<const std::span<T>>(kids),
+                                     std::span<const std::size_t>(order),
+                                     std::span<const std::size_t>(taken),
+                                     std::span<const T* const>(gms), std::span<bool>(viol),
+                                     s, cmp);
+  out.l_violates = viol[0];
+  out.r_violates = viol[1];
   return out;
 }
 
@@ -160,14 +181,6 @@ std::size_t fix_node_multi(std::span<T> sv, std::span<std::span<T>> children,
   }
   if (t == 0) return 0;
 
-  std::size_t moved = 0;
-  s.dirty.assign(sv.begin() + static_cast<std::ptrdiff_t>(nv - t), sv.end());
-  s.tmp.clear();
-  merge2(std::span<const T>(sv.data(), nv - t), std::span<const T>(s.kid_prefix),
-         s.tmp, cmp);
-  std::copy(s.tmp.begin(), s.tmp.end(), sv.begin());
-  moved += nv;
-
   // Rank children by tolerance: ascending grandmin, nullptr (= unbounded)
   // last. Stable order keeps the operation deterministic.
   std::array<std::size_t, 16> order{};
@@ -179,25 +192,10 @@ std::size_t fix_node_multi(std::span<T> sv, std::span<std::span<T>> children,
                      if (grandmins[b] == nullptr) return true;
                      return cmp(*grandmins[a], *grandmins[b]);
                    });
-
-  std::size_t offset = 0;
-  for (std::size_t rank = 0; rank < d; ++rank) {
-    const std::size_t c = order[rank];
-    const std::size_t k = taken_out[c];
-    if (k == 0) continue;
-    s.lsuf.assign(children[c].begin() + static_cast<std::ptrdiff_t>(k),
-                  children[c].end());
-    s.tmp.clear();
-    merge2(std::span<const T>(s.lsuf), std::span<const T>(s.dirty.data() + offset, k),
-           s.tmp, cmp);
-    PH_ASSERT(s.tmp.size() == children[c].size());
-    std::copy(s.tmp.begin(), s.tmp.end(), children[c].begin());
-    moved += s.tmp.size();
-    violates_out[c] = grandmins[c] != nullptr && cmp(*grandmins[c], s.tmp.back());
-    offset += k;
-  }
-  PH_ASSERT(offset == t);
-  return moved;
+  return detail::exchange(sv, std::span<const std::span<T>>(children.data(), d),
+                          std::span<const std::size_t>(order.data(), d),
+                          std::span<const std::size_t>(taken_out.data(), d), grandmins,
+                          violates_out, s, cmp);
 }
 
 }  // namespace ph

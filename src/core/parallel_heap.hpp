@@ -225,10 +225,9 @@ class ParallelHeap {
       subs_.clear();
       take_tail(need, subs_);
       stats_.substitutes += need;
-      tmp_.clear();
-      merge2(rest_span, std::span<const T>(subs_), tmp_, cmp_);
       ensure_nodes(1);
-      std::copy(tmp_.begin(), tmp_.end(), arena_.begin());
+      std::size_t i = 0, j = 0;
+      merge_n(rest_span, i, std::span<const T>(subs_), j, new_root_cnt, arena_.data(), cmp_);
       size_ = (below - need) + new_root_cnt;
     }
     // Repair the parallel heap condition at the root (new items and
@@ -424,12 +423,9 @@ class ParallelHeap {
     }
     // Land at the target node.
     auto tgt = std::span<T>(arena_.data() + target * r_, tail_used + carried_.size());
-    tmp_.clear();
-    merge2(std::span<const T>(tgt.data(), tail_used), std::span<const T>(carried_),
-           tmp_, cmp_);
-    std::copy(tmp_.begin(), tmp_.end(), tgt.begin());
+    merge_back_into(tgt, tail_used, std::span<const T>(carried_), cmp_);
     ++stats_.nodes_touched;
-    stats_.items_merged += tmp_.size();
+    stats_.items_merged += tgt.size();
     stats_.span_levels += level_of(target);
   }
 
@@ -494,8 +490,7 @@ class ParallelHeap {
 
   // Scratch buffers reused across operations to keep the hot path
   // allocation-free after warm-up.
-  std::vector<T> sort_buf_, new_buf_, merged_, subs_, tmp_, carried_, kept_, rest_,
-      one_;
+  std::vector<T> sort_buf_, new_buf_, merged_, subs_, carried_, kept_, rest_, one_;
   FixScratch<T> fix_;
   std::vector<std::size_t> work_, path_;
   std::vector<std::span<T>> child_spans_;

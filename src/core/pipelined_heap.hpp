@@ -93,7 +93,7 @@ class PipelinedParallelHeap {
 
    private:
     friend class PipelinedParallelHeap;
-    std::vector<T> tmp_, kept_, rest_;
+    std::vector<T> kept_, rest_;
     FixScratch<T> fix_;
     std::vector<ProcT> spawned_;
     HeapStats stats_{};
@@ -614,14 +614,11 @@ class PipelinedParallelHeap {
     if (v == p.target) {  // deliver
       const std::size_t have = node_count(v);
       PH_ASSERT(have + p.carried.size() <= r_);
-      c.tmp_.clear();
-      merge2(std::span<const T>(arena_.data() + v * r_, have),
-             std::span<const T>(p.carried), c.tmp_, cmp_);
-      std::copy(c.tmp_.begin(), c.tmp_.end(),
-                arena_.begin() + static_cast<std::ptrdiff_t>(v * r_));
       cnt_[v] = have + p.carried.size();
+      merge_back_into(std::span<T>(arena_.data() + v * r_, cnt_[v]), have,
+                      std::span<const T>(p.carried), cmp_);
       ++c.stats_.nodes_touched;
-      c.stats_.items_merged += c.tmp_.size();
+      c.stats_.items_merged += cnt_[v];
       return;
     }
     // Interior path node: full by construction.
@@ -710,10 +707,9 @@ class PipelinedParallelHeap {
       subs_.clear();
       take_tail(need, subs_);
       stats_.substitutes += need;
-      tmp_.clear();
-      merge2(rest_span, std::span<const T>(subs_), tmp_, cmp_);
       ensure_nodes(1);
-      std::copy(tmp_.begin(), tmp_.end(), arena_.begin());
+      std::size_t i = 0, j = 0;
+      merge_n(rest_span, i, std::span<const T>(subs_), j, new_root_cnt, arena_.data(), cmp_);
       // take_tail already deducted `need`; swapping the old root for the new
       // one nets the rest of the accounting (old root out, rest+subs in).
       size_ = size_ - root_cnt + new_root_cnt;
@@ -746,9 +742,7 @@ class PipelinedParallelHeap {
       ensure_nodes(target + 1);
       if (target == 0) {
         // Root is the tail: place directly.
-        tmp_.clear();
-        merge2(std::span<const T>(arena_.data(), cnt_[0]), items, tmp_, cmp_);
-        std::copy(tmp_.begin(), tmp_.end(), arena_.begin());
+        merge_back_into(std::span<T>(arena_.data(), cnt_[0] + chunk), cnt_[0], items, cmp_);
         cnt_[0] += chunk;
       } else {
         // Allocation-failure site: the carried-set vector is the one real
@@ -831,7 +825,7 @@ class PipelinedParallelHeap {
   };
 
   // Scratch (reused; the hot path is allocation-free after warm-up).
-  std::vector<T> new_buf_, merged_, subs_, tmp_;
+  std::vector<T> new_buf_, merged_, subs_;
   std::vector<ProcT> batch_;
   std::vector<std::size_t> groups_;
   std::vector<GrandSnap> gsnap_;

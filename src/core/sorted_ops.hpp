@@ -6,10 +6,19 @@
 // These kernels are the entire inner loop of the data structure, so they are
 // kept free of allocation (callers supply output storage) and of virtual
 // dispatch.
+//
+// The two-run merges gallop. A node merge typically folds a dozen items
+// into ~r, so the runs interleave only a few times; once one side has won
+// kMinGallop times in a row, the rest of its run is found with an
+// exponential-then-binary search and copied whole (TimSort's rule). A merge
+// then costs about its interleavings plus one block copy; fully interleaved
+// runs rarely reach the threshold and keep item-by-item cost.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -26,22 +35,148 @@ bool is_sorted_run(std::span<const T> s, Compare cmp) {
   return true;
 }
 
+/// Wins in a row after which a merge stops comparing item by item and
+/// searches for the end of the winning side's run.
+inline constexpr std::size_t kMinGallop = 7;
+
+namespace detail {
+
+/// Length of the prefix of [first, first + n) on which `pred` holds (`pred`
+/// is true, then false, along the range). Exponential then binary search:
+/// O(log k) compares for an answer k.
+template <typename It, typename Pred>
+std::size_t gallop(It first, std::size_t n, Pred pred) {
+  std::size_t lo = 0;   // pred holds on [0, lo)
+  std::size_t ofs = 1;  // next probe at ofs - 1
+  while (ofs <= n && pred(first[static_cast<std::ptrdiff_t>(ofs - 1)])) {
+    lo = ofs;
+    ofs = 2 * ofs + 1;
+  }
+  const std::size_t hi = std::min(ofs - 1, n);  // pred fails at hi (or hi == n)
+  return static_cast<std::size_t>(
+      std::partition_point(first + static_cast<std::ptrdiff_t>(lo),
+                           first + static_cast<std::ptrdiff_t>(hi), pred) -
+      first);
+}
+
+/// Copies [src, src + k) to out, which may overlap it from the front
+/// (out <= src); returns the end of the written range.
+template <typename T>
+T* copy_down(const T* src, std::size_t k, T* out) {
+  if (out == src) return out + k;
+  return std::copy(src, src + k, out);
+}
+
+}  // namespace detail
+
+/// Emits the next `n` items of the stable merge of a[i, |a|) and b[j, |b|)
+/// to `out`, advancing the cursors `i` and `j`; returns the end of the
+/// written range. Ties take `a` first. The output may alias `a` provided
+/// out + (|b| - j) <= a.data() + i on entry: then no write reaches an unread
+/// item of `a` (the in-place refill of a run from its own suffix,
+/// out == a.data() with i == |b| and j == 0, is the edge case). It must not
+/// alias `b`.
+template <typename T, typename Compare>
+T* merge_n(std::span<const T> a, std::size_t& i, std::span<const T> b,
+           std::size_t& j, std::size_t n, T* out, Compare cmp) {
+  PH_ASSERT(i <= a.size() && j <= b.size() && n <= a.size() - i + b.size() - j);
+  std::size_t a_wins = 0, b_wins = 0;
+  while (n > 0 && i < a.size() && j < b.size()) {
+    if (cmp(b[j], a[i])) {
+      *out++ = b[j++];
+      --n;
+      a_wins = 0;
+      if (++b_wins == kMinGallop) {
+        // b's run: every item strictly before a[i].
+        const T& head = a[i];
+        const std::size_t k =
+            detail::gallop(b.data() + j, std::min(n, b.size() - j),
+                           [&](const T& x) { return cmp(x, head); });
+        out = std::copy(b.data() + j, b.data() + j + k, out);
+        j += k;
+        n -= k;
+        b_wins = 0;
+      }
+    } else {
+      *out++ = a[i++];
+      --n;
+      b_wins = 0;
+      if (++a_wins == kMinGallop) {
+        // a's run: every item not after b[j] (ties stay with a).
+        const T& head = b[j];
+        const std::size_t k =
+            detail::gallop(a.data() + i, std::min(n, a.size() - i),
+                           [&](const T& x) { return !cmp(head, x); });
+        out = detail::copy_down(a.data() + i, k, out);
+        i += k;
+        n -= k;
+        a_wins = 0;
+      }
+    }
+  }
+  const std::size_t ka = std::min(n, a.size() - i);
+  out = detail::copy_down(a.data() + i, ka, out);
+  i += ka;
+  n -= ka;
+  out = std::copy(b.data() + j, b.data() + j + n, out);
+  j += n;
+  return out;
+}
+
+/// In-place stable merge: buf[0, na) is sorted and buf has room for
+/// na + |b| items; merges `b` in from the back so that buf[0, na + |b|) is
+/// sorted, with ties keeping buf's items first. Items of buf before the
+/// first insertion point never move. `b` must not alias buf.
+template <typename T, typename Compare>
+void merge_back_into(std::span<T> buf, std::size_t na, std::span<const T> b,
+                     Compare cmp) {
+  PH_ASSERT(na + b.size() <= buf.size());
+  std::size_t i = na, j = b.size();  // unread: buf[0, i) and b[0, j)
+  T* out = buf.data() + na + j;      // write cursor, filled downward
+  std::size_t a_wins = 0, b_wins = 0;
+  while (i > 0 && j > 0) {
+    if (cmp(b[j - 1], buf[i - 1])) {
+      *--out = buf[--i];
+      b_wins = 0;
+      if (++a_wins == kMinGallop) {
+        // buf's run from the back: every item strictly after b[j - 1].
+        const T& head = b[j - 1];
+        const std::size_t k =
+            detail::gallop(std::make_reverse_iterator(buf.data() + i), i,
+                           [&](const T& x) { return cmp(head, x); });
+        out = std::copy_backward(buf.data() + i - k, buf.data() + i, out);
+        i -= k;
+        a_wins = 0;
+      }
+    } else {
+      *--out = b[--j];
+      a_wins = 0;
+      if (++b_wins == kMinGallop) {
+        // b's run from the back: every item not before buf[i - 1].
+        const T& head = buf[i - 1];
+        const std::size_t k =
+            detail::gallop(std::make_reverse_iterator(b.data() + j), j,
+                           [&](const T& x) { return !cmp(x, head); });
+        out = std::copy_backward(b.data() + j - k, b.data() + j, out);
+        j -= k;
+        b_wins = 0;
+      }
+    }
+  }
+  // buf[0, i) is already in place; only b's remainder is left to write.
+  std::copy(b.data(), b.data() + j, buf.data());
+}
+
 /// Stable two-way merge of sorted runs `a` and `b`, appended to `out`.
 /// Ties keep `a`'s elements first.
 template <typename T, typename Compare>
 void merge2(std::span<const T> a, std::span<const T> b, std::vector<T>& out,
             Compare cmp) {
+  const std::size_t base = out.size();
+  const std::size_t n = a.size() + b.size();
+  out.resize(base + n);
   std::size_t i = 0, j = 0;
-  out.reserve(out.size() + a.size() + b.size());
-  while (i < a.size() && j < b.size()) {
-    if (cmp(b[j], a[i])) {
-      out.push_back(b[j++]);
-    } else {
-      out.push_back(a[i++]);
-    }
-  }
-  out.insert(out.end(), a.begin() + static_cast<std::ptrdiff_t>(i), a.end());
-  out.insert(out.end(), b.begin() + static_cast<std::ptrdiff_t>(j), b.end());
+  merge_n(a, i, b, j, n, out.data() + base, cmp);
 }
 
 /// Result of a three-way smallest-k selection: how many items were taken
@@ -91,24 +226,14 @@ template <typename T, typename Compare>
 void merge2_split(std::span<const T> a, std::span<const T> b, std::size_t keep,
                   std::vector<T>& kept, std::vector<T>& rest, Compare cmp) {
   PH_ASSERT(keep <= a.size() + b.size());
+  const std::size_t spill = a.size() + b.size() - keep;
+  const std::size_t kept_base = kept.size();
+  const std::size_t rest_base = rest.size();
+  kept.resize(kept_base + keep);
+  rest.resize(rest_base + spill);
   std::size_t i = 0, j = 0;
-  auto emit = [&](const T& v, std::size_t n) {
-    if (n < keep) {
-      kept.push_back(v);
-    } else {
-      rest.push_back(v);
-    }
-  };
-  std::size_t n = 0;
-  while (i < a.size() && j < b.size()) {
-    if (cmp(b[j], a[i])) {
-      emit(b[j++], n++);
-    } else {
-      emit(a[i++], n++);
-    }
-  }
-  while (i < a.size()) emit(a[i++], n++);
-  while (j < b.size()) emit(b[j++], n++);
+  merge_n(a, i, b, j, keep, kept.data() + kept_base, cmp);
+  merge_n(a, i, b, j, spill, rest.data() + rest_base, cmp);
 }
 
 /// K-way merge of sorted runs into `out` (appended). Used by the workload

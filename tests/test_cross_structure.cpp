@@ -116,5 +116,54 @@ TEST(CrossStructure, ParallelHeapsAgreeOnArbitraryStream) {
   }
 }
 
+// The merge kernels may change what a repair costs, never what it does: a
+// fixed hold leaves every work counter at the value the copy-based kernels
+// produced. Any change here means the heap itself was reshaped.
+template <typename Q>
+HeapStats fixed_hold_stats(Q& q, std::uint64_t& stream_hash) {
+  constexpr std::size_t kN = 1 << 14;
+  constexpr std::size_t kR = 512;
+  Xoshiro256 init_rng(5);
+  std::vector<std::uint64_t> init(kN);
+  for (auto& x : init) x = to_fixed(draw_increment(init_rng, Dist::kExponential));
+  q.build(init);
+  q.reset_stats();
+  Xoshiro256 rng(5 ^ 0x9e3779b97f4a7c15ull);
+  std::vector<std::uint64_t> fresh, deleted;
+  stream_hash = 1469598103934665603ull;  // FNV-1a over the deletion stream
+  for (int cycle = 0; cycle < 64; ++cycle) {
+    deleted.clear();
+    q.cycle(fresh, kR, deleted);
+    fresh.clear();
+    for (const std::uint64_t t : deleted) {
+      stream_hash = (stream_hash ^ t) * 1099511628211ull;
+      fresh.push_back(t + to_fixed(draw_increment(rng, Dist::kExponential)));
+    }
+  }
+  return q.stats();
+}
+
+TEST(CrossStructure, FixedHoldWorkCountersAreExact) {
+  struct Want {
+    std::uint64_t items_merged, nodes_touched, proc_splits, substitutes;
+  };
+  static constexpr std::uint64_t kStreamHash = 15512687821801573030ull;
+  auto check = [](auto& q, Want w, const char* name) {
+    std::uint64_t hash = 0;
+    const HeapStats st = fixed_hold_stats(q, hash);
+    EXPECT_EQ(hash, kStreamHash) << name;
+    EXPECT_EQ(st.items_merged, w.items_merged) << name;
+    EXPECT_EQ(st.nodes_touched, w.nodes_touched) << name;
+    EXPECT_EQ(st.proc_splits, w.proc_splits) << name;
+    EXPECT_EQ(st.substitutes, w.substitutes) << name;
+  };
+  PipelinedParallelHeap<std::uint64_t> pipe(512);
+  check(pipe, {1148416, 828, 587, 512}, "pipelined");
+  ParallelHeap<std::uint64_t> par2(512);
+  check(par2, {1181184, 850, 607, 512}, "parallel d=2");
+  ParallelHeap<std::uint64_t> par4(512, std::less<std::uint64_t>{}, 4);
+  check(par4, {864256, 433, 315, 512}, "parallel d=4");
+}
+
 }  // namespace
 }  // namespace ph

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -184,6 +185,119 @@ TEST(SortedOps, Merge2SplitRandomized) {
     EXPECT_TRUE(is_sorted_run(std::span<const int>(rest), Less{}));
     if (!kept.empty() && !rest.empty()) {
       EXPECT_LE(kept.back(), rest.front());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Node-scale property tests for the galloping kernels. Every case is checked
+// against std::stable_sort of the concatenation a ++ b on tagged items, so a
+// wrong tie order shows as a wrong tag, not just a wrong key.
+
+struct Tagged {
+  int key;
+  int tag;  // unique per item: position in a ++ b
+  bool operator==(const Tagged&) const = default;
+};
+const auto kByKey = [](const Tagged& x, const Tagged& y) { return x.key < y.key; };
+
+std::vector<Tagged> tag_run(const std::vector<int>& keys, int first_tag) {
+  std::vector<Tagged> run;
+  for (const int k : keys) run.push_back({k, first_tag++});
+  return run;
+}
+
+/// Runs every two-run kernel on (a, b) and compares each with the reference.
+void check_kernels(const std::vector<int>& ka, const std::vector<int>& kb,
+                   Xoshiro256& rng) {
+  const auto a = tag_run(ka, 0);
+  const auto b = tag_run(kb, static_cast<int>(ka.size()));
+  std::vector<Tagged> want = a;
+  want.insert(want.end(), b.begin(), b.end());
+  std::stable_sort(want.begin(), want.end(), kByKey);
+  const std::string where =
+      "|a|=" + std::to_string(a.size()) + " |b|=" + std::to_string(b.size());
+
+  std::vector<Tagged> out{{-1, -1}};  // merge2 appends
+  merge2(std::span<const Tagged>(a), std::span<const Tagged>(b), out, kByKey);
+  ASSERT_EQ(out.size(), want.size() + 1) << where;
+  EXPECT_EQ(out.front(), (Tagged{-1, -1})) << where;
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin() + 1)) << "merge2 " << where;
+
+  const std::size_t keep = rng.next_below(want.size() + 1);
+  std::vector<Tagged> kept, rest;
+  merge2_split(std::span<const Tagged>(a), std::span<const Tagged>(b), keep, kept, rest,
+               kByKey);
+  ASSERT_EQ(kept.size(), keep) << where;
+  kept.insert(kept.end(), rest.begin(), rest.end());
+  EXPECT_EQ(kept, want) << "merge2_split keep=" << keep << " " << where;
+
+  // In place from the back: a sits at the front of a buffer with room for b.
+  std::vector<Tagged> buf = a;
+  buf.resize(a.size() + b.size());
+  merge_back_into(std::span<Tagged>(buf), a.size(), std::span<const Tagged>(b), kByKey);
+  EXPECT_EQ(buf, want) << "merge_back_into " << where;
+
+  // In place forward, output aliasing a: a is the suffix of a buffer whose
+  // |b|-item head is free, the shape of a child refill.
+  std::vector<Tagged> fwd(b.size(), Tagged{-2, -2});
+  fwd.insert(fwd.end(), a.begin(), a.end());
+  std::size_t i = b.size(), j = 0;
+  Tagged* end = merge_n(std::span<const Tagged>(fwd), i, std::span<const Tagged>(b), j,
+                        fwd.size(), fwd.data(), kByKey);
+  EXPECT_EQ(end, fwd.data() + fwd.size()) << where;
+  EXPECT_EQ(i, fwd.size()) << where;
+  EXPECT_EQ(j, b.size()) << where;
+  EXPECT_EQ(fwd, want) << "merge_n in place " << where;
+}
+
+TEST(SortedOps, KernelsRandomNodeScale) {
+  Xoshiro256 rng(17);
+  for (int iter = 0; iter < 300; ++iter) {
+    const int bound = iter % 3 == 0 ? 8 : (iter % 3 == 1 ? 1000 : 1 << 30);
+    const auto a = random_sorted(rng, rng.next_below(601), bound);
+    const auto b = random_sorted(rng, rng.next_below(601), bound);
+    check_kernels(a, b, rng);
+  }
+}
+
+TEST(SortedOps, KernelsSkewedFewIntoMany) {
+  Xoshiro256 rng(19);
+  for (int iter = 0; iter < 300; ++iter) {
+    const int bound = iter % 2 == 0 ? 64 : 1 << 20;
+    const auto many = random_sorted(rng, 480 + rng.next_below(65), bound);
+    const auto few = random_sorted(rng, rng.next_below(17), bound);
+    check_kernels(many, few, rng);
+    check_kernels(few, many, rng);
+  }
+}
+
+TEST(SortedOps, KernelsRunsAroundMinGallop) {
+  // a and b alternate in blocks of exactly `len` items, so each side wins
+  // len times in a row: one short of, exactly at, and one past kMinGallop.
+  Xoshiro256 rng(23);
+  for (std::size_t len = kMinGallop - 1; len <= kMinGallop + 1; ++len) {
+    for (const bool tied_edges : {false, true}) {
+      for (std::size_t blocks = 1; blocks <= 9; ++blocks) {
+        std::vector<int> a, b;
+        int key = 0;
+        for (std::size_t blk = 0; blk < blocks; ++blk) {
+          auto& side = blk % 2 == 0 ? a : b;
+          for (std::size_t x = 0; x < len; ++x) side.push_back(key++);
+          if (tied_edges) --key;  // next block starts on this block's last key
+        }
+        check_kernels(a, b, rng);
+        check_kernels(b, a, rng);
+      }
+    }
+  }
+}
+
+TEST(SortedOps, KernelsAllEqualKeys) {
+  Xoshiro256 rng(29);
+  for (const std::size_t na : {0u, 1u, 6u, 7u, 8u, 16u, 512u}) {
+    for (const std::size_t nb : {0u, 1u, 6u, 7u, 8u, 16u, 512u}) {
+      check_kernels(std::vector<int>(na, 5), std::vector<int>(nb, 5), rng);
     }
   }
 }
