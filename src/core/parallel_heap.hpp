@@ -32,11 +32,12 @@
 // against a sorted multiset, and the pipelined/engine variants are
 // differential-tested against it.
 //
-// Requirements on T: movable and default-constructible (the node arena is a
-// contiguous std::vector<T>). Compare must be a strict weak order; the heap
-// is a min-heap under Compare. Batch operations are deterministic: ties are
-// broken by run order, so two heaps fed identical operation sequences hold
-// identical arenas.
+// Requirements on T: copyable and default-constructible (the node arena,
+// core/node_arena.hpp, is a contiguous std::vector<T> of fixed-stride
+// slots). Compare must be a strict weak order; the heap is a min-heap under
+// Compare. Batch operations are deterministic: ties are broken by run
+// order, so two heaps fed identical operation sequences hold identical
+// nodes.
 #pragma once
 
 #include <algorithm>
@@ -46,8 +47,10 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/node_arena.hpp"
 #include "core/node_fix.hpp"
 #include "core/sorted_ops.hpp"
 #include "util/assert.hpp"
@@ -64,6 +67,9 @@ struct HeapStats {
   std::uint64_t items_inserted = 0;    ///< items accepted from callers
   std::uint64_t nodes_touched = 0;     ///< node repairs + path merges
   std::uint64_t items_merged = 0;      ///< total merged items across repairs
+  /// Items stored into node slots by maintenance: merges, copies and
+  /// compactions that write the arena (scratch runs and bulk loads excluded).
+  std::uint64_t items_written = 0;
   std::uint64_t delete_procs = 0;      ///< delete-update node services
   std::uint64_t insert_procs = 0;      ///< insert-update node services
   std::uint64_t substitutes = 0;       ///< items pulled from the tail to refill
@@ -83,8 +89,7 @@ class ParallelHeap {
   /// bench_arity).
   explicit ParallelHeap(std::size_t node_capacity, Compare cmp = Compare(),
                         std::size_t arity = 2)
-      : r_(node_capacity), arity_(arity), cmp_(std::move(cmp)) {
-    PH_ASSERT(r_ >= 1);
+      : r_(node_capacity), arity_(arity), cmp_(std::move(cmp)), arena_(node_capacity) {
     PH_ASSERT_MSG(arity_ >= 2 && arity_ <= kMaxArity, "arity must be in [2, 16]");
   }
 
@@ -106,13 +111,11 @@ class ParallelHeap {
   /// The global minimum. Precondition: !empty().
   const T& min() const {
     PH_ASSERT(!empty());
-    return arena_[0];
+    return arena_.span(0).front();
   }
 
   /// The current root batch: the min(size, r) smallest items, sorted.
-  std::span<const T> root_batch() const noexcept {
-    return {arena_.data(), node_count(0)};
-  }
+  std::span<const T> root_batch() const noexcept { return arena_.span(0); }
 
   void clear() noexcept {
     size_ = 0;
@@ -120,18 +123,14 @@ class ParallelHeap {
   }
 
   /// Preallocates arena capacity for `items` items.
-  void reserve(std::size_t items) { arena_.reserve(round_up_nodes(items) * r_); }
+  void reserve(std::size_t items) { arena_.reserve(round_up_nodes(items)); }
 
   /// Replaces the content with `items` in one O(n log n) bulk load: after
   /// sorting, a breadth-first layout (node 0 gets the smallest r, node 1 the
   /// next r, …) satisfies the parallel heap condition outright, since every
   /// item of node i precedes every item of any node j > i.
   void build(std::span<const T> items) {
-    clear();
-    ensure_nodes(round_up_nodes(items.size()));
-    std::copy(items.begin(), items.end(), arena_.begin());
-    std::sort(arena_.begin(), arena_.begin() + static_cast<std::ptrdiff_t>(items.size()),
-              cmp_);
+    arena_.build(items, cmp_);
     size_ = items.size();
     stats_.items_inserted += items.size();
   }
@@ -185,14 +184,13 @@ class ParallelHeap {
       return take;
     }
 
-    const std::size_t root_cnt = node_count(0);
+    const std::size_t root_cnt = arena_.count(0);
     const std::size_t below = size_ - root_cnt;
 
     // Merge the sorted new items with the root. Because the parallel heap
     // condition holds, root ∪ new_items contains the global k smallest.
     merged_.clear();
-    merge2(std::span<const T>(arena_.data(), root_cnt),
-           std::span<const T>(new_buf_), merged_, cmp_);
+    merge2(std::span<const T>(arena_.span(0)), std::span<const T>(new_buf_), merged_, cmp_);
     const std::size_t take = std::min(k, merged_.size());
     // take < k is only possible when the whole heap fits in the root.
     PH_ASSERT(take == k || below == 0);
@@ -207,9 +205,9 @@ class ParallelHeap {
 
     if (rest >= new_root_cnt) {
       // Enough survivors at the root; the overflow travels down as inserts.
-      ensure_nodes(1);
       std::copy(rest_span.begin(), rest_span.begin() + static_cast<std::ptrdiff_t>(new_root_cnt),
-                arena_.begin());
+                arena_.reset(0, new_root_cnt));
+      stats_.items_written += new_root_cnt;
       size_ = below + new_root_cnt;
       if (rest > new_root_cnt) {
         sort_buf_.assign(rest_span.begin() + static_cast<std::ptrdiff_t>(new_root_cnt),
@@ -225,9 +223,10 @@ class ParallelHeap {
       subs_.clear();
       take_tail(need, subs_);
       stats_.substitutes += need;
-      ensure_nodes(1);
       std::size_t i = 0, j = 0;
-      merge_n(rest_span, i, std::span<const T>(subs_), j, new_root_cnt, arena_.data(), cmp_);
+      merge_n(rest_span, i, std::span<const T>(subs_), j, new_root_cnt,
+              arena_.reset(0, new_root_cnt), cmp_);
+      stats_.items_written += new_root_cnt;
       size_ = (below - need) + new_root_cnt;
     }
     // Repair the parallel heap condition at the root (new items and
@@ -258,16 +257,21 @@ class ParallelHeap {
   bool check_invariants(std::string* why = nullptr) const {
     const std::size_t m = num_nodes();
     for (std::size_t i = 0; i < m; ++i) {
-      const auto s = node_span_const(i);
+      const auto s = arena_.span(i);
       if (i + 1 < m && s.size() != r_) {
         return fail(why, "non-last node " + std::to_string(i) + " is not full");
+      }
+      if (i + 1 == m && s.size() != size_ - i * r_) {
+        return fail(why, "last node " + std::to_string(i) + " holds " +
+                             std::to_string(s.size()) + " items, not " +
+                             std::to_string(size_ - i * r_));
       }
       if (!is_sorted_run(s, cmp_)) {
         return fail(why, "node " + std::to_string(i) + " is not sorted");
       }
       for (std::size_t c = arity_ * i + 1; c < arity_ * i + 1 + arity_; ++c) {
-        if (c >= m || node_count(c) == 0) continue;
-        const auto cs = node_span_const(c);
+        const auto cs = arena_.span(c);
+        if (c >= m || cs.empty()) continue;
         if (cmp_(cs.front(), s.back())) {
           return fail(why, "heap condition violated between node " +
                                std::to_string(i) + " and child " + std::to_string(c));
@@ -280,7 +284,12 @@ class ParallelHeap {
   /// Copies out the entire content in ascending order without disturbing
   /// the heap (testing/diagnostics; O(n log n)).
   std::vector<T> sorted_contents() const {
-    std::vector<T> all(arena_.begin(), arena_.begin() + static_cast<std::ptrdiff_t>(size_));
+    std::vector<T> all;
+    all.reserve(size_);
+    for (std::size_t i = 0; i < num_nodes(); ++i) {
+      const auto s = arena_.span(i);
+      all.insert(all.end(), s.begin(), s.end());
+    }
     std::sort(all.begin(), all.end(), cmp_);
     return all;
   }
@@ -297,27 +306,6 @@ class ParallelHeap {
 
   std::size_t round_up_nodes(std::size_t items) const noexcept {
     return (items + r_ - 1) / r_;
-  }
-
-  /// Number of items stored at node i (full-except-last rule).
-  std::size_t node_count(std::size_t i) const noexcept {
-    const std::size_t lo = i * r_;
-    if (lo >= size_) return 0;
-    return std::min(r_, size_ - lo);
-  }
-
-  std::span<T> node_span(std::size_t i) noexcept {
-    const std::size_t n = node_count(i);
-    return n == 0 ? std::span<T>{} : std::span<T>{arena_.data() + i * r_, n};
-  }
-  std::span<const T> node_span_const(std::size_t i) const noexcept {
-    const std::size_t n = node_count(i);
-    return n == 0 ? std::span<const T>{}
-                  : std::span<const T>{arena_.data() + i * r_, n};
-  }
-
-  void ensure_nodes(std::size_t m) {
-    if (arena_.size() < m * r_) arena_.resize(m * r_);
   }
 
   /// Level of node i (root = 0), under the configured arity.
@@ -340,33 +328,34 @@ class ParallelHeap {
     const T* best = nullptr;
     const std::size_t first = arity_ * i + 1;
     for (std::size_t c = first; c < first + arity_; ++c) {
-      if (node_count(c) == 0) continue;
-      const T* m = arena_.data() + c * r_;
-      if (best == nullptr || cmp_(*m, *best)) best = m;
+      const auto s = arena_.span(c);
+      if (s.empty()) continue;
+      if (best == nullptr || cmp_(s.front(), *best)) best = &s.front();
     }
     return best;
   }
 
-  /// Removes the last `q` items of the heap (highest arena positions, which
-  /// form sorted suffixes of at most two trailing nodes) and appends them,
-  /// merged sorted, to `out`. Precondition: q ≤ size_ − node_count(0)
-  /// so the root region is never raided.
+  /// Removes the last `q` items of the heap (the largest items of the last
+  /// node, then of the one before: sorted suffixes of at most two trailing
+  /// nodes) and appends them, merged sorted, to `out`. Precondition:
+  /// q ≤ size_ − (root count) so the root is never raided.
   void take_tail(std::size_t q, std::vector<T>& out) {
-    PH_ASSERT(q + node_count(0) <= size_);
-    std::size_t last = (size_ - 1) / r_;
-    const std::size_t last_cnt = size_ - last * r_;
-    const std::size_t from_last = std::min(q, last_cnt);
-    auto suffix_last = std::span<const T>(arena_.data() + last * r_ + (last_cnt - from_last),
-                                          from_last);
+    PH_ASSERT(q + arena_.count(0) <= size_);
+    const std::size_t last = (size_ - 1) / r_;
+    const auto last_items = arena_.span(last);
+    const std::size_t from_last = std::min(q, last_items.size());
+    const auto suffix_last = last_items.last(from_last);
     if (from_last == q) {
       out.insert(out.end(), suffix_last.begin(), suffix_last.end());
     } else {
       const std::size_t from_prev = q - from_last;
       PH_ASSERT(last >= 1 && from_prev <= r_);
-      auto suffix_prev =
-          std::span<const T>(arena_.data() + (last - 1) * r_ + (r_ - from_prev), from_prev);
-      merge2(suffix_prev, suffix_last, out, cmp_);
+      const auto prev_items = arena_.span(last - 1);
+      merge2(std::span<const T>(prev_items.last(from_prev)), std::span<const T>(suffix_last),
+             out, cmp_);
+      arena_.truncate(last - 1, prev_items.size() - from_prev);
     }
+    arena_.truncate(last, last_items.size() - from_last);
     // size_ is adjusted by the caller (it knows the whole-cycle accounting).
   }
 
@@ -391,9 +380,8 @@ class ParallelHeap {
   void insert_path(std::span<const T> chunk) {
     PH_ASSERT(!chunk.empty());
     const std::size_t target = size_ / r_;  // node containing the first free slot
-    const std::size_t tail_used = size_ - target * r_;
-    PH_ASSERT(tail_used + chunk.size() <= r_);
-    ensure_nodes(target + 1);
+    PH_ASSERT(size_ - target * r_ + chunk.size() <= r_);
+    arena_.grow(target + 1);
     size_ += chunk.size();
 
     carried_.assign(chunk.begin(), chunk.end());
@@ -406,7 +394,7 @@ class ParallelHeap {
       }
       for (std::size_t pi = path_.size(); pi-- > 0;) {
         const std::size_t v = path_[pi];
-        auto sv = node_span(v);
+        const auto sv = arena_.span(v);
         PH_ASSERT(sv.size() == r_);
         ++stats_.insert_procs;
         // Early out: nothing in the carried set precedes this node's max.
@@ -416,16 +404,16 @@ class ParallelHeap {
         merge2_split(std::span<const T>(sv.data(), sv.size()),
                      std::span<const T>(carried_), r_, kept_, rest_, cmp_);
         std::copy(kept_.begin(), kept_.end(), sv.begin());
+        stats_.items_written += r_;
         carried_.swap(rest_);
         ++stats_.nodes_touched;
         stats_.items_merged += r_ + carried_.size();
       }
     }
     // Land at the target node.
-    auto tgt = std::span<T>(arena_.data() + target * r_, tail_used + carried_.size());
-    merge_back_into(tgt, tail_used, std::span<const T>(carried_), cmp_);
+    stats_.items_written += arena_.merge_into(target, std::span<const T>(carried_), cmp_);
     ++stats_.nodes_touched;
-    stats_.items_merged += tgt.size();
+    stats_.items_merged += arena_.count(target);
     stats_.span_levels += level_of(target);
   }
 
@@ -438,19 +426,17 @@ class ParallelHeap {
     while (!work_.empty()) {
       const std::size_t v = work_.back();
       work_.pop_back();
-      auto sv = node_span(v);
+      const auto sv = arena_.span(v);
       if (sv.empty()) continue;
       const std::size_t first = arity_ * v + 1;
       bool any_child = false;
       bool violated = false;
-      child_spans_.clear();
       for (std::size_t c = 0; c < arity_; ++c) {
-        auto scs = node_span(first + c);
-        if (!scs.empty()) {
+        kids_[c] = arena_.slot(first + c);
+        if (kids_[c].count > 0) {
           any_child = true;
-          if (cmp_(scs.front(), sv.back())) violated = true;
+          if (cmp_(kids_[c].items().front(), sv.back())) violated = true;
         }
-        child_spans_.push_back(scs);
       }
       if (!any_child) continue;
       ++stats_.delete_procs;
@@ -462,19 +448,21 @@ class ParallelHeap {
       // quiescent here, a child whose new content does not violate against
       // its own children needs no further visit.
       const std::size_t moved = fix_node_multi(
-          sv, std::span<std::span<T>>(child_spans_.data(), arity_),
+          sv, std::span<NodeSlot<T>>(kids_.data(), arity_),
           std::span<const T* const>(gm_.data(), arity_),
           std::span<std::size_t>(taken_.data(), arity_),
           std::span<bool>(viol_.data(), arity_), fix_, cmp_);
       std::size_t branches = 0;
       for (std::size_t c = 0; c < arity_; ++c) {
         if (taken_[c] == 0) continue;
+        arena_.commit(first + c, kids_[c]);
         ++branches;
         if (viol_[c]) work_.push_back(first + c);
       }
       if (branches > 1) ++stats_.proc_splits;
       ++stats_.nodes_touched;
       stats_.items_merged += moved;
+      stats_.items_written += std::exchange(fix_.written, 0);
     }
     stats_.span_levels += deepest - level_of(v0);
   }
@@ -484,7 +472,7 @@ class ParallelHeap {
   std::size_t r_;
   std::size_t arity_ = 2;
   Compare cmp_;
-  std::vector<T> arena_;
+  NodeArena<T> arena_;
   std::size_t size_ = 0;
   HeapStats stats_;
 
@@ -493,7 +481,7 @@ class ParallelHeap {
   std::vector<T> sort_buf_, new_buf_, merged_, subs_, carried_, kept_, rest_, one_;
   FixScratch<T> fix_;
   std::vector<std::size_t> work_, path_;
-  std::vector<std::span<T>> child_spans_;
+  std::array<NodeSlot<T>, kMaxArity> kids_{};
   std::array<const T*, kMaxArity> gm_{};
   std::array<std::size_t, kMaxArity> taken_{};
   std::array<bool, kMaxArity> viol_{};

@@ -47,8 +47,10 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/node_arena.hpp"
 #include "core/node_fix.hpp"
 #include "core/parallel_heap.hpp"  // HeapStats
 #include "core/sorted_ops.hpp"
@@ -100,9 +102,7 @@ class PipelinedParallelHeap {
   };
 
   explicit PipelinedParallelHeap(std::size_t node_capacity, Compare cmp = Compare())
-      : r_(node_capacity), cmp_(std::move(cmp)) {
-    PH_ASSERT(r_ >= 1);
-  }
+      : r_(node_capacity), cmp_(std::move(cmp)), arena_(node_capacity) {}
 
   /// Committed size: stored items plus items in flight in carried sets.
   std::size_t size() const noexcept { return size_; }
@@ -121,10 +121,7 @@ class PipelinedParallelHeap {
   /// of (heap ∪ new) lie within (root ∪ new), which makes this span a sound
   /// per-shard candidate bound for the sharded front end's cross-shard min
   /// hint (sharded_heap.hpp).
-  std::span<const T> root_items() const noexcept {
-    return cnt_.empty() ? std::span<const T>{}
-                        : std::span<const T>{arena_.data(), cnt_[0]};
-  }
+  std::span<const T> root_items() const noexcept { return arena_.span(0); }
 
   /// Replaces the content with `items` in one O(n log n) bulk load (sorted
   /// breadth-first layout; see ParallelHeap::build). Any in-flight
@@ -139,16 +136,8 @@ class PipelinedParallelHeap {
     batch_.clear();
     ctx_.spawned_.clear();
     ctx_.stats_ = HeapStats{};
-    const std::size_t m = (items.size() + r_ - 1) / r_;
-    cnt_.assign(m, 0);
-    arena_.assign(m * r_, T{});
-    std::copy(items.begin(), items.end(), arena_.begin());
-    std::sort(arena_.begin(),
-              arena_.begin() + static_cast<std::ptrdiff_t>(items.size()), cmp_);
+    arena_.build(items, cmp_);
     size_ = items.size();
-    for (std::size_t i = 0; i < m; ++i) {
-      cnt_[i] = std::min(r_, items.size() - i * r_);
-    }
     stats_.items_inserted += items.size();
   }
 
@@ -299,18 +288,18 @@ class PipelinedParallelHeap {
     drain();
     const std::size_t m = num_nodes();
     for (std::size_t i = 0; i < m; ++i) {
-      if (cnt_[i] != occupancy(i)) {
+      if (arena_.count(i) != occupancy(i)) {
         return fail(why, "node " + std::to_string(i) + " stored count " +
-                             std::to_string(cnt_[i]) + " != occupancy " +
+                             std::to_string(arena_.count(i)) + " != occupancy " +
                              std::to_string(occupancy(i)));
       }
-      const auto s = node_span(i);
-      if (!is_sorted_run(std::span<const T>(s.data(), s.size()), cmp_)) {
+      const auto s = arena_.span(i);
+      if (!is_sorted_run(std::span<const T>(s), cmp_)) {
         return fail(why, "node " + std::to_string(i) + " is not sorted");
       }
       for (std::size_t c = 2 * i + 1; c <= 2 * i + 2; ++c) {
-        if (c >= m || node_count(c) == 0) continue;
-        const auto cs = node_span(c);
+        if (c >= m || arena_.count(c) == 0) continue;
+        const auto cs = arena_.span(c);
         if (cmp_(cs.front(), s.back())) {
           return fail(why, "heap condition violated between node " +
                                std::to_string(i) + " and child " + std::to_string(c));
@@ -326,7 +315,7 @@ class PipelinedParallelHeap {
     std::vector<T> all;
     all.reserve(size_);
     for (std::size_t i = 0; i < num_nodes(); ++i) {
-      auto s = node_span(i);
+      const auto s = arena_.span(i);
       all.insert(all.end(), s.begin(), s.end());
     }
     std::sort(all.begin(), all.end(), cmp_);
@@ -353,9 +342,9 @@ class PipelinedParallelHeap {
   Snapshot snapshot() const {
     Snapshot s;
     s.items.reserve(size_);
-    for (std::size_t i = 0; i < cnt_.size(); ++i) {
-      s.items.insert(s.items.end(), arena_.begin() + static_cast<std::ptrdiff_t>(i * r_),
-                     arena_.begin() + static_cast<std::ptrdiff_t>(i * r_ + cnt_[i]));
+    for (std::size_t i = 0; i < arena_.nodes(); ++i) {
+      const auto node = arena_.span(i);
+      s.items.insert(s.items.end(), node.begin(), node.end());
     }
     for (const auto& lvl : procs_) {
       for (const auto& p : lvl) {
@@ -382,14 +371,17 @@ class PipelinedParallelHeap {
   /// meaningful at quiescence — check_invariants() (draining) covers it.
   bool verify_invariants(std::string* why = nullptr) const {
     std::size_t stored = 0;
-    for (std::size_t i = 0; i < cnt_.size(); ++i) {
-      if (cnt_[i] > r_) {
-        return fail(why, "node " + std::to_string(i) + " overfull: " +
-                             std::to_string(cnt_[i]) + " > r=" + std::to_string(r_));
+    for (std::size_t i = 0; i < arena_.nodes(); ++i) {
+      const std::size_t n = arena_.count(i);
+      if (n > r_) {
+        return fail(why, "node " + std::to_string(i) + " overfull: " + std::to_string(n) +
+                             " > r=" + std::to_string(r_));
       }
-      stored += cnt_[i];
-      const std::span<const T> s{arena_.data() + i * r_, cnt_[i]};
-      if (!is_sorted_run(s, cmp_)) {
+      if (arena_.head(i) + n > arena_.stride()) {
+        return fail(why, "node " + std::to_string(i) + " runs past its slot");
+      }
+      stored += n;
+      if (!is_sorted_run(arena_.span(i), cmp_)) {
         return fail(why, "node " + std::to_string(i) + " is not sorted");
       }
     }
@@ -434,22 +426,6 @@ class PipelinedParallelHeap {
     return std::min(r_, size_ - lo);
   }
 
-  std::size_t node_count(std::size_t i) const noexcept {
-    return i < cnt_.size() ? cnt_[i] : 0;
-  }
-
-  std::span<T> node_span(std::size_t i) noexcept {
-    const std::size_t n = node_count(i);
-    return n == 0 ? std::span<T>{} : std::span<T>{arena_.data() + i * r_, n};
-  }
-
-  void ensure_nodes(std::size_t m) {
-    if (cnt_.size() < m) {
-      cnt_.resize(m, 0);
-      arena_.resize(m * r_);
-    }
-  }
-
   static std::size_t level_of(std::size_t i) noexcept {
     return static_cast<std::size_t>(std::bit_width(i + 1)) - 1;
   }
@@ -459,9 +435,9 @@ class PipelinedParallelHeap {
   const T* grandchild_min(std::size_t i) const {
     const T* best = nullptr;
     for (std::size_t c = 2 * i + 1; c <= 2 * i + 2; ++c) {
-      if (node_count(c) == 0) continue;
-      const T* m = arena_.data() + c * r_;
-      if (best == nullptr || cmp_(*m, *best)) best = m;
+      const auto s = arena_.span(c);
+      if (s.empty()) continue;
+      if (best == nullptr || cmp_(s.front(), *best)) best = &s.front();
     }
     return best;
   }
@@ -553,6 +529,7 @@ class PipelinedParallelHeap {
     stats_.insert_procs += ctx.stats_.insert_procs;
     stats_.nodes_touched += ctx.stats_.nodes_touched;
     stats_.items_merged += ctx.stats_.items_merged;
+    stats_.items_written += ctx.stats_.items_written;
     stats_.proc_splits += ctx.stats_.proc_splits;
     ctx.stats_ = HeapStats{};
   }
@@ -566,16 +543,13 @@ class PipelinedParallelHeap {
   void service_delete(std::size_t v, ServiceCtx& c, const T* gl, const T* gr) {
     const std::size_t l = 2 * v + 1;
     const std::size_t rc = 2 * v + 2;
-    const std::size_t nl = node_count(l);
-    const std::size_t nr = node_count(rc);
-    const std::size_t nv = node_count(v);
-    if (nv == 0 || (nl == 0 && nr == 0)) return;
-    auto sv = node_span(v);
-    auto sl = node_span(l);
-    auto sr = node_span(rc);
+    const auto sv = arena_.span(v);
+    NodeSlot<T> sl = arena_.slot(l);
+    NodeSlot<T> sr = arena_.slot(rc);
+    if (sv.empty() || (sl.count == 0 && sr.count == 0)) return;
     ++c.stats_.delete_procs;
-    const bool viol_l = nl > 0 && cmp_(sl.front(), sv.back());
-    const bool viol_r = nr > 0 && cmp_(sr.front(), sv.back());
+    const bool viol_l = sl.count > 0 && cmp_(sl.items().front(), sv.back());
+    const bool viol_r = sr.count > 0 && cmp_(sr.items().front(), sv.back());
     if (!viol_l && !viol_r) return;
 
     // Node-local repair (node_fix.hpp). Unlike the synchronous heap, a
@@ -585,6 +559,8 @@ class PipelinedParallelHeap {
     // re-service (which early-outs in O(1) when clean) is what makes the
     // pipeline sound.
     const FixOutcome<T> out = fix_node(sv, sl, sr, gl, gr, c.fix_, cmp_);
+    if (out.taken_l > 0) arena_.commit(l, sl);
+    if (out.taken_r > 0) arena_.commit(rc, sr);
     // kSkipReservice re-introduces the documented delete-update revert-note
     // bug: spawn a child's deferred re-service only when the stale violation
     // check (the currently-stored grandchildren) looks dirty. Unsound under
@@ -602,6 +578,7 @@ class PipelinedParallelHeap {
     if (out.taken_l > 0 && out.taken_r > 0) ++c.stats_.proc_splits;
     ++c.stats_.nodes_touched;
     c.stats_.items_merged += out.items_moved;
+    c.stats_.items_written += std::exchange(c.fix_.written, 0);
   }
 
   /// One node-local insert-update step: merge the carried set at p.node,
@@ -612,17 +589,13 @@ class PipelinedParallelHeap {
     if (p.carried.empty()) return;  // fully stolen while in flight
     const std::size_t v = p.node;
     if (v == p.target) {  // deliver
-      const std::size_t have = node_count(v);
-      PH_ASSERT(have + p.carried.size() <= r_);
-      cnt_[v] = have + p.carried.size();
-      merge_back_into(std::span<T>(arena_.data() + v * r_, cnt_[v]), have,
-                      std::span<const T>(p.carried), cmp_);
+      c.stats_.items_written += arena_.merge_into(v, std::span<const T>(p.carried), cmp_);
       ++c.stats_.nodes_touched;
-      c.stats_.items_merged += cnt_[v];
+      c.stats_.items_merged += arena_.count(v);
       return;
     }
     // Interior path node: full by construction.
-    auto sv = node_span(v);
+    const auto sv = arena_.span(v);
     PH_ASSERT(sv.size() == r_);
     if (cmp_(p.carried.front(), sv.back())) {
       c.kept_.clear();
@@ -630,6 +603,7 @@ class PipelinedParallelHeap {
       merge2_split(std::span<const T>(sv.data(), sv.size()),
                    std::span<const T>(p.carried), r_, c.kept_, c.rest_, cmp_);
       std::copy(c.kept_.begin(), c.kept_.end(), sv.begin());
+      c.stats_.items_written += r_;
       p.carried.swap(c.rest_);
       ++c.stats_.nodes_touched;
       c.stats_.items_merged += r_ + p.carried.size();
@@ -674,11 +648,10 @@ class PipelinedParallelHeap {
       return take;
     }
 
-    const std::size_t root_cnt = node_count(0);
+    const std::size_t root_cnt = arena_.count(0);
     const std::size_t below = size_ - root_cnt;
     merged_.clear();
-    merge2(std::span<const T>(arena_.data(), root_cnt), std::span<const T>(new_buf_),
-           merged_, cmp_);
+    merge2(std::span<const T>(arena_.span(0)), std::span<const T>(new_buf_), merged_, cmp_);
     const std::size_t take = std::min(k, merged_.size());
     PH_ASSERT(take == k || below == 0);
     out.insert(out.end(), merged_.begin(),
@@ -691,12 +664,12 @@ class PipelinedParallelHeap {
     const std::size_t new_root_cnt = std::min(r_, new_total);
     auto rest_span = std::span<const T>(merged_).subspan(take);
 
+    arena_.grow(1);
     if (rest >= new_root_cnt) {
-      ensure_nodes(1);
       std::copy(rest_span.begin(),
                 rest_span.begin() + static_cast<std::ptrdiff_t>(new_root_cnt),
-                arena_.begin());
-      cnt_[0] = new_root_cnt;
+                arena_.reset(0, new_root_cnt));
+      stats_.items_written += new_root_cnt;
       size_ = below + new_root_cnt;
       if (rest > new_root_cnt) {
         spawn_inserts(rest_span.subspan(new_root_cnt));
@@ -707,15 +680,15 @@ class PipelinedParallelHeap {
       subs_.clear();
       take_tail(need, subs_);
       stats_.substitutes += need;
-      ensure_nodes(1);
       std::size_t i = 0, j = 0;
-      merge_n(rest_span, i, std::span<const T>(subs_), j, new_root_cnt, arena_.data(), cmp_);
+      merge_n(rest_span, i, std::span<const T>(subs_), j, new_root_cnt,
+              arena_.reset(0, new_root_cnt), cmp_);
+      stats_.items_written += new_root_cnt;
       // take_tail already deducted `need`; swapping the old root for the new
       // one nets the rest of the accounting (old root out, rest+subs in).
       size_ = size_ - root_cnt + new_root_cnt;
-      cnt_[0] = new_root_cnt;
     }
-    if (size_ > node_count(0)) {
+    if (size_ > arena_.count(0)) {
       park(ProcT{Kind::kDelete, 0, 0, next_id_++, {}});
     }
     return take;
@@ -739,11 +712,10 @@ class PipelinedParallelHeap {
       const std::size_t chunk = std::min(free_slots, remaining);
       const std::size_t target = size_ / r_;
       auto items = sorted.subspan(remaining - chunk, chunk);
-      ensure_nodes(target + 1);
+      arena_.grow(target + 1);
       if (target == 0) {
         // Root is the tail: place directly.
-        merge_back_into(std::span<T>(arena_.data(), cnt_[0] + chunk), cnt_[0], items, cmp_);
-        cnt_[0] += chunk;
+        stats_.items_written += arena_.merge_into(0, items, cmp_);
       } else {
         // Allocation-failure site: the carried-set vector is the one real
         // allocation on this path.
@@ -764,7 +736,7 @@ class PipelinedParallelHeap {
     telemetry::SpanScope span(telemetry::Phase::kSteal);
     pieces_.clear();
     while (q > 0) {
-      PH_ASSERT(size_ > node_count(0));
+      PH_ASSERT(size_ > arena_.count(0));
       const std::size_t lt = (size_ - 1) / r_;
       // Prefer the youngest in-flight delivery to this node: it owns the
       // hindmost committed slots.
@@ -787,12 +759,11 @@ class PipelinedParallelHeap {
       } else {
         // No in-flight delivery owns slots here, so the tail node's
         // occupancy is fully materialized.
-        const std::size_t stored = node_count(lt);
-        s = std::min(q, stored);
+        const auto sp = arena_.span(lt);
+        s = std::min(q, sp.size());
         PH_ASSERT(s > 0);
-        auto sp = node_span(lt);
         pieces_.emplace_back(sp.end() - static_cast<std::ptrdiff_t>(s), sp.end());
-        cnt_[lt] = stored - s;
+        arena_.truncate(lt, sp.size() - s);
       }
       size_ -= s;
       q -= s;
@@ -806,8 +777,7 @@ class PipelinedParallelHeap {
   std::size_t r_;
   Compare cmp_;
   bool batch_guard_ = false;
-  std::vector<T> arena_;
-  std::vector<std::size_t> cnt_;
+  NodeArena<T> arena_;
   std::size_t size_ = 0;
   std::size_t inflight_ = 0;
   std::uint64_t next_id_ = 0;

@@ -75,11 +75,14 @@ T* copy_down(const T* src, std::size_t k, T* out) {
 /// out + (|b| - j) <= a.data() + i on entry: then no write reaches an unread
 /// item of `a` (the in-place refill of a run from its own suffix,
 /// out == a.data() with i == |b| and j == 0, is the edge case). It must not
-/// alias `b`.
+/// alias `b`. When `written` is given, adds the items actually stored: an
+/// aliased tail of `a` that is already in place is skipped, not counted.
 template <typename T, typename Compare>
 T* merge_n(std::span<const T> a, std::size_t& i, std::span<const T> b,
-           std::size_t& j, std::size_t n, T* out, Compare cmp) {
+           std::size_t& j, std::size_t n, T* out, Compare cmp,
+           std::size_t* written = nullptr) {
   PH_ASSERT(i <= a.size() && j <= b.size() && n <= a.size() - i + b.size() - j);
+  T* const first = out;
   std::size_t a_wins = 0, b_wins = 0;
   while (n > 0 && i < a.size() && j < b.size()) {
     if (cmp(b[j], a[i])) {
@@ -115,20 +118,27 @@ T* merge_n(std::span<const T> a, std::size_t& i, std::span<const T> b,
     }
   }
   const std::size_t ka = std::min(n, a.size() - i);
+  // Only this copy can find `a`'s rest already in place (out == a + i with
+  // b used up); the gallop above runs while b still has unread items.
+  const bool in_place = out == a.data() + i;
   out = detail::copy_down(a.data() + i, ka, out);
   i += ka;
   n -= ka;
   out = std::copy(b.data() + j, b.data() + j + n, out);
   j += n;
+  if (written != nullptr) {
+    *written += static_cast<std::size_t>(out - first) - (in_place ? ka : 0);
+  }
   return out;
 }
 
 /// In-place stable merge: buf[0, na) is sorted and buf has room for
 /// na + |b| items; merges `b` in from the back so that buf[0, na + |b|) is
 /// sorted, with ties keeping buf's items first. Items of buf before the
-/// first insertion point never move. `b` must not alias buf.
+/// first insertion point never move. `b` must not alias buf. Returns the
+/// items written: buf's moved suffix plus all of `b`.
 template <typename T, typename Compare>
-void merge_back_into(std::span<T> buf, std::size_t na, std::span<const T> b,
+std::size_t merge_back_into(std::span<T> buf, std::size_t na, std::span<const T> b,
                      Compare cmp) {
   PH_ASSERT(na + b.size() <= buf.size());
   std::size_t i = na, j = b.size();  // unread: buf[0, i) and b[0, j)
@@ -165,6 +175,7 @@ void merge_back_into(std::span<T> buf, std::size_t na, std::span<const T> b,
   }
   // buf[0, i) is already in place; only b's remainder is left to write.
   std::copy(b.data(), b.data() + j, buf.data());
+  return na + b.size() - i;
 }
 
 /// Stable two-way merge of sorted runs `a` and `b`, appended to `out`.
