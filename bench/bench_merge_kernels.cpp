@@ -10,9 +10,20 @@
 //   disjoint     512 + 512 with every key of a below every key of b
 // Each row is the median of 9 timed passes over 64 pre-generated pairs.
 //
+// A second table prices the delete-update child refill (core/node_arena.hpp)
+// on its own: a full 512-item slot drops its k smallest and merges k fills
+// (k ∈ {1, 8, 64}). The fills are keys above the child's 448th item, so
+// they land among its largest ~64, as on hold_256k, where the first fill of
+// a refill sorts ~88% of the way into the child. `forward` is a slot
+// without headroom — the whole remaining child shifts down to the slot
+// base; `head_advance` is a slot of 512 + 64 — the head moves past the
+// dropped prefix and the fills merge in from the back. Rows give ns and
+// items written per refill, median of 9 passes over 256 slots.
+//
 // Claim: skewed and disjoint merges cost a small fraction of the
 // interleaved ns/item; the interleaved case stays at parity with a plain
-// item-by-item merge.
+// item-by-item merge; a head-advance refill costs about what its fills
+// displace, a forward one about the whole child.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -20,6 +31,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/node_arena.hpp"
 #include "core/sorted_ops.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -70,6 +82,41 @@ double time_ns_per_item(const std::vector<Pair>& pairs, F merge_one) {
   return passes[4];
 }
 
+struct RefillCost {
+  double ns, written;  ///< per refill
+};
+
+/// Refills 256 full 512-item slots with k fills each, `stride` items per
+/// slot (512: no headroom, the forward path; 576: head advance). Median of
+/// 9 passes; the slots are restored, untimed, between passes.
+RefillCost time_refill(std::size_t k, std::size_t stride, ph::Xoshiro256& rng) {
+  constexpr std::size_t kSlots = 256, kCount = 512;
+  constexpr std::uint64_t kSpan = 1ull << 40;
+  std::vector<std::uint64_t> pristine(kSlots * stride), work;
+  std::vector<Run> fills(kSlots);
+  for (std::size_t s = 0; s < kSlots; ++s) {
+    const Run child = sorted_run(rng, kCount, 0, kSpan);
+    std::copy(child.begin(), child.end(), pristine.begin() + static_cast<std::ptrdiff_t>(s * stride));
+    const std::uint64_t lo = child[kCount - 64];
+    fills[s] = sorted_run(rng, k, lo, kSpan - lo);
+  }
+  const auto cmp = std::less<std::uint64_t>{};
+  std::vector<double> passes;
+  std::size_t written = 0;
+  for (int pass = 0; pass < 9; ++pass) {
+    work = pristine;
+    written = 0;
+    ph::Timer t;
+    for (std::size_t s = 0; s < kSlots; ++s) {
+      ph::NodeSlot<std::uint64_t> slot(work.data() + s * stride, 0, kCount, stride);
+      written += ph::refill(slot, std::span<const std::uint64_t>(fills[s]), cmp);
+    }
+    passes.push_back(static_cast<double>(t.nanos()) / kSlots);
+  }
+  std::nth_element(passes.begin(), passes.begin() + 4, passes.end());
+  return {passes[4], static_cast<double>(written) / kSlots};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -105,5 +152,16 @@ int main(int argc, char** argv) {
   }
   note("runs of 512 (skewed: 12 into 512); checksum %llu",
        static_cast<unsigned long long>(sink % 1000));
+
+  columns("refill,k,ns_per_refill,items_written_per_refill");
+  for (const std::size_t k : {1u, 8u, 64u}) {
+    const RefillCost fwd = time_refill(k, 512, rng);
+    const RefillCost adv = time_refill(k, 512 + 64, rng);
+    row("forward,%zu,%.1f,%.1f", k, fwd.ns, fwd.written);
+    row("head_advance,%zu,%.1f,%.1f", k, adv.ns, adv.written);
+    json_metric("merge_kernel_refill_forward_ns_k" + std::to_string(k), fwd.ns);
+    json_metric("merge_kernel_refill_head_advance_ns_k" + std::to_string(k), adv.ns);
+  }
+  note("a full 512-item slot drops its k smallest and merges k fills among its top 64");
   return 0;
 }

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   header("E2 node-size sweep (hold model, pipelined parallel heap)",
          "claim: interior optimum in r; merge work per item falls with r");
-  columns("r,Mops,us_per_cycle,items_merged_per_op,nodes_touched_per_cycle");
+  columns("r,Mops,us_per_cycle,items_merged_per_op,items_written_per_op,nodes_touched_per_cycle");
 
   HoldConfig cfg;
   cfg.n = 1 << 18;
@@ -41,13 +41,16 @@ int main(int argc, char** argv) {
     const auto& st = q.stats();
     const double merged_per_op =
         static_cast<double>(st.items_merged) / static_cast<double>(res.ops);
-    row("%zu,%.2f,%.2f,%.2f,%.2f", r,
+    const double written_per_op =
+        static_cast<double>(st.items_written) / static_cast<double>(res.ops);
+    row("%zu,%.2f,%.2f,%.2f,%.2f,%.2f", r,
         static_cast<double>(res.ops) / secs / 1e6,
-        secs / static_cast<double>(st.cycles) * 1e6, merged_per_op,
+        secs / static_cast<double>(st.cycles) * 1e6, merged_per_op, written_per_op,
         static_cast<double>(st.nodes_touched) / static_cast<double>(st.cycles));
     json_metric("node_size_ns_per_op_r" + std::to_string(r),
                 secs / static_cast<double>(res.ops) * 1e9);
     json_metric("node_size_items_merged_per_op_r" + std::to_string(r), merged_per_op);
+    json_metric("node_size_items_written_per_op_r" + std::to_string(r), written_per_op);
   }
   note("n=%zu ops=%llu; r is also the batch width handed to workers per cycle",
        cfg.n, static_cast<unsigned long long>(cfg.ops));

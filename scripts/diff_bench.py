@@ -9,8 +9,13 @@ bench run can be eyeballed against the previous PR's committed file.
     scripts/diff_bench.py --baseline-latest BENCH_pr4.json
     scripts/diff_bench.py --fail-over 25 old.json new.json
 
-By default the diff is report-only: bench timings on shared CI runners are
-noisy, so regressions are surfaced, not enforced. --fail-over PCT turns any
+Timings are report-only by default: bench timings on shared CI runners are
+noisy, so regressions are surfaced, not enforced. The exception is the
+per-op work scalars (bench metrics named *_items_merged_per_op_* or
+*_items_written_per_op_*): they count what a seeded run does, so any change
+against the baseline exits 1. A change that alters the work on purpose
+commits a fresh BENCH_pr<N>.json, which the next diff uses as its baseline;
+a scalar the baseline lacks is reported as new, never gated. --fail-over PCT turns any
 scalar whose |delta| exceeds PCT percent into a nonzero exit (counters whose
 baseline is 0 are reported as "new" and never fail). Telemetry *counters*
 (deterministic work counts: items, procs, cycles) get the same threshold —
@@ -24,6 +29,9 @@ import json
 import os
 import re
 import sys
+
+# Seeded per-op work counters: equal on every run of the same code.
+EXACT = re.compile(r"_items_(merged|written)_per_op_")
 
 
 def load(path):
@@ -151,12 +159,15 @@ def main():
 
     worst = 0.0
     rows = hidden = 0
+    inexact = []
     for name in sorted(set(old_b) & set(new_b)):
         so, sn = scalars(old_b[name]), scalars(new_b[name])
         for metric in sorted(set(so) & set(sn)):
             o, n = so[metric], sn[metric]
             if o == n:
                 continue
+            if metric.startswith("bench.") and EXACT.search(metric):
+                inexact.append(f"{name}/{metric}: {o:g} -> {n:g}")
             if o == 0:
                 print(f"  {name}/{metric}: 0 -> {n:g} (new)")
                 continue
@@ -172,6 +183,12 @@ def main():
 
     print(f"diff_bench: {rows} deltas shown, {hidden} below {args.min_delta}% "
           f"hidden, worst |delta| {worst:.1f}%")
+    if inexact:
+        print(f"diff_bench: FAIL — {len(inexact)} per-op work scalar(s) differ from "
+              "the baseline (exact gate; commit a fresh trajectory if intended):")
+        for line in inexact:
+            print(f"  {line}")
+        return 1
     if args.fail_over is not None and worst > args.fail_over:
         print(f"diff_bench: FAIL — worst delta {worst:.1f}% exceeds "
               f"--fail-over {args.fail_over:g}%")
