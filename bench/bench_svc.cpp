@@ -13,8 +13,8 @@
 //    per-tenant ledger must replay bit-exactly (acked/delivered/cancelled/
 //    requeued equal row for row) with the backlog intact.
 //  * throughput — enqueue (schedule+group-commit), dispatch (poll cycles
-//    over a due backlog), and a mixed 80/20 loop; ops/sec rows across
-//    shard counts. Single-core wall numbers — the evidence is relative.
+//    over a due backlog), and a mixed 80/20 loop; one ops/sec row.
+//    Single-core wall numbers — the evidence is relative.
 //  * fairness under overload — 64 Zipf-loaded tenants with weights cycling
 //    1..4, admission deliberately saturated: delivered shares must track
 //    weights (Jain index over delivered/weight, max relative error) while
@@ -55,10 +55,9 @@ struct Dir {
   }
 };
 
-SvcConfig base_cfg(const std::string& dir, std::size_t shards) {
+SvcConfig base_cfg(const std::string& dir) {
   SvcConfig cfg;
   cfg.dir = dir;
-  cfg.shards = shards;
   cfg.node_capacity = 64;
   cfg.producers = 4;
   cfg.clock = &fake_clock;
@@ -68,7 +67,7 @@ SvcConfig base_cfg(const std::string& dir, std::size_t shards) {
 /// Oracle-checked randomized workload; returns false on any exactness hole.
 bool exactness_gate(std::size_t ops) {
   Dir dir;
-  SchedulerCore core(base_cfg(dir.path, 4));
+  SchedulerCore core(base_cfg(dir.path));
   ph::Xoshiro256 rng(0xE17);
   std::map<std::pair<std::uint32_t, std::uint64_t>, int> seen;
   std::set<std::pair<std::uint32_t, std::uint64_t>> cancelled;
@@ -125,7 +124,7 @@ bool recovery_gate(std::size_t ops) {
   std::vector<ph::svc::TenantStatRow> before;
   std::size_t backlog_before = 0;
   {
-    SchedulerCore core(base_cfg(dir.path, 4));
+    SchedulerCore core(base_cfg(dir.path));
     ph::Xoshiro256 rng(0x517);
     std::vector<Job> due;
     for (std::uint64_t i = 0; i < ops; ++i) {
@@ -148,7 +147,7 @@ bool recovery_gate(std::size_t ops) {
     before = core.stat_rows();
     backlog_before = core.backlog();
   }
-  SchedulerCore core(base_cfg(dir.path, 4));
+  SchedulerCore core(base_cfg(dir.path));
   if (core.backlog() != backlog_before) return false;
   const auto after = core.stat_rows();
   if (after.size() != before.size()) return false;
@@ -169,11 +168,11 @@ struct Tput {
   double enqueue_mops = 0, dispatch_mops = 0, mixed_mops = 0;
 };
 
-Tput throughput(std::size_t shards, std::size_t ops) {
+Tput throughput(std::size_t ops) {
   Tput r;
   {  // enqueue: schedule + group commit every 64
     Dir dir;
-    SchedulerCore core(base_cfg(dir.path, shards));
+    SchedulerCore core(base_cfg(dir.path));
     ph::Xoshiro256 rng(1);
     ph::Timer t;
     for (std::uint64_t i = 0; i < ops; ++i) {
@@ -186,7 +185,7 @@ Tput throughput(std::size_t shards, std::size_t ops) {
   }
   {  // dispatch: drain a fully-due backlog through poll cycles
     Dir dir;
-    SchedulerCore core(base_cfg(dir.path, shards));
+    SchedulerCore core(base_cfg(dir.path));
     for (std::uint64_t i = 0; i < ops; ++i) {
       core.schedule(static_cast<std::uint32_t>(i % 64), 0, i + 1, 0, 0);
       if (i % 256 == 255) core.commit();
@@ -205,7 +204,7 @@ Tput throughput(std::size_t shards, std::size_t ops) {
   }
   {  // mixed: bursts of schedules with interleaved polls (the phd loop shape)
     Dir dir;
-    SchedulerCore core(base_cfg(dir.path, shards));
+    SchedulerCore core(base_cfg(dir.path));
     ph::Xoshiro256 rng(2);
     std::vector<Job> due;
     ph::Timer t;
@@ -282,7 +281,7 @@ OverloadRun overload_run(Pick pick, std::uint64_t floods, int polls,
                          std::size_t max) {
   OverloadRun r;
   Dir dir;
-  SvcConfig cfg = base_cfg(dir.path, 4);
+  SvcConfig cfg = base_cfg(dir.path);
   cfg.weight = [](std::uint32_t t) { return weight_of(t); };
   cfg.overload_watermark = 1u << 12;
   cfg.max_backlog = 1u << 15;
@@ -403,7 +402,7 @@ int main(int argc, char** argv) {
   }
 
   header("E17 scheduler service: fairness, backpressure, exactly-once delivery",
-         "multi-tenant service semantics over DurableHeap<ShardedHeap> — "
+         "multi-tenant service semantics over DurableHeap<PipelinedParallelHeap> — "
          "delivered shares track weights under overload, acked jobs survive "
          "replay, nothing is lost or duplicated");
 
@@ -414,15 +413,12 @@ int main(int argc, char** argv) {
   row("gate,recovery,%d", recovered ? 1 : 0);
   json_metric("svc_recovery_ok", recovered ? 1 : 0);
 
-  ph::bench::columns("phase,shards,enqueue_mops,dispatch_mops,mixed_mops");
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    const Tput t = throughput(shards, ops);
-    row("tput,%zu,%.3f,%.3f,%.3f", shards, t.enqueue_mops, t.dispatch_mops,
-        t.mixed_mops);
-    json_metric("svc_enqueue_mops_s" + std::to_string(shards), t.enqueue_mops);
-    json_metric("svc_dispatch_mops_s" + std::to_string(shards), t.dispatch_mops);
-    json_metric("svc_mixed_mops_s" + std::to_string(shards), t.mixed_mops);
-  }
+  ph::bench::columns("phase,enqueue_mops,dispatch_mops,mixed_mops");
+  const Tput t = throughput(ops);
+  row("tput,%.3f,%.3f,%.3f", t.enqueue_mops, t.dispatch_mops, t.mixed_mops);
+  json_metric("svc_enqueue_mops", t.enqueue_mops);
+  json_metric("svc_dispatch_mops", t.dispatch_mops);
+  json_metric("svc_mixed_mops", t.mixed_mops);
 
   const Fairness f = fairness_under_overload();
   row("fairness,64,%.4f,%.4f,%.3f,%d", f.jain, f.max_rel_err, f.shed_frac,

@@ -34,7 +34,7 @@ STATE="$TMP/state"
 start_phd() {
   # Watermark + admit rate sized well below the offered load so the
   # admission gate genuinely engages (phase 1 asserts shed > 0).
-  "$PHD" --dir "$STATE" --port "$PORT" --shards 4 \
+  "$PHD" --dir "$STATE" --port "$PORT" \
     --overload-watermark 1024 --max-backlog 65536 \
     --admit-rate 30000 > "$TMP/phd_$1.log" 2>&1 &
   PHD_PID=$!

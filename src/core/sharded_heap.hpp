@@ -68,7 +68,7 @@
 // block: sharded_stats() and the heap_* gauges read the same words, and the
 // driver thread is their only writer.
 //
-// Injected-fault / deadline / recovery cycles fall back to the serial pull
+// Injected-fault / recovery cycles fall back to the serial pull
 // loop (fire_fault ordering and checkpoint-rollback are order-sensitive);
 // those are the cold paths by construction.
 #pragma once
@@ -104,7 +104,7 @@ struct ShardedStats {
   std::uint64_t putbacks = 0;        ///< pulled-but-not-taken items returned
   std::uint64_t rebalances = 0;      ///< partition-map re-estimations applied
   std::uint64_t merge_width_sum = 0; ///< shards contributing >=1 item, summed
-  std::uint64_t quarantines = 0;     ///< shards retired by fault or deadline
+  std::uint64_t quarantines = 0;     ///< shards retired by fault or verdict
   std::uint64_t hint_skips = 0;      ///< shard pulls skipped by the min hint
   std::uint64_t parallel_cycles = 0; ///< cycles whose pulls ran on the team
 
@@ -202,17 +202,12 @@ class ShardedHeap {
     /// tournament and its key range is redistributed across the survivors.
     /// The last active shard is never quarantined.
     bool quarantine = false;
-    /// Retire a shard whose completed cycle exceeded this wall-clock budget
-    /// (0 = no deadline). Same drain/redistribute path as a fault, except
-    /// the shard's pulled prefix (a valid deletion candidate set) joins the
-    /// recovery run instead of being rolled back.
-    std::uint64_t cycle_deadline_ns = 0;
     /// Worker threads running phase 2 (per-shard pulls) and phase 4
     /// (putback) concurrently; 0 = fully serial cycle, which stays the
     /// differential baseline. The team is capped at `shards` threads (a
     /// surplus thread could never receive a shard). Output is bit-exact vs
-    /// workers=0 at any count; cold cycles (armed fail-points, deadlines,
-    /// recovery) run serial regardless.
+    /// workers=0 at any count; cold cycles (armed fail-points, recovery)
+    /// run serial regardless.
     unsigned workers = 0;
     /// With workers > 0: cycle() returns right after the tournament and the
     /// putback runs asynchronously on the team; the completion handshake is
@@ -368,7 +363,7 @@ class ShardedHeap {
   /// heartbeat channel per shard (beaten at each shard-cycle completion) and
   /// quarantines any ACTIVE shard whose channel has been stalled for
   /// `polls_to_quarantine` consecutive polls — the same drain/redistribute
-  /// retirement as the deadline path, applied at the next cycle boundary
+  /// retirement as the fault path, applied at the next cycle boundary
   /// (the quiescent point where the shard's state is consistent). The last
   /// active shard is never retired. Call before the first cycle.
   void attach_watchdog(robustness::PhaseWatchdog& wd,
@@ -450,7 +445,7 @@ class ShardedHeap {
         {"heap_routed", "Items routed to shards (inserts).", &Live::routed},
         {"heap_putbacks", "Prefix items returned after losing the tournament.", &Live::putbacks},
         {"heap_rebalances", "Partition-map re-estimations applied.", &Live::rebalances},
-        {"heap_quarantines", "Shards retired by fault, deadline, or verdict.", &Live::quarantines},
+        {"heap_quarantines", "Shards retired by fault or watchdog verdict.", &Live::quarantines},
         {"heap_hint_skips", "Shard pulls skipped by the cross-shard min hint.", &Live::hint_skips},
         {"heap_last_cycle_ns", "Wall-clock duration of the last sharded cycle.", &Live::last_cycle_ns},
     };
@@ -530,8 +525,8 @@ class ShardedHeap {
     // Phase 0: watchdog verdicts. A shard whose heartbeat channel has been
     // stalled for wd_polls_ consecutive polls is retired here, at the cycle
     // boundary — its state is quiescent and valid, so it takes the same
-    // drain/redistribute path as a deadline miss (extra_ empty) and its
-    // items fold into THIS cycle's tournament.
+    // drain/redistribute path as a fault (with extra_ empty: nothing to
+    // roll back) and its items fold into THIS cycle's tournament.
     if (wd_ != nullptr) {
       for (std::size_t s = 0; s < shards_.size(); ++s) {
         if (active_[s] == 0 || active_shards() <= 1) continue;
@@ -570,20 +565,18 @@ class ShardedHeap {
     // Phase 2: pull per-shard prefixes. Every active shard cycles every
     // global cycle — even an empty one — so parked update processes keep
     // advancing at the global cycle rate. A shard that trips a fail-point
-    // here (or finishes past its deadline) is quarantined: rolled back to
-    // its pre-cycle checkpoint (fault path only), drained, and folded into
-    // this cycle's tournament via the recovery run.
+    // here is quarantined: rolled back to its pre-cycle checkpoint, drained,
+    // and folded into this cycle's tournament via the recovery run.
     cycle_slots_.assign(dense_.begin(), dense_.end());
     // Cold cycles — armed fail-points (fire-counter order is global and
-    // order-sensitive), deadlines (the pulled prefix doubles as quarantine
-    // candidate set), or a phase-0 recovery run — take the serial loop with
+    // order-sensitive) or a phase-0 recovery run — take the serial loop with
     // full budgets; everything else may use the min hint and the team.
     // kShardPutback is excluded from the gate: it exists to fault the TEAM
     // putback path, which a cold cycle would never reach.
     const bool cold =
         robustness::any_armed_except(
             robustness::site_bit(robustness::FailSite::kShardPutback)) ||
-        cfg_.cycle_deadline_ns > 0 || !recovery_.empty();
+        !recovery_.empty();
     compute_pull_budgets(k, cold);
     const bool on_team = team_.threads != nullptr && !cold;
     if (on_team) {
@@ -597,20 +590,16 @@ class ShardedHeap {
       // failure can actually fire and we have a survivor to fail over to.
       const bool guard = cfg_.quarantine && active_shards() > 1 &&
                          robustness::any_armed();
-      const bool timed = cfg_.cycle_deadline_ns > 0;
-      if (!guard && !timed) {
+      if (!guard) {
         shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
         if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
         continue;
       }
-      typename Shard::Snapshot snap;
-      if (guard) snap = shards_[s].snapshot();
-      Timer t;
+      const typename Shard::Snapshot snap = shards_[s].snapshot();
       try {
-        if (guard) robustness::fire_fault(robustness::FailSite::kShardCycle);
+        robustness::fire_fault(robustness::FailSite::kShardCycle);
         shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
       } catch (const robustness::InjectedFailure&) {
-        if (!guard) throw;
         // The cycle died mid-flight: the shard may be poisoned and its
         // routed batch was never committed. Roll back to the checkpoint,
         // discard any partial pull, and retire the shard; checkpoint items
@@ -621,15 +610,6 @@ class ShardedHeap {
         std::sort(extra_.begin(), extra_.end(), cmp_);
         quarantine_shard(s);
         robustness::note_recovery(robustness::FailSite::kShardCycle);
-        continue;
-      }
-      if (timed && t.nanos() > cfg_.cycle_deadline_ns && active_shards() > 1) {
-        // Completed, but too slow to keep on the critical path. State is
-        // valid: its pulled prefix is a legitimate candidate set, so it
-        // joins the recovery run rather than being rolled back.
-        extra_.swap(pulled_[s]);  // already sorted
-        pulled_[s].clear();
-        quarantine_shard(s);
         continue;
       }
       if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
@@ -1099,11 +1079,9 @@ class ShardedHeap {
   /// deterministic, biased to recent batches — which is the point: the map
   /// should track where keys are arriving *now*).
   void observe(std::span<const T> items) {
-    // Static maps stop sampling after the seed — unless quarantine (or a
-    // cycle deadline) is on, where the sample feeds the post-retirement
-    // partition re-estimation.
-    if (cfg_.rebalance_interval == 0 && !cfg_.quarantine &&
-        cfg_.cycle_deadline_ns == 0 && seeded_) {
+    // Static maps stop sampling after the seed — unless quarantine is on,
+    // where the sample feeds the post-retirement partition re-estimation.
+    if (cfg_.rebalance_interval == 0 && !cfg_.quarantine && seeded_) {
       return;
     }
     for (const T& v : items) {

@@ -777,7 +777,6 @@ inline FaultSiteResult svc_site_drill(const FaultMatrixConfig& cfg,
   svc_fake_now().store(1'000'000'000ull, std::memory_order_relaxed);
   svc::SvcConfig sc;
   sc.dir = dir.path;
-  sc.shards = 2;
   sc.node_capacity = 8;
   sc.producers = 2;
   sc.clock = &svc_fake_clock;

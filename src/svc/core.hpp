@@ -1,10 +1,10 @@
 // SchedulerCore: the multi-tenant event-scheduler engine behind phd
 // (DESIGN.md §15). Composes the tree's existing layers —
 //
-//   IngestTier< DurableHeap< ShardedHeap<Job> > >
+//   IngestTier< DurableHeap< PipelinedParallelHeap<Job> > >
 //
-// staging-buffered enqueue (PR 8), WAL-first durability (PR 5), key-range
-// sharded batch cycles (PR 3/7) — and adds the service semantics on top:
+// staging-buffered enqueue, WAL-first durability, the paper's pipelined
+// batch cycle — and adds the service semantics on top:
 // weighted fair admission, deficit-round-robin dispatch, durable cancel,
 // and an exactly-once delivery protocol whose ONLY durable artifact is the
 // WAL the heap already writes.
@@ -56,6 +56,10 @@
 // jobs are a prefix of the JobLess order, so stopping the pop at the first
 // job that is not due hands DRR the same candidates a wider pop would.
 //
+// One accounting path: the TenantState rows are the ledger; each
+// service-wide total is one atomic in Live, bumped where its tenant row or
+// transaction is written, and both stats() and the svc_* gauges read it.
+//
 // Threading: stage()-bearing schedule()/cancel() are safe from any thread;
 // commit()/poll_due()/stats are driver-only, like every cycle() in the tree.
 #pragma once
@@ -63,6 +67,7 @@
 #include <time.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -72,7 +77,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/sharded_heap.hpp"
+#include "core/pipelined_heap.hpp"
 #include "ingest/ingest_tier.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
@@ -87,9 +92,7 @@ namespace ph::svc {
 
 struct SvcConfig {
   std::string dir;                    ///< durable directory (WAL home)
-  std::size_t shards = 4;
   std::size_t node_capacity = 128;
-  std::size_t workers = 0;            ///< ShardedHeap worker team (0 = serial)
   std::size_t producers = 4;          ///< ingest staging slots (tenant-hashed)
   persist::FsyncPolicy fsync = persist::FsyncPolicy::kNever;
 
@@ -126,7 +129,8 @@ enum class PollStatus : std::uint8_t {
                   ///< nothing — the transaction machinery ate the failure
 };
 
-/// Aggregate service counters (sum over tenants + transaction counts).
+/// Service-wide totals: the ledger columns summed over tenants, plus the
+/// transaction counts (built from SchedulerCore::Live).
 struct SvcStats {
   std::uint64_t acked = 0;
   std::uint64_t cancel_reqs = 0;
@@ -143,7 +147,7 @@ struct SvcStats {
 
 class SchedulerCore {
  public:
-  using Inner = persist::DurableHeap<ShardedHeap<Job, JobLess>>;
+  using Inner = persist::DurableHeap<PipelinedParallelHeap<Job, JobLess>>;
   using Tier = ingest::IngestTier<Inner, Job, JobLess>;
 
   explicit SchedulerCore(SvcConfig cfg)
@@ -163,7 +167,8 @@ class SchedulerCore {
     if (!pending_delivery_.empty()) {
       // Unterminated poll transaction: the crash hit between POP and CLOSE,
       // so no client was answered. Requeue the orphans; they stay queued.
-      stats_.recovered_inflight = pending_delivery_.size();
+      live_.recovered_inflight.store(pending_delivery_.size(),
+                                     std::memory_order_relaxed);
       obs::flight(obs::FlightKind::kRecoveryDone,
                   pending_delivery_.size(), /*b=*/1);
       // The popped frontier is unknown here: frontier 0 makes the next poll pop.
@@ -250,7 +255,7 @@ class SchedulerCore {
     admitted_in_record_ = 0;
     sink_.clear();
     tier_.cycle({}, 0, sink_);
-    ++stats_.commits;
+    bump(live_.commits);
     refresh_live();
     return admitted_in_record_;
   }
@@ -272,8 +277,7 @@ class SchedulerCore {
     telemetry::SpanScope span(telemetry::Phase::kSvcDispatch);
     const std::uint64_t now = now_ns();
     if (server_now != nullptr) *server_now = now;
-    ++stats_.polls;
-    telemetry::count(telemetry::Counter::kSvcPolls);
+    bump(live_.polls);
 
     commit();  // staged jobs may be due right now
     if (max == 0 || tier_.size() == 0 || next_due_lb_ > now) {
@@ -290,7 +294,7 @@ class SchedulerCore {
     //    ends past `now` everything still queued is later too and only that
     //    chunk's tail gets requeued. The first chunk covers the previous
     //    poll's due count; each further one doubles up to node_capacity (the
-    //    sharded heap's k <= r contract), and `budget` bounds the total.
+    //    heap's k <= r contract), and `budget` bounds the total.
     //    Each chunk is one POP record stacking into pending_delivery_ via the
     //    observer (markers arm tombstones, victims annihilate); the single
     //    CLOSE record below commits them all, and recovery requeues the
@@ -325,7 +329,7 @@ class SchedulerCore {
       // the same path recovery takes for an unterminated transaction.
       delivered_buf_.clear();
       close_transaction(/*requeue_everything=*/true, frontier);
-      ++stats_.aborted_polls;
+      bump(live_.aborted_polls);
       robustness::note_recovery(f.site);
       refresh_live();
       return PollStatus::kAborted;
@@ -338,7 +342,6 @@ class SchedulerCore {
     delivered_buf_.clear();
     close_transaction(/*requeue_everything=*/false, frontier);
     out.insert(out.end(), delivered_buf_.begin(), delivered_buf_.end());
-    telemetry::count(telemetry::Counter::kSvcDelivered, delivered_buf_.size());
     refresh_live();
     return PollStatus::kOk;
   }
@@ -371,18 +374,15 @@ class SchedulerCore {
   TenantTable& tenants() noexcept { return tenants_; }
   std::vector<TenantStatRow> stat_rows() const { return tenants_.stat_rows(); }
 
-  SvcStats stats() const {
-    SvcStats s = stats_;
-    for (const auto& [id, st] : tenants_) {
-      (void)id;
-      s.acked += st.acked;
-      s.cancel_reqs += st.cancel_reqs;
-      s.delivered += st.delivered;
-      s.cancelled += st.cancelled;
-      s.requeued += st.requeued;
-      s.shed += st.shed;
-    }
-    return s;
+  SvcStats stats() const noexcept {
+    auto get = [](const std::atomic<std::uint64_t>& a) {
+      return a.load(std::memory_order_relaxed);
+    };
+    const Live& lv = live_;
+    return SvcStats{get(lv.acked),     get(lv.cancel_reqs), get(lv.delivered),
+                    get(lv.cancelled), get(lv.requeued),    get(lv.shed),
+                    get(lv.polls),     get(lv.commits),     get(lv.aborted_polls),
+                    get(lv.recovered_inflight)};
   }
 
   /// Ledger + tier invariants. Exact only at quiescent points with the
@@ -392,8 +392,7 @@ class SchedulerCore {
   bool check_invariants(std::string* why = nullptr) {
     if (!tier_.check_invariants(why)) return false;
     if (!staged_fully_admitted()) return true;  // mid-flight: size not exact
-    std::uint64_t queued_jobs = 0, acked = 0, markers_alive = 0;
-    std::uint64_t unmatched = 0;
+    std::uint64_t queued_jobs = 0, unmatched = 0;
     for (const auto& [key, n] : tombstones_) {
       (void)key;
       unmatched += n;
@@ -402,11 +401,11 @@ class SchedulerCore {
     for (const auto& [id, st] : tenants_) {
       (void)id;
       queued_jobs += st.queued();
-      acked += st.acked;
       cancel_reqs += st.cancel_reqs;
       cancelled += st.cancelled;
     }
-    markers_alive = cancel_reqs - cancelled - unmatched - pruned_tombstones_;
+    const std::uint64_t markers_alive =
+        cancel_reqs - cancelled - unmatched - pruned_tombstones_;
     const std::uint64_t expect = queued_jobs + markers_alive +
                                  static_cast<std::uint64_t>(pending_delivery_.size());
     if (expect != tier_.size()) {
@@ -422,29 +421,30 @@ class SchedulerCore {
     return true;
   }
 
-  /// Lock-free gauge mirror (same convention as every other component).
+  /// Lock-free live state. The mirrors (tenants .. tombstones) refresh at
+  /// every commit and poll; the SvcStats totals are the counters themselves,
+  /// bumped as each event happens.
   struct Live {
     std::atomic<std::uint64_t> tenants{0};
     std::atomic<std::uint64_t> queue_depth{0};   ///< jobs anywhere in the tier
     std::atomic<std::uint64_t> pending{0};       ///< popped, uncommitted
     std::atomic<std::uint64_t> tombstones{0};
-    std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::atomic<std::uint64_t> acked{0};
     std::atomic<std::uint64_t> overloaded{0};    ///< 1 while shedding
     std::atomic<std::uint64_t> draining{0};
+    // SvcStats, field for field.
+    std::atomic<std::uint64_t> acked{0}, cancel_reqs{0}, delivered{0},
+        cancelled{0}, requeued{0}, shed{0}, polls{0}, commits{0},
+        aborted_polls{0}, recovered_inflight{0};
   };
   const Live& live() const noexcept { return live_; }
 
   /// Publishes the svc_* gauges ph_top renders (tenants, queue depth, shed,
-  /// delivered/acked totals) under the `heap` label, along with every inner
-  /// layer's gauges (ingest_*, durable_*, and the ShardedHeap's shard_* and
-  /// heap_* — its routed and putback totals among them).
+  /// delivered/acked totals) under the `heap` label, along with the ingest_*
+  /// and durable_* gauges of the layers below.
   void register_gauges(const std::string& heap = "svc") {
     gauges_.clear();
     tier_.register_gauges(heap);
     durable().register_gauges(heap);
-    durable().heap().register_gauges(heap);
     Live* lv = &live_;
     struct Simple { const char* name; const char* help; std::atomic<std::uint64_t> Live::*field; };
     static constexpr Simple kSimple[] = {
@@ -452,11 +452,11 @@ class SchedulerCore {
         {"svc_queue_depth", "Jobs anywhere in the service tier (staged+queued).", &Live::queue_depth},
         {"svc_pending_delivery", "Jobs popped but not yet committed to a poller.", &Live::pending},
         {"svc_tombstones", "Unmatched cancel tombstones held.", &Live::tombstones},
+        {"svc_overloaded", "1 while admission is shedding.", &Live::overloaded},
+        {"svc_draining", "1 once drain has begun.", &Live::draining},
         {"svc_shed_total", "Requests refused with kOverloaded (since boot).", &Live::shed},
         {"svc_delivered_total", "Jobs delivered to pollers (WAL-derived).", &Live::delivered},
         {"svc_acked_total", "Schedules made durable and acked (WAL-derived).", &Live::acked},
-        {"svc_overloaded", "1 while admission is shedding.", &Live::overloaded},
-        {"svc_draining", "1 once drain has begun.", &Live::draining},
     };
     for (const Simple& g : kSimple) {
       auto field = g.field;
@@ -481,11 +481,8 @@ class SchedulerCore {
     opt.fsync = cfg_.fsync;
     opt.checkpoint_interval = 0;   // never: the ledger needs full-WAL replay
     opt.checkpoint_on_open = false;
-    ShardedHeap<Job, JobLess>::Config sc;
-    sc.shards = cfg_.shards == 0 ? 1 : cfg_.shards;
-    sc.workers = cfg_.workers;
     return Inner(
-        ShardedHeap<Job, JobLess>(cfg_.node_capacity, sc, JobLess{}),
+        PipelinedParallelHeap<Job, JobLess>(cfg_.node_capacity, JobLess{}),
         std::move(opt),
         [this](persist::RecType type, std::uint64_t k, std::span<const Job> items,
                std::span<const Job> out) { absorb_record(type, k, items, out); });
@@ -499,10 +496,8 @@ class SchedulerCore {
   }
 
   Admit shed(std::uint32_t tenant, std::size_t backlog) {
-    TenantState& st = tenants_.at(tenant);
-    ++st.shed;
-    telemetry::count(telemetry::Counter::kSvcShed);
-    live_.shed.fetch_add(1, std::memory_order_relaxed);
+    ++tenants_.at(tenant).shed;
+    bump(live_.shed);
     if (!overloaded_) {
       overloaded_ = true;
       obs::flight(obs::FlightKind::kSvcOverload, tenant, backlog);
@@ -522,15 +517,17 @@ class SchedulerCore {
       if ((j.flags & kRequeuedFlag) != 0 && (j.flags & kCancelFlag) == 0) {
         returns_.emplace_back(tomb_key(j), 1u);
         ++st.requeued;
+        bump(live_.requeued);
       } else if ((j.flags & kCancelFlag) != 0) {
         ++st.cancel_reqs;
+        bump(live_.cancel_reqs);
         ++admitted_in_record_;
         note_admitted(j);
       } else {
         ++st.acked;
+        bump(live_.acked);
         ++admitted_in_record_;
         note_admitted(j);
-        if (!recovering_) telemetry::count(telemetry::Counter::kSvcAcked);
       }
     }
     if (!returns_.empty()) take_pending();
@@ -542,6 +539,7 @@ class SchedulerCore {
         prune_tombstones();
       } else if (take_tombstone(j)) {
         ++tenants_.at(j.tenant).cancelled;
+        bump(live_.cancelled);
       } else {
         pending_delivery_.push_back(j);
       }
@@ -551,6 +549,7 @@ class SchedulerCore {
     if (k == 0 && !pending_delivery_.empty()) {
       for (const Job& j : pending_delivery_) {
         ++tenants_.at(j.tenant).delivered;
+        bump(live_.delivered);
         if (!recovering_) delivered_buf_.push_back(j);
       }
       pending_delivery_.clear();
@@ -700,14 +699,14 @@ class SchedulerCore {
     live_.queue_depth.store(tier_.size(), std::memory_order_relaxed);
     live_.pending.store(pending_delivery_.size(), std::memory_order_relaxed);
     live_.tombstones.store(tombstones_.size(), std::memory_order_relaxed);
-    std::uint64_t acked = 0, delivered = 0;
-    for (const auto& [id, st] : tenants_) {
-      (void)id;
-      acked += st.acked;
-      delivered += st.delivered;
-    }
-    live_.acked.store(acked, std::memory_order_relaxed);
-    live_.delivered.store(delivered, std::memory_order_relaxed);
+  }
+
+  /// Adds n to one Live total. Totals are written only where the tenant
+  /// table is (commits, polls, admission accounting), all on one thread (see
+  /// Threading above), so a relaxed load + store is exact (and cheaper than
+  /// an RMW).
+  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) noexcept {
+    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
   SvcConfig cfg_;
@@ -727,7 +726,6 @@ class SchedulerCore {
   std::vector<std::pair<TombKey, std::uint32_t>> returns_;  ///< take_pending input
   std::map<std::uint32_t, DueQueue> due_by_tenant_;
   std::vector<Job> sink_;
-  SvcStats stats_;
   bool recovering_ = true;   ///< true while tier_ construction replays
   bool overloaded_ = false;
   std::uint32_t drr_cursor_ = std::numeric_limits<std::uint32_t>::max();

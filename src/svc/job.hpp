@@ -1,8 +1,9 @@
 // The scheduler service's unit of work: one delayed job owned by a tenant.
 //
 // A Job is deliberately a POD the rest of the tree already knows how to
-// handle: it flows through ShardedHeap as the value_type, through the WAL as
-// a raw trivially-copyable record item, and over the wire inside CRC frames.
+// handle: it flows through the pipelined heap as the value_type, through the
+// WAL as a raw trivially-copyable record item, and over the wire inside CRC
+// frames.
 // All service-level state distinctions ride in `flags`:
 //
 //   kCancelFlag    this is a cancel MARKER, not a job. Cancellation goes

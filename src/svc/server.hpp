@@ -3,8 +3,8 @@
 //
 // One thread, poll(2), nonblocking fds — the same stance as the metrics
 // publisher. Concurrency lives where the library already earns it (the
-// sharded cycle, the staging slots); the protocol edge stays serial so
-// every WAL record, ack, and ledger transition has one total order.
+// staging slots); the protocol edge stays serial so every WAL record, ack,
+// and ledger transition has one total order.
 //
 // Request handling per loop iteration:
 //

@@ -87,10 +87,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kIngestRuns: return "ingest_runs";
     case Counter::kIngestAdmitted: return "ingest_admitted";
     case Counter::kIngestDeferred: return "ingest_deferred";
-    case Counter::kSvcAcked: return "svc_acked";
-    case Counter::kSvcDelivered: return "svc_delivered";
-    case Counter::kSvcShed: return "svc_shed";
-    case Counter::kSvcPolls: return "svc_polls";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -79,10 +79,6 @@ enum class Counter : unsigned {
   kIngestRuns,       ///< sorted runs coalesced out of the staging buffers
   kIngestAdmitted,   ///< staged items admitted into the inner heap's cycle
   kIngestDeferred,   ///< run-cycles spent pending under bounded staleness
-  kSvcAcked,         ///< service schedule/cancel ops made durable and acked
-  kSvcDelivered,     ///< due jobs delivered to pollers (commit record landed)
-  kSvcShed,          ///< requests refused with kOverloaded backpressure
-  kSvcPolls,         ///< PollDue transactions executed (incl. empty ones)
   kCount
 };
 inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kCount);

@@ -311,43 +311,6 @@ TEST(Quarantine, QuarantineWithInflightPipelinesLosesNoItems) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(Quarantine, DeadlineRetiresSlowShardsDownToOne) {
-  // Deadline-driven degradation needs no fail-point build: a 1ns deadline
-  // trips every shard that completes a cycle until one survivor holds the
-  // whole key range. The stream must stay exact throughout.
-  testing::GenConfig gen;
-  gen.r = 8;
-  gen.cycles = 200;
-  gen.seed = 9;
-  const testing::OpTrace trace = testing::generate_trace(gen);
-
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 4;
-  scfg.quarantine = false;  // deadline path is independent of fail-points
-  scfg.cycle_deadline_ns = 1;
-  ShardedHeap<U64> q(8, scfg);
-
-  const testing::DiffFailure f =
-      testing::run_differential(q, trace, testing::DiffOptions{});
-  EXPECT_FALSE(f.failed) << f.message;
-  EXPECT_EQ(q.active_shards(), 1u);
-  EXPECT_EQ(q.sharded_stats().quarantines, 3u);
-}
-
-TEST(Quarantine, BuildReactivatesQuarantinedShards) {
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 4;
-  scfg.cycle_deadline_ns = 1;
-  ShardedHeap<U64> q(8, scfg);
-  std::vector<U64> sink;
-  q.cycle(seeded_keys(64), 8, sink);
-  ASSERT_LT(q.active_shards(), 4u);
-
-  q.build(seeded_keys(32));
-  EXPECT_EQ(q.active_shards(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(q.shard_active(i));
-}
-
 std::uint64_t g_fake_now = 0;
 std::uint64_t fake_clock() { return g_fake_now; }
 
@@ -434,6 +397,30 @@ TEST(Quarantine, WatchdogNeverRetiresTheLastShard) {
   }
   EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end()));
   EXPECT_EQ(drained.size() + rest.size(), 40u);
+}
+
+TEST(Quarantine, BuildReactivatesQuarantinedShards) {
+  // Watchdog verdicts retire shards without a fail-point build; build()
+  // must bring every retired shard back.
+  rb::PhaseWatchdog::Config wcfg;
+  wcfg.stall_timeout_ns = 1000;
+  wcfg.clock = &fake_clock;
+  g_fake_now = 0;
+  rb::PhaseWatchdog wd(wcfg);
+  ShardedHeap<U64>::Config scfg;
+  scfg.shards = 4;
+  ShardedHeap<U64> q(8, scfg);
+  q.attach_watchdog(wd, 1);
+  std::vector<U64> sink;
+  q.cycle(seeded_keys(64), 8, sink);
+  g_fake_now += 1u << 20;
+  wd.poll();
+  q.cycle({}, 8, sink);  // the verdicts retire shards here
+  ASSERT_LT(q.active_shards(), 4u);
+
+  q.build(seeded_keys(32));
+  EXPECT_EQ(q.active_shards(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(q.shard_active(i));
 }
 
 TEST(Quarantine, DesOutcomeExactWithShardKilledMidRun) {

@@ -4,8 +4,9 @@
 // rule (bounded requeues, due hint after a poll ending on a marker or
 // victim, delivered sequence vs a due-set + DRR oracle), WAL-replay ledger
 // recovery (including kills between a poll's POP and CLOSE records and
-// between two POP chunks — the unterminated-transaction path), and passes
-// through the TCP server (end to end, peer hang-up, accept bursts).
+// between two POP chunks — the unterminated-transaction path), opening a
+// WAL written through the old 4-shard layout, stats()/gauge agreement, and
+// passes through the TCP server (end to end, peer hang-up, accept bursts).
 // Everything seeded and deterministic; the core's clock is a fn-pointer
 // fake, never the wall.
 #include <gtest/gtest.h>
@@ -27,7 +28,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/sharded_heap.hpp"
 #include "dist/frame.hpp"
+#include "obs/metrics_registry.hpp"
 #include "persist/recovery.hpp"
 #include "robustness/fault_matrix.hpp"
 #include "svc/core.hpp"
@@ -56,7 +59,6 @@ void advance_ms(std::uint64_t ms) {
 SvcConfig small_cfg(const std::string& dir) {
   SvcConfig cfg;
   cfg.dir = dir;
-  cfg.shards = 2;
   cfg.node_capacity = 8;
   cfg.producers = 2;
   cfg.clock = &fake_clock;
@@ -831,6 +833,223 @@ TEST(SchedulerCore, RefusesDirectoryWithForeignCheckpoint) {
         (void)c;
       },
       persist::CorruptStateError);
+}
+
+/// Every WAL record in `dir`, in log order.
+std::vector<persist::WalRecord<Job>> wal_records(const std::string& dir) {
+  std::vector<persist::WalRecord<Job>> recs;
+  for (const auto& [seq, path] : persist::list_wal_segments(dir)) {
+    (void)seq;
+    for (auto& r : persist::read_segment<Job>(path).records) recs.push_back(std::move(r));
+  }
+  return recs;
+}
+
+/// A seeded schedule/cancel/poll history that leaves a backlog, every
+/// transaction closed.
+void run_history(SchedulerCore& core, std::uint64_t seed, std::uint64_t ops) {
+  std::uint64_t rng = seed;
+  auto rnd = [&rng]() { return rng = rng * 6364136223846793005ull + 1442695040888963407ull; };
+  std::vector<Job> due;
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    const std::uint32_t t = static_cast<std::uint32_t>((rnd() >> 33) % 8);
+    std::uint64_t deadline = 0;
+    ASSERT_EQ(core.schedule(t, (rnd() >> 20) % 30'000'000, i + 1, 0, 0, &deadline),
+              Admit::kOk);
+    if ((rnd() >> 40) % 6 == 0) {
+      ASSERT_EQ(core.cancel(t, deadline, i + 1), Admit::kOk);
+    }
+    if (i % 32 == 31) {
+      advance_ms(10);
+      due.clear();
+      core.poll_due(16, due);
+    }
+  }
+  core.commit();
+}
+
+TEST(SchedulerCore, OpensAWalWrittenThroughTheFourShardLayout) {
+  // Before the service ran on one pipelined heap, phd logged through
+  // DurableHeap<ShardedHeap<Job>> with K = 4. WAL records are layout-free
+  // cycle(items, k) records, so such a directory opens to the same ledger
+  // and its heap pops the same job stream a ShardedHeap replay does.
+  using Sharded = ShardedHeap<Job, svc::JobLess>;
+  const auto four_shards = [] {
+    Sharded::Config sc;
+    sc.shards = 4;
+    return Sharded(8, sc, svc::JobLess{});
+  };
+  Dir live("ph-svc-layout-live"), old("ph-svc-layout-old");
+  std::vector<svc::TenantStatRow> rows;
+  std::size_t backlog = 0;
+  {
+    SchedulerCore core(small_cfg(live.path));
+    ASSERT_NO_FATAL_FAILURE(run_history(core, 91, 800));
+    rows = core.stat_rows();
+    backlog = core.backlog();
+    EXPECT_GT(core.stats().cancelled, 0u);  // the WAL carries every record shape
+    EXPECT_GT(core.stats().requeued, 0u);
+    EXPECT_GT(backlog, 0u);
+  }
+  // Re-log the service's records through the 4-shard layout.
+  const auto recs = wal_records(live.path);
+  ASSERT_GT(recs.size(), 10u);
+  {
+    persist::DurableOptions opt;
+    opt.dir = old.path;
+    opt.checkpoint_interval = 0;
+    opt.checkpoint_on_open = false;
+    persist::DurableHeap<Sharded> raw(four_shards(), std::move(opt));
+    std::vector<Job> out;
+    for (const auto& r : recs) {
+      ASSERT_EQ(r.type, persist::RecType::kCycle);
+      out.clear();
+      raw.cycle(std::span<const Job>(r.items), r.k, out);
+    }
+  }
+  // The reference: a bare 4-shard heap replaying that WAL, then drained.
+  Sharded ref = four_shards();
+  std::vector<Job> sink, want;
+  for (const auto& r : wal_records(old.path)) {
+    sink.clear();
+    ref.cycle(std::span<const Job>(r.items), r.k, sink);
+  }
+  while (!ref.empty()) ref.cycle({}, 8, want);
+
+  std::vector<Job> got;
+  {
+    SchedulerCore core(small_cfg(old.path));
+    EXPECT_EQ(core.stats().recovered_inflight, 0u);
+    EXPECT_EQ(core.backlog(), backlog);
+    const auto after = core.stat_rows();
+    ASSERT_EQ(after.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(after[i].tenant, rows[i].tenant);
+      EXPECT_EQ(after[i].acked, rows[i].acked) << "tenant " << rows[i].tenant;
+      EXPECT_EQ(after[i].cancel_reqs, rows[i].cancel_reqs);
+      EXPECT_EQ(after[i].delivered, rows[i].delivered);
+      EXPECT_EQ(after[i].cancelled, rows[i].cancelled);
+      EXPECT_EQ(after[i].requeued, rows[i].requeued);
+    }
+    std::string why;
+    EXPECT_TRUE(core.check_invariants(&why)) << why;
+    // Drain the recovered heap itself (no WAL writes: the directory stays).
+    auto& heap = core.durable().heap();
+    while (!heap.empty()) heap.cycle({}, 8, got);
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(svc::same_job(got[i], want[i]) && got[i].flags == want[i].flags)
+        << "pop " << i << ": got tenant " << got[i].tenant << " id " << got[i].id
+        << ", 4-shard replay tenant " << want[i].tenant << " id " << want[i].id;
+  }
+  // And the service drains it: every queued job exactly once.
+  SchedulerCore core(small_cfg(old.path));
+  advance_ms(3'600'000);
+  std::vector<Job> due;
+  std::set<std::pair<std::uint32_t, std::uint64_t>> ids;
+  for (int iter = 0; iter < 1000 && core.backlog() > 0; ++iter) {
+    due.clear();
+    core.poll_due(64, due);
+    for (const Job& j : due) {
+      EXPECT_TRUE(ids.insert({j.tenant, j.id}).second) << "job " << j.id << " twice";
+    }
+  }
+  EXPECT_EQ(core.backlog(), 0u);
+  const svc::SvcStats st = core.stats();
+  EXPECT_EQ(st.acked, st.delivered + st.cancelled);
+  std::string why;
+  EXPECT_TRUE(core.check_invariants(&why)) << why;
+}
+
+TEST(SchedulerCore, StatsGaugesAndTenantRowsCountEachQuantityOnce) {
+  // Each service-wide total is one Live word: stats() and the svc_* gauges
+  // read it, and it equals the tenant rows' column sum. They agree at every
+  // quiescent point, across sheds, an aborted poll, a torn poll and the
+  // recovery that requeues it.
+  Dir dir("ph-svc-one-path");
+  SvcConfig cfg = small_cfg(dir.path);
+  cfg.max_backlog = 600;
+  const std::string label = "svc-one-path";
+  auto expect_match = [&](SchedulerCore& core, const char* when) {
+    const svc::SvcStats st = core.stats();
+    svc::SvcStats sum;
+    for (const svc::TenantStatRow& r : core.stat_rows()) {
+      sum.acked += r.acked;
+      sum.cancel_reqs += r.cancel_reqs;
+      sum.delivered += r.delivered;
+      sum.cancelled += r.cancelled;
+      sum.requeued += r.requeued;
+      sum.shed += r.shed;
+    }
+    EXPECT_EQ(st.acked, sum.acked) << when;
+    EXPECT_EQ(st.cancel_reqs, sum.cancel_reqs) << when;
+    EXPECT_EQ(st.delivered, sum.delivered) << when;
+    EXPECT_EQ(st.cancelled, sum.cancelled) << when;
+    EXPECT_EQ(st.requeued, sum.requeued) << when;
+    EXPECT_EQ(st.shed, sum.shed) << when;
+    std::map<std::string, double> g;
+    for (const auto& s : obs::MetricsRegistry::instance().snapshot().gauges) {
+      for (const auto& [k, v] : s.desc.labels) {
+        if (k == "heap" && v == label) g[s.desc.name] = s.value;
+      }
+    }
+    const std::pair<const char*, std::uint64_t> totals[] = {
+        {"svc_acked_total", st.acked},
+        {"svc_delivered_total", st.delivered},
+        {"svc_shed_total", st.shed},
+    };
+    for (const auto& [name, want] : totals) {
+      ASSERT_EQ(g.count(name), 1u) << name;
+      EXPECT_EQ(g[name], static_cast<double>(want)) << name << " " << when;
+    }
+    std::string why;
+    EXPECT_TRUE(core.check_invariants(&why)) << why;
+  };
+  {
+    SchedulerCore core(cfg);
+    core.register_gauges(label);
+    ASSERT_NO_FATAL_FAILURE(run_history(core, 7, 400));
+    expect_match(core, "after a mixed history");
+    EXPECT_GT(core.stats().requeued, 0u);
+    std::uint64_t shed = 0;
+    for (std::uint64_t i = 0; i < 600; ++i) {
+      shed += core.schedule(3, 3'600'000'000'000ull, 10'000 + i, 0, 0) ==
+                      Admit::kOverloaded ? 1 : 0;
+    }
+    core.commit();
+    EXPECT_GT(shed, 0u);
+    expect_match(core, "after shedding at the wall");
+    if (robustness::kFailpoints) {
+      advance_ms(50);
+      robustness::arm(robustness::FailSite::kSvcDispatch, robustness::FireSpec{});
+      std::vector<Job> due;
+      EXPECT_EQ(core.poll_due(16, due), svc::PollStatus::kAborted);
+      robustness::disarm_all();
+      EXPECT_EQ(core.stats().aborted_polls, 1u);
+      expect_match(core, "after an aborted poll");
+      // A torn poll: the second POP record's append dies mid-transaction.
+      robustness::FireSpec spec;
+      spec.nth = 2;
+      robustness::arm(robustness::FailSite::kWalAppend, spec);
+      EXPECT_THROW(core.poll_due(16, due), robustness::InjectedFault);
+      robustness::disarm_all();
+    }
+  }
+  SchedulerCore core(cfg);
+  core.register_gauges(label);
+  if (robustness::kFailpoints) {
+    EXPECT_GT(core.stats().recovered_inflight, 0u);
+  }
+  expect_match(core, "after recovery");
+  std::vector<Job> due;
+  advance_ms(3'600'000);
+  for (int iter = 0; iter < 1000 && core.backlog() > 0; ++iter) {
+    due.clear();
+    core.poll_due(64, due);
+  }
+  EXPECT_EQ(core.backlog(), 0u);
+  expect_match(core, "after a full drain");
 }
 
 // ---------------------------------------------------------------- tcp server

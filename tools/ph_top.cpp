@@ -2,9 +2,10 @@
 //
 // Polls a SnapshotPublisher (either the HTTP endpoint a bench exposes with
 // --metrics-port, or the JSON file it writes with --metrics-file) and renders
-// per-shard sizes, cycle/route/putback *rates* (computed from successive
-// snapshots — the publisher only exports monotone totals: telemetry counters,
-// and the heap_routed / heap_putbacks gauges summed over every `heap`
+// per-shard sizes, cycle/route/putback and svc dispatch/ack *rates* (computed
+// from successive snapshots — the publisher only exports monotone totals:
+// telemetry counters, and the heap_routed / heap_putbacks /
+// svc_delivered_total / svc_acked_total gauges summed over every `heap`
 // label), and key phase latency percentiles. Zero dependencies: raw POSIX
 // sockets for the GET, util/mini_json.hpp for parsing.
 //
@@ -100,7 +101,8 @@ double num_or(const ph::minijson::Value& obj, const std::string& key, double dfl
 /// Monotone totals by name: every telemetry counter, plus the gauges in
 /// kSummedGauges summed over their `heap` labels.
 using Totals = std::map<std::string, double>;
-constexpr const char* kSummedGauges[] = {"heap_routed", "heap_putbacks"};
+constexpr const char* kSummedGauges[] = {"heap_routed", "heap_putbacks",
+                                         "svc_delivered_total", "svc_acked_total"};
 
 struct Prev {
   bool valid = false;
@@ -186,8 +188,8 @@ int render(const std::string& body, Prev& prev) try {
                 "shed=%-8.0f dispatch/s=%9.1f ack/s=%9.1f%s%s\n",
                 sv("svc_tenants"), sv("svc_queue_depth"),
                 sv("svc_pending_delivery"), sv("svc_shed_total"),
-                rate(prev, totals, t_ns, "svc_delivered"),
-                rate(prev, totals, t_ns, "svc_acked"),
+                rate(prev, totals, t_ns, "svc_delivered_total"),
+                rate(prev, totals, t_ns, "svc_acked_total"),
                 sv("svc_overloaded") > 0 ? "  [OVERLOADED]" : "",
                 sv("svc_draining") > 0 ? "  [DRAINING]" : "");
   }

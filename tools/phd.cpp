@@ -1,8 +1,8 @@
 // phd — the parallel-heap scheduler daemon (DESIGN.md §15).
 //
 // A long-running service: framed Schedule/Cancel/PollDue/Stats requests over
-// localhost TCP, executed against DurableHeap<ShardedHeap<Job>> with the
-// ingestion tier on the enqueue path. Multi-tenant fair admission, DRR
+// localhost TCP, executed against DurableHeap<PipelinedParallelHeap<Job>>
+// with the ingestion tier on the enqueue path. Multi-tenant fair admission, DRR
 // dispatch, group-commit acks, WAL-replay recovery. Drive it with ph_loadgen;
 // watch it with ph_top against --metrics-port.
 //
@@ -33,7 +33,7 @@ void on_term(int) {
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --dir PATH [--port N] [--shards N] [--workers N]\n"
+      "usage: %s --dir PATH [--port N] [--node-capacity N]\n"
       "          [--fsync never|checkpoint|every] [--max-backlog N]\n"
       "          [--overload-watermark N] [--admit-rate JOBS_PER_SEC]\n"
       "          [--burst N] [--max-inflight N] [--metrics-port N]\n"
@@ -61,10 +61,6 @@ int main(int argc, char** argv) {
       cfg.core.dir = next();
     } else if (a == "--port") {
       cfg.port = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 10));
-    } else if (a == "--shards") {
-      cfg.core.shards = std::strtoull(next(), nullptr, 10);
-    } else if (a == "--workers") {
-      cfg.core.workers = std::strtoull(next(), nullptr, 10);
     } else if (a == "--node-capacity") {
       cfg.core.node_capacity = std::strtoull(next(), nullptr, 10);
     } else if (a == "--fsync") {
