@@ -9,7 +9,7 @@
 //    stream is compared item-for-item per cycle against a reference heap
 //    fed the same items directly. Any divergence exits nonzero — the CI
 //    smoke runs this binary as a correctness gate. The gate runs over both
-//    a pipelined inner heap and a worker-team sharded one (the full
+//    a pipelined inner heap and a 3-shard one (the full
 //    producer → staging → route → shard pipeline).
 //  * throughput — sustained hold-model ops/sec across r∈{64..1024} and
 //    P∈{1,2,4} producer threads, strict vs bounded-staleness (S=4,
@@ -183,8 +183,6 @@ int main(int argc, char** argv) {
         ph::ShardedHeap<U64>::Config c;
         c.shards = 3;
         c.rebalance_interval = 16;
-        c.workers = 2;
-        c.overlap_putback = true;
         return ph::ShardedHeap<U64>(r, c);
       });
       row("gate,sharded,%zu,%u,%d", r, p, ok_shard ? 1 : 0);

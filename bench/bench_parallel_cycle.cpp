@@ -1,24 +1,19 @@
-// E15 — the parallel cycle: concurrent shard pipelines against the two
-// classic frontends that bracket the design space.
+// E15 — the sharded cycle against the two classic frontends that bracket
+// the design space.
 //
-//  * strict sharded  — ShardedHeap with K=4 shard pipelines pulled by a
-//    worker team (W∈{0,1,2,4,6}; W=6 > K asks for more workers than shards,
-//    which the team caps at K=4 striped threads), putback overlapped with
-//    the caller's think phase, cross-shard min hint on. EXACT: the deletion stream is
-//    REQUIRED to be bit-identical to the W=0 serial run — the bench hashes
-//    the full stream and exits nonzero on any mismatch, making it a
-//    correctness gate as well as a measurement.
+//  * strict sharded  — ShardedHeap with K=4 shard pipelines on one serial
+//    cycle, run twice: cross-shard min hint on and off. EXACT: the two
+//    deletion streams are REQUIRED to be bit-identical — the bench hashes
+//    each full stream and exits nonzero on any mismatch, so the hint's
+//    exactness claim is a correctness gate as well as a measurement.
 //  * relaxed MultiQueues-style — LocalHeaps with 2 partitions per thread,
 //    random-partition inserts, partition-local pops (the "just relax the
 //    semantics" school; pops are NOT global minima).
 //  * flat combining — FlatCombiningPQ: exact global-min pops, all ops
 //    serialized through one combiner lock that batches them.
 //
-// On a single-core container the strict rows cannot show wall-clock speedup;
-// the hardware-independent evidence is (a) exact=1 at every W, (b) per-worker
-// occupancy from the Live mirror (busy-ns / wall-ns — the work really ran on
-// the team), and (c) hint_skips/putback counters showing the min hint
-// removing the putback round-trips. EXPERIMENTS.md E15 documents the bound.
+// The hint_skips/putbacks counters show the min hint removing the putback
+// round-trips. EXPERIMENTS.md E15 documents the numbers.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -50,23 +45,21 @@ struct StrictRow {
   double ns_per_op = 0;
   std::uint64_t ops = 0;
   std::uint64_t hash = 0;  ///< order-sensitive fold of the deletion stream
-  double occupancy = 0;    ///< mean worker busy-ns / wall-ns (0 when W=0)
   ph::ShardedStats stats;
 };
 
 /// Hold run over the sharded heap that hashes the deletion stream in order
 /// (position-dependent, so any reordering or substitution flips it) — the
-/// bit-exactness witness the strict rows are compared by.
-StrictRow run_strict(unsigned workers, bool overlap) {
+/// bit-exactness witness the hint-on and hint-off rows are compared by.
+StrictRow run_strict(bool min_hint) {
   const ph::HoldConfig cfg = hold_cfg();
   ph::ShardedHeap<U64>::Config qcfg;
   qcfg.shards = kShards;
   qcfg.rebalance_interval = 64;
   qcfg.sample_capacity = 2048;
-  qcfg.workers = workers;
-  qcfg.overlap_putback = overlap;
+  qcfg.min_hint = min_hint;
   ph::ShardedHeap<U64> q(kNodeCap, qcfg);
-  q.register_gauges("parallel-w" + std::to_string(workers));
+  q.register_gauges(min_hint ? "strict-hint" : "strict-nohint");
   q.build(ph::hold_initial(cfg));
 
   ph::Xoshiro256 rng(cfg.seed ^ 0x9e3779b97f4a7c15ull);
@@ -88,17 +81,8 @@ StrictRow run_strict(unsigned workers, bool overlap) {
   }
   std::vector<U64> sink;
   q.cycle(fresh, 0, sink);
-  q.quiesce();  // join any overlapped putback before reading the clock
-  const double wall_ns = t.seconds() * 1e9;
-  out.ns_per_op = wall_ns / static_cast<double>(out.ops);
+  out.ns_per_op = t.seconds() * 1e9 / static_cast<double>(out.ops);
   out.stats = q.sharded_stats();
-  const auto& team = q.live().worker_busy_ns;  // min(W, K) threads
-  if (!team.empty()) {
-    std::uint64_t busy = 0;
-    for (const auto& b : team) busy += b.load(std::memory_order_relaxed);
-    out.occupancy = static_cast<double>(busy) /
-                    (wall_ns * static_cast<double>(team.size()));
-  }
   return out;
 }
 
@@ -166,53 +150,24 @@ int main(int argc, char** argv) {
   ph::bench::parse_args(argc, argv);
   using namespace ph::bench;
 
-  header("E15 parallel cycle: concurrent shard pipelines vs relaxed and "
-         "flat-combining frontends",
-         "claim: worker-team pulls keep the deletion stream bit-exact at any "
-         "W (gated here), with per-worker occupancy and hint-skip counters "
-         "carrying the scalability shape on single-core hosts");
+  header("E15 sharded cycle vs relaxed and flat-combining frontends",
+         "claim: the cross-shard min hint removes putback round-trips without "
+         "changing one deleted item (gated here)");
 
-  const unsigned kWorkers[] = {0, 1, 2, 4, 6};
-  bool all_exact = true;
-  StrictRow serial;
-
-  columns("mode,workers,ns_per_op,occupancy,hint_skips,putbacks,par_cycles,exact");
-  for (const unsigned w : kWorkers) {
-    const StrictRow r = run_strict(w, /*overlap=*/w > 0);
-    const bool exact =
-        w == 0 || (r.hash == serial.hash && r.ops == serial.ops);
-    if (w == 0) serial = r;
-    all_exact = all_exact && exact;
-    row("strict,%u,%.0f,%.2f,%llu,%llu,%llu,%d", w, r.ns_per_op, r.occupancy,
-        static_cast<unsigned long long>(r.stats.hint_skips),
-        static_cast<unsigned long long>(r.stats.putbacks),
-        static_cast<unsigned long long>(r.stats.parallel_cycles), exact ? 1 : 0);
-    json_metric("strict_ns_per_op_w" + std::to_string(w), r.ns_per_op);
-    json_metric("strict_occupancy_w" + std::to_string(w), r.occupancy);
-    json_metric("strict_exact_w" + std::to_string(w), exact ? 1.0 : 0.0);
-    json_metric("strict_hint_skips_w" + std::to_string(w),
-                static_cast<double>(r.stats.hint_skips));
+  columns("mode,min_hint,ns_per_op,hint_skips,putbacks,exact");
+  const StrictRow hint = run_strict(true);
+  const StrictRow nohint = run_strict(false);
+  const bool exact = hint.hash == nohint.hash && hint.ops == nohint.ops;
+  for (const StrictRow* r : {&hint, &nohint}) {
+    row("strict,%d,%.0f,%llu,%llu,%d", r == &hint ? 1 : 0, r->ns_per_op,
+        static_cast<unsigned long long>(r->stats.hint_skips),
+        static_cast<unsigned long long>(r->stats.putbacks), exact ? 1 : 0);
   }
-
-  // The min hint's effect in isolation: same serial run with the hint off.
-  {
-    ph::ShardedHeap<U64>::Config qcfg;
-    qcfg.shards = kShards;
-    qcfg.rebalance_interval = 64;
-    qcfg.sample_capacity = 2048;
-    qcfg.min_hint = false;
-    ph::ShardedHeap<U64> q(kNodeCap, qcfg);
-    q.build(ph::hold_initial(hold_cfg()));
-    const ph::HoldResult res = ph::batch_hold(q, hold_cfg(), kNodeCap);
-    (void)res;
-    note("min_hint off: putbacks=%llu (vs %llu with the hint on)",
-         static_cast<unsigned long long>(q.sharded_stats().putbacks),
-         static_cast<unsigned long long>(serial.stats.putbacks));
-    json_metric("strict_putbacks_nohint",
-                static_cast<double>(q.sharded_stats().putbacks));
-    json_metric("strict_putbacks_hint",
-                static_cast<double>(serial.stats.putbacks));
-  }
+  json_metric("strict_ns_per_op_w0", hint.ns_per_op);
+  json_metric("strict_exact_w0", exact ? 1.0 : 0.0);
+  json_metric("strict_hint_skips_w0", static_cast<double>(hint.stats.hint_skips));
+  json_metric("strict_putbacks_hint", static_cast<double>(hint.stats.putbacks));
+  json_metric("strict_putbacks_nohint", static_cast<double>(nohint.stats.putbacks));
 
   const std::uint64_t kOps = hold_cfg().ops;
   columns("mode,threads,ops_per_s,ops_per_combine,exact");
@@ -231,10 +186,10 @@ int main(int argc, char** argv) {
   note("strict rows are a correctness gate: exact=0 fails the binary; "
        "multiqueue pops are partition minima (relaxed), flat_combining pops "
        "are exact but serialized");
-  if (!all_exact) {
+  if (!exact) {
     std::fprintf(stderr,
-                 "bench_parallel_cycle: FAIL — deletion stream diverged from "
-                 "the serial reference\n");
+                 "bench_parallel_cycle: FAIL — the min hint changed the "
+                 "deletion stream\n");
     return 1;
   }
   return 0;

@@ -15,8 +15,10 @@ per-op work scalars (bench metrics named *_items_merged_per_op_* or
 *_items_written_per_op_*): they count what a seeded run does, so any change
 against the baseline exits 1. A change that alters the work on purpose
 commits a fresh BENCH_pr<N>.json, which the next diff uses as its baseline;
-a scalar the baseline lacks is reported as new, never gated. --fail-over PCT turns any
-scalar whose |delta| exceeds PCT percent into a nonzero exit (counters whose
+a scalar the baseline lacks is reported as new, never gated, and one the
+new file lacks is reported as REMOVED (gated like a change when it is a
+per-op work scalar). --fail-over PCT turns any scalar whose |delta|
+exceeds PCT percent into a nonzero exit (counters whose
 baseline is 0 are reported as "new" and never fail). Telemetry *counters*
 (deterministic work counts: items, procs, cycles) get the same threshold —
 those SHOULD be reproducible, so an unexplained counter jump is signal even
@@ -180,12 +182,17 @@ def main():
             print(f"  {name}/{metric}: {o:g} -> {n:g}  ({pct:+.1f}%)")
         for metric in sorted(set(sn) - set(so)):
             print(f"  {name}/{metric}: (new metric) {sn[metric]:g}")
+        for metric in sorted(set(so) - set(sn)):
+            print(f"  {name}/{metric}: REMOVED (was {so[metric]:g})")
+            if metric.startswith("bench.") and EXACT.search(metric):
+                inexact.append(f"{name}/{metric}: {so[metric]:g} -> REMOVED")
 
     print(f"diff_bench: {rows} deltas shown, {hidden} below {args.min_delta}% "
           f"hidden, worst |delta| {worst:.1f}%")
     if inexact:
         print(f"diff_bench: FAIL — {len(inexact)} per-op work scalar(s) differ from "
-              "the baseline (exact gate; commit a fresh trajectory if intended):")
+              "or are missing against the baseline (exact gate; commit a fresh "
+              "trajectory if intended):")
         for line in inexact:
             print(f"  {line}")
         return 1

@@ -41,42 +41,31 @@
 // is bit-for-bit the unsharded PipelinedParallelHeap (pinned by
 // test_sharded.cpp and the differential harness).
 //
-// Concurrency. With Config::workers > 0 the cycle actually runs in parallel,
-// under the same exact-output contract (bit-exact vs workers=0 at any K,
-// pinned differentially):
+// The cycle is serial: the driver pulls the shards one after another and
+// puts the losers back the same way. The paper's parallelism lives inside
+// each pipelined heap (ParallelHeapEngine's maintenance and think teams),
+// not across shards; DESIGN.md §12 records why.
 //
-//   - Phase 2 (per-shard pulls) dispatches onto a persistent ThreadTeam of
-//     min(workers, shards) threads: worker w serially cycles the active
-//     shards at positions i ≡ w (mod W), and a worker past the active count
-//     (after a quarantine) idles. Whole pipelines are the parallel units;
-//     the odd/even split inside one heap is ParallelHeapEngine's job. The
-//     K-way tournament (phase 3) is the only cross-shard synchronization
-//     point.
-//   - Phase 4 (putback) runs on the same team; with Config::overlap_putback
-//     the dispatch is asynchronous and cycle() returns right after the
-//     tournament, so the caller's think phase overlaps maintenance. The
-//     completion handshake happens at the next cycle()/quiesce() call.
-//   - The cross-shard min hint (Config::min_hint) predicts each shard's
-//     pull prefix from its root node — stable across the odd half-step —
-//     replays the tournament over the predictions, and skips the full-k
-//     pull on shards that provably contribute nothing (they still run an
-//     insert-only cycle so their pipelines advance). This kills the
-//     delete-side putback storm without any cross-shard peeking at pull
-//     time; see compute_pull_budgets() for the exactness argument.
+// The cross-shard min hint (Config::min_hint) predicts each shard's pull
+// prefix from its root node — stable across the odd half-step — replays the
+// tournament over the predictions, and skips the full-k pull on shards that
+// provably contribute nothing (they still run an insert-only cycle so their
+// pipelines advance). This kills the delete-side putback storm without any
+// cross-shard peeking at pull time; see compute_pull_budgets() for the
+// exactness argument.
 //
 // Every ShardedStats counter lives once, as a relaxed atomic in the Live
 // block: sharded_stats() and the heap_* gauges read the same words, and the
 // driver thread is their only writer.
 //
-// Injected-fault / recovery cycles fall back to the serial pull
-// loop (fire_fault ordering and checkpoint-rollback are order-sensitive);
-// those are the cold paths by construction.
+// Injected-fault / recovery cycles run with full pull budgets (fire_fault
+// ordering and checkpoint-rollback are order-sensitive); those are the cold
+// paths by construction.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <span>
@@ -91,7 +80,6 @@
 #include "robustness/watchdog.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace ph {
@@ -106,7 +94,6 @@ struct ShardedStats {
   std::uint64_t merge_width_sum = 0; ///< shards contributing >=1 item, summed
   std::uint64_t quarantines = 0;     ///< shards retired by fault or verdict
   std::uint64_t hint_skips = 0;      ///< shard pulls skipped by the min hint
-  std::uint64_t parallel_cycles = 0; ///< cycles whose pulls ran on the team
 
   /// Mean routing imbalance: K * max-share / fair-share (1.0 = perfectly
   /// balanced, K = everything lands on one shard). NaN-free: 0 when idle.
@@ -202,18 +189,6 @@ class ShardedHeap {
     /// tournament and its key range is redistributed across the survivors.
     /// The last active shard is never quarantined.
     bool quarantine = false;
-    /// Worker threads running phase 2 (per-shard pulls) and phase 4
-    /// (putback) concurrently; 0 = fully serial cycle, which stays the
-    /// differential baseline. The team is capped at `shards` threads (a
-    /// surplus thread could never receive a shard). Output is bit-exact vs
-    /// workers=0 at any count; cold cycles (armed fail-points, recovery)
-    /// run serial regardless.
-    unsigned workers = 0;
-    /// With workers > 0: cycle() returns right after the tournament and the
-    /// putback runs asynchronously on the team; the completion handshake is
-    /// the next cycle()/quiesce() call, so the caller's think phase
-    /// overlaps phase-4 maintenance. size()/live() lag until the handshake.
-    bool overlap_putback = false;
     /// Cross-shard min hint: before phase 2, predict every shard's pull
     /// prefix from its (half-step-stable) root node, replay the tournament
     /// over the predictions, and drop provably-losing shards' pull budgets
@@ -247,38 +222,10 @@ class ShardedHeap {
     pull_k_.resize(cfg_.shards);
     hint_.resize(cfg_.shards);
     hint_take_.resize(cfg_.shards);
-    const unsigned team_w = static_cast<unsigned>(
-        std::min<std::size_t>(cfg_.workers, cfg_.shards));
-    if (team_w > 0) {
-      team_.threads = std::make_unique<ThreadTeam>(team_w, false, "shard");
-      worker_exc_.resize(team_w);
-      worker_sink_.resize(team_w);
-    }
-    live_ = std::make_unique<Live>(cfg_.shards, team_w);
+    live_ = std::make_unique<Live>(cfg_.shards);
     reset_active();
     update_live(0);
   }
-
-  ~ShardedHeap() {
-    if (team_.pending) {
-      try {
-        quiesce();
-      } catch (...) {
-        // A worker exception with no cycle left to surface it in; the
-        // structure is being torn down anyway. Throwing out of a destructor
-        // is std::terminate, so the failure is swallowed — but not silently:
-        // the flight ring keeps the causal record for the post-mortem dump.
-        obs::flight(obs::FlightKind::kTeardownError,
-                    static_cast<std::uint64_t>(
-                        robustness::FailSite::kShardPutback));
-      }
-    }
-  }
-
-  /// Moving joins any overlapped putback first (see Team); the moved-to
-  /// heap completes the handshake at its next quiesce().
-  ShardedHeap(ShardedHeap&&) = default;
-  ShardedHeap& operator=(ShardedHeap&&) = default;
 
   ShardedHeap(std::size_t node_capacity, std::size_t shards, Compare cmp = Compare())
       : ShardedHeap(node_capacity, Config{shards, 0, 1024}, std::move(cmp)) {}
@@ -302,8 +249,7 @@ class ShardedHeap {
     return ShardedStats{get(lv.cycles),          get(lv.routed),
                         get(lv.routed_max_sum),  get(lv.putbacks),
                         get(lv.rebalances),      get(lv.merge_width_sum),
-                        get(lv.quarantines),     get(lv.hint_skips),
-                        get(lv.parallel_cycles)};
+                        get(lv.quarantines),     get(lv.hint_skips)};
   }
   const KeyRangePartitioner<T, Compare>& partitioner() const noexcept { return part_; }
   Shard& shard(std::size_t i) noexcept { return shards_[i]; }
@@ -326,8 +272,7 @@ class ShardedHeap {
     std::vector<std::vector<T>> shard_items;
   };
 
-  Snapshot snapshot() {
-    quiesce();
+  Snapshot snapshot() const {
     Snapshot s;
     s.splits = part_.splits();
     s.active = active_;
@@ -341,7 +286,6 @@ class ShardedHeap {
   /// and per-shard contents all return to their captured values (the
   /// rolling sample restarts empty — see snapshot()).
   void restore(const Snapshot& s) {
-    quiesce();
     PH_ASSERT(s.shard_items.size() == shards_.size());
     PH_ASSERT(s.active.size() == shards_.size());
     active_ = s.active;
@@ -387,11 +331,7 @@ class ShardedHeap {
   /// build/restore; the ShardedStats counters are the counters themselves,
   /// bumped by the driver as each event happens.
   struct Live {
-    Live(std::size_t shards, std::size_t workers)
-        : shard_size(shards),
-          shard_active(shards),
-          worker_busy_ns(workers),
-          worker_phases(workers) {}
+    explicit Live(std::size_t shards) : shard_size(shards), shard_active(shards) {}
     std::vector<std::atomic<std::uint64_t>> shard_size;
     std::vector<std::atomic<std::uint64_t>> shard_active;  ///< 0/1
     std::atomic<std::uint64_t> active_shards{0};
@@ -400,14 +340,7 @@ class ShardedHeap {
     // ShardedStats, field for field.
     std::atomic<std::uint64_t> cycles{0}, routed{0}, routed_max_sum{0},
         putbacks{0}, rebalances{0}, merge_width_sum{0}, quarantines{0},
-        hint_skips{0}, parallel_cycles{0};
-    /// Per-worker phase occupancy: cumulative ns spent inside pull/putback
-    /// stints and the number of stints, written by the workers themselves
-    /// as each stint ends (not at cycle boundaries) — a scraper divides
-    /// busy-ns deltas by wall-clock to get each worker's occupancy, the
-    /// evidence EXPERIMENTS.md E15 leans on. Empty when workers == 0.
-    std::vector<std::atomic<std::uint64_t>> worker_busy_ns;
-    std::vector<std::atomic<std::uint64_t>> worker_phases;
+        hint_skips{0};
   };
 
   const Live& live() const noexcept { return *live_; }
@@ -420,25 +353,21 @@ class ShardedHeap {
   void register_gauges(const std::string& heap = "sharded") {
     gauges_.clear();
     Live* lv = live_.get();
-    auto lab = [&heap](std::initializer_list<std::pair<std::string, std::string>> more) {
-      std::vector<std::pair<std::string, std::string>> ls{{"heap", heap}};
-      ls.insert(ls.end(), more.begin(), more.end());
-      return ls;
-    };
     for (std::size_t s = 0; s < shards_.size(); ++s) {
+      const std::vector<std::pair<std::string, std::string>> labels{
+          {"heap", heap}, {"shard", std::to_string(s)}};
       gauges_.add(
-          obs::GaugeDesc{"shard_size", lab({{"shard", std::to_string(s)}}),
+          obs::GaugeDesc{"shard_size", labels,
                          "Items held by one shard (cycle-boundary mirror)."},
           [lv, s] { return static_cast<double>(
                         lv->shard_size[s].load(std::memory_order_relaxed)); });
       gauges_.add(
-          obs::GaugeDesc{"shard_active", lab({{"shard", std::to_string(s)}}),
+          obs::GaugeDesc{"shard_active", labels,
                          "1 while the shard serves traffic, 0 once quarantined."},
           [lv, s] { return static_cast<double>(
                         lv->shard_active[s].load(std::memory_order_relaxed)); });
     }
-    struct Simple { const char* name; const char* help; std::atomic<std::uint64_t> Live::*field; };
-    static constexpr Simple kSimple[] = {
+    static constexpr obs::GaugeField<Live> kFields[] = {
         {"active_shards", "Shards currently serving traffic.", &Live::active_shards},
         {"heap_size", "Total items across all shards.", &Live::total_size},
         {"heap_cycles", "Sharded cycles completed.", &Live::cycles},
@@ -449,34 +378,16 @@ class ShardedHeap {
         {"heap_hint_skips", "Shard pulls skipped by the cross-shard min hint.", &Live::hint_skips},
         {"heap_last_cycle_ns", "Wall-clock duration of the last sharded cycle.", &Live::last_cycle_ns},
     };
-    for (const Simple& g : kSimple) {
-      auto field = g.field;
-      gauges_.add(obs::GaugeDesc{g.name, lab({}), g.help},
-                  [lv, field] { return static_cast<double>(
-                                    (lv->*field).load(std::memory_order_relaxed)); });
-    }
-    for (std::size_t w = 0; w < lv->worker_busy_ns.size(); ++w) {
-      gauges_.add(
-          obs::GaugeDesc{"shard_worker_busy_ns", lab({{"worker", std::to_string(w)}}),
-                         "Cumulative ns this worker spent in pull/putback stints."},
-          [lv, w] { return static_cast<double>(
-                        lv->worker_busy_ns[w].load(std::memory_order_relaxed)); });
-      gauges_.add(
-          obs::GaugeDesc{"shard_worker_phases", lab({{"worker", std::to_string(w)}}),
-                         "Pull/putback stints this worker has completed."},
-          [lv, w] { return static_cast<double>(
-                        lv->worker_phases[w].load(std::memory_order_relaxed)); });
-    }
+    gauges_.add_fields(lv, {{"heap", heap}}, kFields);
   }
 
   /// Forces an immediate partition-map re-estimation from the rolling
   /// sample (testing/tuning; the interval path calls this too).
   void rebalance_now() {
-    quiesce();
     if (cfg_.router) return;  // banded routing bypasses the partition map
     if (sample_.empty() || active_shards() == 1) return;
     part_.rebalance(std::span<const T>(sample_));
-    bump(live_->rebalances);
+    obs::bump(live_->rebalances);
     obs::flight(obs::FlightKind::kRebalance, active_shards());
   }
 
@@ -484,7 +395,6 @@ class ShardedHeap {
   /// bulk-loads each shard with its range. Quarantined shards are
   /// reactivated (build is a full reset).
   void build(std::span<const T> items) {
-    quiesce();
     reset_active();
     observe(items);
     if (!seeded_ && !items.empty()) {
@@ -505,18 +415,14 @@ class ShardedHeap {
   /// puts losing prefix items back. Returns the number deleted.
   std::size_t cycle(std::span<const T> fresh, std::size_t k, std::vector<T>& out) {
     PH_ASSERT_MSG(k <= r_, "cycle(): k must not exceed the node capacity r");
-    // Overlap handshake, completion side: the previous cycle's putback (if
-    // dispatched asynchronously) must finish before anything reads or
-    // routes — the caller's think time since then is what got overlapped.
-    quiesce();
-    bump(live_->cycles);
+    obs::bump(live_->cycles);
     recovery_.clear();
 
     // Causal identity: every span recorded during this cycle — route, each
-    // shard's pipeline levels (ThreadTeam propagates the context into its
-    // workers), merge, putback — carries this id, so the Chrome exporter can
-    // stitch one cycle across all K shards into a single flow. The flight
-    // recorder logs the same id, linking black-box events to trace spans.
+    // shard's pipeline levels, merge, putback — carries this id, so the
+    // Chrome exporter can stitch one cycle across all K shards into a single
+    // flow. The flight recorder logs the same id, linking black-box events
+    // to trace spans.
     const std::uint64_t trace_id = telemetry::new_trace_id();
     telemetry::TraceCtxScope trace_scope(trace_id);
     obs::flight(obs::FlightKind::kCycle, trace_id, fresh.size());
@@ -557,8 +463,8 @@ class ShardedHeap {
     if (!fresh.empty()) {
       std::size_t mx = 0;
       for (const auto& b : route_buf_) mx = std::max(mx, b.size());
-      bump(live_->routed, fresh.size());
-      bump(live_->routed_max_sum, mx);
+      obs::bump(live_->routed, fresh.size());
+      obs::bump(live_->routed_max_sum, mx);
       observe(fresh);
     }
 
@@ -569,20 +475,10 @@ class ShardedHeap {
     // and folded into this cycle's tournament via the recovery run.
     cycle_slots_.assign(dense_.begin(), dense_.end());
     // Cold cycles — armed fail-points (fire-counter order is global and
-    // order-sensitive) or a phase-0 recovery run — take the serial loop with
-    // full budgets; everything else may use the min hint and the team.
-    // kShardPutback is excluded from the gate: it exists to fault the TEAM
-    // putback path, which a cold cycle would never reach.
-    const bool cold =
-        robustness::any_armed_except(
-            robustness::site_bit(robustness::FailSite::kShardPutback)) ||
-        !recovery_.empty();
+    // order-sensitive) or a phase-0 recovery run — pull with full budgets;
+    // everything else may use the min hint.
+    const bool cold = robustness::any_armed() || !recovery_.empty();
     compute_pull_budgets(k, cold);
-    const bool on_team = team_.threads != nullptr && !cold;
-    if (on_team) {
-      bump(live_->parallel_cycles);
-      run_parallel_pulls();
-    } else {
     for (const std::size_t s : cycle_slots_) {
       pulled_[s].clear();
       telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
@@ -613,7 +509,6 @@ class ShardedHeap {
         continue;
       }
       if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
-    }
     }
 
     // Phase 3: K-way tournament over the sorted prefixes (plus the recovery
@@ -659,53 +554,32 @@ class ShardedHeap {
       if (take_[s] > 0) ++width;
       put_total += pulled_[s].size() - take_[s];
     }
-    bump(live_->merge_width_sum, width);
-    bump(live_->putbacks, put_total);
+    obs::bump(live_->merge_width_sum, width);
+    obs::bump(live_->putbacks, put_total);
 
     // Phase 4: put losing prefix suffixes back where they came from
     // (insert-only cycles; k = 0 advances nothing out of the shard).
-    if (on_team) {
-      // Per-shard putbacks are independent (a team cycle has no recovery
-      // run), so the deferred handshake only owes rebalance + Live.
-      if (put_total > 0) {
-        putback_done_.assign(shards_.size(), std::uint8_t{0});
-        putback_fn_ = [this](unsigned w) { putback_worker(w); };
-        if (cfg_.overlap_putback) {
-          // Overlap handshake, dispatch side: hand phase 4 to the team and
-          // return with the tournament result; the caller thinks while the
-          // putback cycles run. quiesce() completes the handshake.
-          team_.pending = true;
-          pending_cycle_ns_ = cycle_timer.nanos();
-          team_.threads->begin(putback_fn_);
-          return taken;
-        }
-        team_.threads->run(putback_fn_);
-        recover_deferred_putbacks();
-        rethrow_worker_exc();
-      }
-    } else {
-      for (const std::size_t s : cycle_slots_) {
-        if (take_[s] >= pulled_[s].size()) continue;
-        telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-        const auto rest = std::span<const T>(pulled_[s]).subspan(take_[s]);
-        sink_.clear();
-        shards_[s].cycle(rest, 0, sink_);
-      }
+    for (const std::size_t s : cycle_slots_) {
+      if (take_[s] >= pulled_[s].size()) continue;
+      telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
+      const auto rest = std::span<const T>(pulled_[s]).subspan(take_[s]);
+      sink_.clear();
+      shards_[s].cycle(rest, 0, sink_);
+    }
 
-      // Phase 4b: redistribute the untaken recovery remainder across the
-      // survivors through the same insert-only path — routed by the (already
-      // rebuilt) partition map, so a quarantined shard's key range is served
-      // by the survivors from the very next route.
-      if (rec_take < recovery_.size()) {
-        for (auto& b : redist_) b.clear();
-        for (std::size_t i = rec_take; i < recovery_.size(); ++i) {
-          redist_[slot_for(recovery_[i])].push_back(recovery_[i]);
-        }
-        for (const std::size_t s : dense_) {
-          if (redist_[s].empty()) continue;
-          sink_.clear();
-          shards_[s].cycle(redist_[s], 0, sink_);
-        }
+    // Phase 4b: redistribute the untaken recovery remainder across the
+    // survivors through the same insert-only path — routed by the (already
+    // rebuilt) partition map, so a quarantined shard's key range is served
+    // by the survivors from the very next route.
+    if (rec_take < recovery_.size()) {
+      for (auto& b : redist_) b.clear();
+      for (std::size_t i = rec_take; i < recovery_.size(); ++i) {
+        redist_[slot_for(recovery_[i])].push_back(recovery_[i]);
+      }
+      for (const std::size_t s : dense_) {
+        if (redist_[s].empty()) continue;
+        sink_.clear();
+        shards_[s].cycle(redist_[s], 0, sink_);
       }
     }
     recovery_.clear();
@@ -717,28 +591,8 @@ class ShardedHeap {
     return taken;
   }
 
-  /// Overlap handshake, completion side: joins the worker team if an
-  /// asynchronous putback is outstanding, rethrows any worker exception,
-  /// applies the deferred rebalance check, and refreshes the Live mirror.
-  /// cycle() calls this on entry — that call pair IS the think/maintenance
-  /// overlap — and so does every other state-touching entry point; call it
-  /// directly only before reading size()/live() at a true quiescent point.
-  void quiesce() {
-    if (!team_.pending) return;
-    team_.pending = false;
-    team_.threads->wait();
-    recover_deferred_putbacks();
-    rethrow_worker_exc();
-    if (rebalance_due()) rebalance_now();
-    update_live(pending_cycle_ns_);
-  }
-
-  /// True while an overlapped putback is still outstanding.
-  bool putback_pending() const noexcept { return team_.pending; }
-
   /// Verifies every shard's structural invariants (drains their pipelines).
   bool check_invariants(std::string* why = nullptr) {
-    quiesce();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       std::string inner;
       if (!shards_[s].check_invariants(&inner)) {
@@ -751,7 +605,6 @@ class ShardedHeap {
 
   /// All contents ascending (drains; testing/diagnostics).
   std::vector<T> sorted_contents() {
-    quiesce();
     std::vector<T> all;
     for (Shard& s : shards_) {
       const std::vector<T> part = s.sorted_contents();
@@ -774,7 +627,6 @@ class ShardedHeap {
   /// deactivates it. Survivors keep cycling; fresh values that would have
   /// routed to `s` spread across the narrowed partition map.
   std::vector<T> release_shard(std::size_t s) {
-    quiesce();
     PH_ASSERT_MSG(active_shards() > 1, "cannot release the last active shard");
     PH_ASSERT_MSG(active_[s] != 0, "release_shard: shard already inactive");
     std::vector<T> drained = shards_[s].sorted_contents();
@@ -789,7 +641,6 @@ class ShardedHeap {
   /// restores it to the routing table. Conservation is the caller's
   /// contract: adopt back exactly what release (plus interim ops) left.
   void adopt_shard(std::size_t s, std::span<const T> items) {
-    quiesce();
     PH_ASSERT_MSG(active_[s] == 0, "adopt_shard: shard already active");
     shards_[s].build(items);
     active_[s] = 1;
@@ -880,130 +731,7 @@ class ShardedHeap {
         ++skips;
       }
     }
-    bump(live_->hint_skips, skips);
-  }
-
-  /// Phase 2 on the worker team: worker w serially cycles the active
-  /// shards at positions ≡ w (mod W) — whole pipelines are the parallel
-  /// units. After a quarantine leaves fewer active shards than workers, the
-  /// surplus workers find no position and idle.
-  void run_parallel_pulls() {
-    const std::size_t nslots = cycle_slots_.size();
-    const unsigned team_w = team_.threads->size();
-    std::fill(worker_exc_.begin(), worker_exc_.end(), std::exception_ptr{});
-    for (const std::size_t s : cycle_slots_) pulled_[s].clear();
-    pull_fn_ = [this, nslots, team_w](unsigned w) {
-      telemetry::SpanScope span(telemetry::Phase::kShardPull);
-      Timer busy;
-      for (std::size_t i = w; i < nslots; i += team_w) {
-        const std::size_t s = cycle_slots_[i];
-        telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-        try {
-          shards_[s].cycle(route_buf_[s], pull_k_[s], pulled_[s]);
-        } catch (...) {
-          if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-        }
-        if (wd_ != nullptr) wd_->beat(wd_ch_[s]);
-      }
-      note_worker_busy(w, busy.nanos());
-    };
-    team_.threads->run(pull_fn_);
-    rethrow_worker_exc();
-  }
-
-  /// Phase 4 on the worker team: each worker handles its stripe of shards'
-  /// losing suffixes via insert-only cycles (stats were accounted at
-  /// dispatch). Runs either synchronously (ThreadTeam::run) or detached
-  /// behind the overlap handshake; either way the scratch it reads
-  /// (cycle_slots_, take_, pulled_) is not touched again until quiesce().
-  void putback_worker(unsigned w) {
-    telemetry::SpanScope span(telemetry::Phase::kShardPutback);
-    Timer busy;
-    const std::size_t nslots = cycle_slots_.size();
-    const unsigned team_w = team_.threads->size();
-    for (std::size_t i = w; i < nslots; i += team_w) {
-      const std::size_t s = cycle_slots_[i];
-      if (take_[s] >= pulled_[s].size()) continue;
-      telemetry::TraceTagScope shard_tag(static_cast<std::uint32_t>(s));
-      const auto rest = std::span<const T>(pulled_[s]).subspan(take_[s]);
-      worker_sink_[w].clear();
-      try {
-        // Fires BEFORE the shard cycle, so an injected fault leaves the
-        // shard untouched and its suffix intact — the handshake can retry
-        // the slot serially (recover_deferred_putbacks).
-        robustness::fire_fault(robustness::FailSite::kShardPutback);
-        shards_[s].cycle(rest, 0, worker_sink_[w]);
-        putback_done_[s] = 1;
-      } catch (...) {
-        if (!worker_exc_[w]) worker_exc_[w] = std::current_exception();
-      }
-    }
-    note_worker_busy(w, busy.nanos());
-  }
-
-  /// Completion-side repair for faulted team putbacks: if every stashed
-  /// worker exception is an injected fault (real exceptions still surface
-  /// via rethrow_worker_exc), retry the unfinished slots serially on the
-  /// driver. Worker stripes are disjoint and the team has joined, so
-  /// putback_done_ is safely readable here. Each retry still evaluates the
-  /// fail-point; a site armed beyond the retry budget leaves one injected
-  /// failure stashed for the caller (the destructor path swallows it and
-  /// records kTeardownError instead).
-  void recover_deferred_putbacks() {
-    bool faulted = false;
-    for (const auto& e : worker_exc_) {
-      if (!e) continue;
-      try {
-        std::rethrow_exception(e);
-      } catch (const robustness::InjectedFailure&) {
-        faulted = true;
-      } catch (...) {
-        return;  // a real failure: leave everything for rethrow_worker_exc
-      }
-    }
-    if (!faulted) return;
-    for (auto& e : worker_exc_) e = nullptr;
-    for (const std::size_t s : cycle_slots_) {
-      if (take_[s] >= pulled_[s].size() || putback_done_[s] != 0) continue;
-      const auto rest = std::span<const T>(pulled_[s]).subspan(take_[s]);
-      bool ok = false;
-      for (int attempt = 0; attempt < 64 && !ok; ++attempt) {
-        sink_.clear();
-        try {
-          robustness::fire_fault(robustness::FailSite::kShardPutback);
-          shards_[s].cycle(rest, 0, sink_);
-          ok = true;
-        } catch (const robustness::InjectedFailure&) {
-        }
-      }
-      if (!ok) {
-        worker_exc_[0] = std::make_exception_ptr(
-            robustness::InjectedFault(robustness::FailSite::kShardPutback));
-        return;
-      }
-      putback_done_[s] = 1;
-      robustness::note_recovery(robustness::FailSite::kShardPutback);
-    }
-  }
-
-  /// Surfaces the first stashed worker exception (driver thread, after a
-  /// join). Clears the slot so a handled failure is not rethrown forever.
-  void rethrow_worker_exc() {
-    for (auto& e : worker_exc_) {
-      if (e) {
-        const std::exception_ptr p = e;
-        e = nullptr;
-        std::rethrow_exception(p);
-      }
-    }
-  }
-
-  /// Per-worker occupancy accounting (Live mirror; workers write their own
-  /// slots, relaxed — see Live::worker_busy_ns).
-  void note_worker_busy(unsigned w, std::uint64_t ns) noexcept {
-    if (live_ == nullptr || w >= live_->worker_busy_ns.size()) return;
-    live_->worker_busy_ns[w].fetch_add(ns, std::memory_order_relaxed);
-    live_->worker_phases[w].fetch_add(1, std::memory_order_relaxed);
+    obs::bump(live_->hint_skips, skips);
   }
 
   /// Reactivates every shard and restores the full-width partition map
@@ -1043,7 +771,7 @@ class ShardedHeap {
                        recovery_.begin() + static_cast<std::ptrdiff_t>(mid),
                        recovery_.end(),
                        [this](const T& a, const T& b) { return cmp_(a, b); });
-    bump(live_->quarantines);
+    obs::bump(live_->quarantines);
     obs::flight(obs::FlightKind::kQuarantine, s, drained.size());
   }
 
@@ -1063,11 +791,6 @@ class ShardedHeap {
     if (cycle_ns != 0) lv.last_cycle_ns.store(cycle_ns, std::memory_order_relaxed);
   }
 
-  /// Adds n to one Live counter. The driver thread is every counter's only
-  /// writer, so a relaxed load + store is exact (and cheaper than an RMW).
-  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) noexcept {
-    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  }
 
   /// Phase 5's trigger: the periodic re-estimation interval just elapsed.
   bool rebalance_due() const noexcept {
@@ -1093,33 +816,6 @@ class ShardedHeap {
       ++sample_cursor_;
     }
   }
-
-  /// The worker team (Config::workers > 0) and the overlap handshake's open
-  /// flag. Its workers write through `this` (shards_, pulled_,
-  /// putback_done_, worker_sink_), so a move must join them before any of
-  /// those members moves: team_ is declared first, and Team's moves join
-  /// both sides. The handshake's remaining steps (fault repair, rethrow,
-  /// rebalance, Live) travel with `pending` to the moved-to heap.
-  struct Team {
-    std::unique_ptr<ThreadTeam> threads;
-    bool pending = false;  ///< overlapped putback dispatched, not yet joined
-
-    Team() = default;
-    Team(Team&& o) noexcept
-        : threads((o.join(), std::move(o.threads))),
-          pending(std::exchange(o.pending, false)) {}
-    Team& operator=(Team&& o) noexcept {
-      join();
-      o.join();
-      threads = std::move(o.threads);
-      pending = std::exchange(o.pending, false);
-      return *this;
-    }
-    void join() noexcept {
-      if (pending) threads->wait();
-    }
-  };
-  Team team_;
 
   std::size_t r_;
   Config cfg_;
@@ -1151,15 +847,6 @@ class ShardedHeap {
   std::vector<std::vector<T>> route_buf_, pulled_, redist_;
   std::vector<std::size_t> take_, cycle_slots_;
   std::vector<T> sink_, recovery_, extra_;
-
-  // Concurrency (Config::workers > 0; the team is team_, above).
-  // pull_fn_/putback_fn_ are members because begin()/wait() pairs (the
-  // overlap handshake) must outlive the dispatching call.
-  std::vector<std::exception_ptr> worker_exc_;  ///< first failure per worker
-  std::vector<std::vector<T>> worker_sink_;     ///< per-worker putback sinks
-  std::vector<std::uint8_t> putback_done_;      ///< per-shard putback landed
-  std::function<void(unsigned)> pull_fn_, putback_fn_;
-  std::uint64_t pending_cycle_ns_ = 0;          ///< cycle timer at dispatch
 
   // Min-hint scratch (compute_pull_budgets).
   std::vector<std::size_t> pull_k_;   ///< per-slot deletion budget this cycle

@@ -188,8 +188,9 @@ class ShardSupervisor {
   /// dropped heartbeats, or injected transport faults along the way.
   std::size_t cycle(std::span<const T> fresh, std::size_t k, std::vector<T>& out) {
     poll();
-    ++stats_.cycles;
-    obs::flight(obs::FlightKind::kCycle, stats_.cycles, fresh.size());
+    obs::bump(live_->cycles);
+    obs::flight(obs::FlightKind::kCycle,
+                live_->cycles.load(std::memory_order_relaxed), fresh.size());
 
     const std::size_t K = slots_.size();
     for (auto& b : route_) b.clear();
@@ -221,7 +222,7 @@ class ShardSupervisor {
     }
     // Counted at completion, not entry: a mid-cycle takeover makes THIS the
     // first degraded cycle, independent of how fast poll() respawns later.
-    if (degraded()) ++stats_.degraded_cycles;
+    if (degraded()) obs::bump(live_->degraded_cycles);
     update_live();
     return removed;
   }
@@ -235,7 +236,9 @@ class ShardSupervisor {
 
   /// Detection + maintenance pass (also runs at every cycle() entry): reaps
   /// dead children, drains pending heartbeats, converts watchdog stall
-  /// verdicts into failovers, and attempts due respawns.
+  /// verdicts into failovers, and attempts due respawns. Ends by refreshing
+  /// the Live state mirrors, so a standalone poll() leaves the dist_* gauges
+  /// current.
   void poll() {
     for (std::size_t s = 0; s < slots_.size(); ++s) {
       Slot& sl = slots_[s];
@@ -249,8 +252,7 @@ class ShardSupervisor {
         const ::pid_t r = ::waitpid(sl.pid, &status, WNOHANG);
         if (r == sl.pid) {
           sl.pid = 0;
-          ++stats_.deaths;
-          fail_shard(s);
+          fail_shard(s, /*reaped=*/true);
           continue;
         }
         drain_beats(s);
@@ -258,7 +260,7 @@ class ShardSupervisor {
       if (wd_ != nullptr && sl.wd_ch != kNoChannel &&
           sl.state != BackendState::kDead &&
           wd_->consecutive_stalls(sl.wd_ch) >= polls_to_failover_) {
-        ++stats_.stall_verdicts;
+        obs::bump(live_->stall_verdicts);
         fail_shard(s);
         if (robustness::armed(robustness::FailSite::kHeartbeatDrop)) {
           robustness::note_recovery(robustness::FailSite::kHeartbeatDrop);
@@ -266,6 +268,7 @@ class ShardSupervisor {
       }
       maybe_respawn(s);
     }
+    update_live();
   }
 
   /// Simulated external kill: SIGKILLs the shard's child (or, for loopback
@@ -274,7 +277,7 @@ class ShardSupervisor {
   /// for a `kill -9` from a terminal.
   void kill_shard(std::size_t s) {
     Slot& sl = slots_[s];
-    ++stats_.kills;
+    obs::bump(live_->kills);
     if (sl.pid > 0) {
       ::kill(sl.pid, SIGKILL);
       return;
@@ -301,7 +304,20 @@ class ShardSupervisor {
     return n;
   }
   bool empty() const noexcept { return size() == 0; }
-  const Stats& stats() const noexcept { return stats_; }
+  /// The supervisor's counters, read from their one copy in the Live block.
+  Stats stats() const noexcept {
+    const Live& lv = *live_;
+    auto get = [](const std::atomic<std::uint64_t>& a) {
+      return a.load(std::memory_order_relaxed);
+    };
+    return Stats{get(lv.cycles),         get(lv.spawns),
+                 get(lv.respawns),       get(lv.spawn_retries),
+                 get(lv.takeovers),      get(lv.kills),
+                 get(lv.deaths),         get(lv.stall_verdicts),
+                 get(lv.transport_faults), get(lv.beats),
+                 get(lv.journal_replayed), get(lv.resent),
+                 get(lv.degraded_cycles)};
+  }
   BackendState backend_state(std::size_t s) const noexcept {
     return slots_[s].state;
   }
@@ -351,28 +367,25 @@ class ShardSupervisor {
     }
   }
 
-  /// Lock-free mirror for gauge callbacks (ShardedHeap::Live convention).
+  /// Lock-free live state for gauge callbacks (ShardedHeap::Live
+  /// convention). The state mirrors are refreshed at the end of every
+  /// cycle() and poll(); the Stats counters are the counters themselves,
+  /// bumped by the driver as each event happens.
   struct Live {
     std::atomic<std::uint64_t> total_size{0};
-    std::atomic<std::uint64_t> cycles{0};
-    std::atomic<std::uint64_t> takeovers{0};
-    std::atomic<std::uint64_t> respawns{0};
-    std::atomic<std::uint64_t> deaths{0};
-    std::atomic<std::uint64_t> stall_verdicts{0};
     std::atomic<std::uint64_t> degraded{0};  ///< 1 while any shard is degraded
     std::atomic<std::uint64_t> process_backends{0};
+    // Stats, field for field.
+    std::atomic<std::uint64_t> cycles{0}, spawns{0}, respawns{0},
+        spawn_retries{0}, takeovers{0}, kills{0}, deaths{0}, stall_verdicts{0},
+        transport_faults{0}, beats{0}, journal_replayed{0}, resent{0},
+        degraded_cycles{0};
   };
   const Live& live() const noexcept { return *live_; }
 
   void register_gauges(const std::string& heap = "dist") {
     gauges_.clear();
-    Live* lv = live_.get();
-    struct Simple {
-      const char* name;
-      const char* help;
-      std::atomic<std::uint64_t> Live::*field;
-    };
-    static constexpr Simple kSimple[] = {
+    static constexpr obs::GaugeField<Live> kFields[] = {
         {"dist_total_size", "Items across all supervised shards.", &Live::total_size},
         {"dist_cycles", "Distributed cycles completed.", &Live::cycles},
         {"dist_takeovers", "In-parent shard takeovers after failures.", &Live::takeovers},
@@ -382,14 +395,7 @@ class ShardSupervisor {
         {"dist_degraded", "1 while any shard runs off its configured backend.", &Live::degraded},
         {"dist_process_backends", "Shards currently executing in child processes.", &Live::process_backends},
     };
-    for (const Simple& g : kSimple) {
-      auto field = g.field;
-      gauges_.add(obs::GaugeDesc{g.name, {{"heap", heap}}, g.help},
-                  [lv, field] {
-                    return static_cast<double>(
-                        (lv->*field).load(std::memory_order_relaxed));
-                  });
-    }
+    gauges_.add_fields(live_.get(), {{"heap", heap}}, kFields);
   }
 
  private:
@@ -481,7 +487,7 @@ class ShardSupervisor {
       hello = sl.local->hello();
     }
     reconcile(s, hello);
-    ++stats_.spawns;
+    obs::bump(live_->spawns);
     obs::flight(obs::FlightKind::kShardProcSpawn, s,
                 static_cast<std::uint64_t>(sl.pid));
   }
@@ -578,7 +584,7 @@ class ShardSupervisor {
     // now_seq == acked + 1 is legal: an in-flight op was logged before the
     // failure; the retry will be acknowledged-without-applying.
     sl.size = static_cast<std::size_t>(probe_size(s, hello));
-    stats_.resent += resent;
+    obs::bump(live_->resent, resent);
     note_beat(s);
   }
 
@@ -655,15 +661,15 @@ class ShardSupervisor {
 
   /// Failure verdict for shard `s`: put the backend down for good, recover
   /// in-parent, reconcile to the acknowledged sequence. Survivors are not
-  /// touched; the caller retries whatever RPC was in flight.
-  void fail_shard(std::size_t s) {
+  /// touched; the caller retries whatever RPC was in flight. A child process
+  /// counts as one death, whether poll() already reaped it (`reaped`) or
+  /// this verdict kills it.
+  void fail_shard(std::size_t s, bool reaped = false) {
     Slot& sl = slots_[s];
     obs::flight(obs::FlightKind::kShardProcDeath, s,
                 static_cast<std::uint64_t>(sl.pid));
-    if (sl.pid > 0) {
-      reap(sl, /*kill_first=*/true);
-      ++stats_.deaths;
-    }
+    if (reaped || sl.pid > 0) obs::bump(live_->deaths);
+    if (sl.pid > 0) reap(sl, /*kill_first=*/true);
     if (sl.tr) sl.tr->close();
     sl.tr.reset();
     sl.local.reset();
@@ -698,8 +704,8 @@ class ShardSupervisor {
     sl.tr = make_loopback(s);
     sl.state = BackendState::kTakenOver;
     sl.next_respawn_at = clock_now() + backoff_ns(sl.spawn_attempts);
-    ++stats_.takeovers;
-    stats_.journal_replayed += replayed;
+    obs::bump(live_->takeovers);
+    obs::bump(live_->journal_replayed, replayed);
     note_beat(s);
     obs::flight(obs::FlightKind::kShardTakeover, s, replayed);
   }
@@ -711,7 +717,7 @@ class ShardSupervisor {
 
   void note_spawn_failure(std::size_t s) {
     Slot& sl = slots_[s];
-    ++stats_.spawn_retries;
+    obs::bump(live_->spawn_retries);
     ++sl.spawn_attempts;
     sl.next_respawn_at = clock_now() + backoff_ns(sl.spawn_attempts);
   }
@@ -738,7 +744,7 @@ class ShardSupervisor {
       takeover_shard(s);
       return;
     }
-    ++stats_.respawns;
+    obs::bump(live_->respawns);
     if (was_faulted && robustness::armed(robustness::FailSite::kShardSpawn)) {
       robustness::note_recovery(robustness::FailSite::kShardSpawn);
     }
@@ -792,7 +798,7 @@ class ShardSupervisor {
       try {
         ok = attempt_rpc(s, req, rep);
       } catch (const robustness::InjectedFailure& f) {
-        ++stats_.transport_faults;
+        obs::bump(live_->transport_faults);
         injected = f.site;
       }
       if (ok) return rep;
@@ -852,7 +858,7 @@ class ShardSupervisor {
   }
 
   void note_beat(std::size_t s) {
-    ++stats_.beats;
+    obs::bump(live_->beats);
     Slot& sl = slots_[s];
     if (wd_ != nullptr && sl.wd_ch != kNoChannel) wd_->beat(sl.wd_ch);
   }
@@ -883,14 +889,11 @@ class ShardSupervisor {
     return taken;
   }
 
+  /// Refreshes Live's state mirrors (size, degraded flag, process count)
+  /// from the slots. End of cycle() and poll().
   void update_live() noexcept {
     Live& lv = *live_;
     lv.total_size.store(size(), std::memory_order_relaxed);
-    lv.cycles.store(stats_.cycles, std::memory_order_relaxed);
-    lv.takeovers.store(stats_.takeovers, std::memory_order_relaxed);
-    lv.respawns.store(stats_.respawns, std::memory_order_relaxed);
-    lv.deaths.store(stats_.deaths, std::memory_order_relaxed);
-    lv.stall_verdicts.store(stats_.stall_verdicts, std::memory_order_relaxed);
     lv.degraded.store(degraded() ? 1 : 0, std::memory_order_relaxed);
     std::uint64_t procs = 0;
     for (const Slot& sl : slots_) {
@@ -908,7 +911,6 @@ class ShardSupervisor {
   std::vector<std::size_t> idx_;
   std::vector<std::uint8_t> tx_;
   std::vector<std::uint8_t> rx_;
-  Stats stats_;
   robustness::PhaseWatchdog* wd_ = nullptr;
   std::uint32_t polls_to_failover_ = 2;
   std::unique_ptr<Live> live_ = std::make_unique<Live>();

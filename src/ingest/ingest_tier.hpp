@@ -210,12 +210,7 @@ class IngestTier {
   /// ("heap" label distinguishes instances). RAII-deregistered.
   void register_gauges(const std::string& heap = "ingest") {
     gauges_.clear();
-    Live* lv = live_.get();
-    auto lab = [&heap] {
-      return std::vector<std::pair<std::string, std::string>>{{"heap", heap}};
-    };
-    struct Simple { const char* name; const char* help; std::atomic<std::uint64_t> Live::*field; };
-    static constexpr Simple kSimple[] = {
+    static constexpr obs::GaugeField<Live> kFields[] = {
         {"ingest_staged_depth", "Items staged in producer buffers, not yet flushed.", &Live::staged_depth},
         {"ingest_pending_runs", "Flushed runs awaiting admission.", &Live::pending_runs},
         {"ingest_pending_items", "Items in flushed runs awaiting admission.", &Live::pending_items},
@@ -224,12 +219,7 @@ class IngestTier {
         {"ingest_max_run", "Largest sorted run coalesced so far.", &Live::max_run},
         {"ingest_last_flush_ns", "Wall-clock duration of the last flush sweep.", &Live::last_flush_ns},
     };
-    for (const Simple& g : kSimple) {
-      auto field = g.field;
-      gauges_.add(obs::GaugeDesc{g.name, lab(), g.help},
-                  [lv, field] { return static_cast<double>(
-                                    (lv->*field).load(std::memory_order_relaxed)); });
-    }
+    gauges_.add_fields(live_.get(), {{"heap", heap}}, kFields);
   }
 
  private:
@@ -327,13 +317,9 @@ class IngestTier {
       pending_items_ -= admitted_.size();
       pending_.erase(pending_.begin(),
                      pending_.begin() + static_cast<std::ptrdiff_t>(cut));
-      telemetry::count(telemetry::Counter::kIngestAdmitted, admitted_.size());
       live_->admitted_items.fetch_add(admitted_.size(), std::memory_order_relaxed);
     }
     stats_.deferred_runs += pending_.size();
-    if (!pending_.empty()) {
-      telemetry::count(telemetry::Counter::kIngestDeferred, pending_.size());
-    }
     publish_pending();
   }
 

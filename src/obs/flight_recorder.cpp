@@ -69,7 +69,6 @@ const char* flight_kind_name(FlightKind k) noexcept {
     case FlightKind::kNote: return "note";
     case FlightKind::kLaneQuarantine: return "lane_quarantine";
     case FlightKind::kIngestFlush: return "ingest_flush";
-    case FlightKind::kTeardownError: return "teardown_error";
     case FlightKind::kShardProcSpawn: return "shard_proc_spawn";
     case FlightKind::kShardProcDeath: return "shard_proc_death";
     case FlightKind::kShardTakeover: return "shard_takeover";

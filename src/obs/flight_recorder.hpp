@@ -57,7 +57,6 @@ enum class FlightKind : std::uint8_t {
   kNote,              ///< freeform marker; a/b caller-defined
   kLaneQuarantine,    ///< engine think lane retired; a=lane id, b=consecutive faults
   kIngestFlush,       ///< ingest staging buffers flushed; a=runs, b=items
-  kTeardownError,     ///< a destructor swallowed a deferred failure; a=source tag
   kShardProcSpawn,    ///< supervisor spawned a shard backend; a=shard, b=pid (0=loopback)
   kShardProcDeath,    ///< shard backend died/was failed; a=shard, b=pid
   kShardTakeover,     ///< supervisor took a shard over in-parent; a=shard, b=replayed ops

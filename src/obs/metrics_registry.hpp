@@ -93,6 +93,22 @@ class MetricsRegistry {
   std::atomic<std::uint64_t> seq_{0};
 };
 
+/// One row of a component's gauge table: a name, its help line, and the
+/// counter in the component's Live block that the gauge reads.
+template <typename Live>
+struct GaugeField {
+  const char* name;
+  const char* help;
+  std::atomic<std::uint64_t> Live::*field;
+};
+
+/// Adds n to one Live counter. Every counter has a single writer thread (the
+/// component's driver), so a relaxed load + store is exact and cheaper than
+/// an RMW; gauge callbacks may load it from any thread at any time.
+inline void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 /// RAII bundle of gauge registrations: components register their gauges
 /// through one GaugeSet member and deregistration is automatic — no dangling
 /// callbacks after the component dies.
@@ -114,6 +130,21 @@ class GaugeSet {
 
   void add(GaugeDesc desc, GaugeFn fn) {
     ids_.push_back(MetricsRegistry::instance().add_gauge(std::move(desc), std::move(fn)));
+  }
+
+  /// Registers one gauge per row of a component's table, each a relaxed
+  /// load of its field in `*lv` under `labels`. `lv` must outlive the set
+  /// (components heap-allocate their Live block, or own both).
+  template <typename Live, std::size_t N>
+  void add_fields(const Live* lv,
+                  const std::vector<std::pair<std::string, std::string>>& labels,
+                  const GaugeField<Live> (&table)[N]) {
+    for (const GaugeField<Live>& row : table) {
+      const auto field = row.field;
+      add(GaugeDesc{row.name, labels, row.help}, [lv, field] {
+        return static_cast<double>((lv->*field).load(std::memory_order_relaxed));
+      });
+    }
   }
 
   void clear() {

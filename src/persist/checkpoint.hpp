@@ -281,10 +281,10 @@ void from_image(PipelinedParallelHeap<T, Compare>& pq,
   pq.build(std::span<const T>(all));
 }
 
-// Non-const: snapshot() first quiesces any putback overlapped with the
-// caller (PR7), so imaging a live heap always captures a settled state.
+// The image is the cycle-boundary snapshot: partition map, active mask, and
+// every shard's items (the rolling sample is dropped; see snapshot()).
 template <typename T, typename Compare>
-CheckpointImage<T> to_image(ShardedHeap<T, Compare>& pq) {
+CheckpointImage<T> to_image(const ShardedHeap<T, Compare>& pq) {
   typename ShardedHeap<T, Compare>::Snapshot snap = pq.snapshot();
   CheckpointImage<T> img;
   img.splits = std::move(snap.splits);

@@ -245,21 +245,13 @@ class DurableHeap {
   /// count) in the process-wide MetricsRegistry under the `heap` label.
   void register_gauges(const std::string& heap = "durable") {
     gauges_.clear();
-    Live* lv = live_.get();
-    struct Simple { const char* name; const char* help; std::atomic<std::uint64_t> Live::*field; };
-    static constexpr Simple kSimple[] = {
+    static constexpr obs::GaugeField<Live> kFields[] = {
         {"durable_op_seq", "Last logged-and-applied operation sequence.", &Live::op_seq},
         {"durable_replayed", "WAL records applied by the current/last recovery.", &Live::replayed},
         {"durable_checkpoints", "Checkpoints published by this instance.", &Live::checkpoints},
         {"durable_recovering", "1 while a recovery pass is running.", &Live::recovering},
     };
-    for (const Simple& g : kSimple) {
-      auto field = g.field;
-      gauges_.add(
-          obs::GaugeDesc{g.name, {{"heap", heap}}, g.help},
-          [lv, field] { return static_cast<double>(
-                            (lv->*field).load(std::memory_order_relaxed)); });
-    }
+    gauges_.add_fields(live_.get(), {{"heap", heap}}, kFields);
   }
 
  private:
@@ -441,7 +433,6 @@ class DurableHeap {
         expected = rec.seq;
         ++info_.replayed;
         live_->replayed.store(info_.replayed, std::memory_order_relaxed);
-        telemetry::count(telemetry::Counter::kWalReplayed);
       }
       if (seg.torn_tail) info_.wal_torn = true;
     }

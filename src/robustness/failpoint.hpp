@@ -70,7 +70,6 @@ enum class FailSite : std::uint8_t {
   kWalFsync,        ///< crash/fault around the WAL fsync (pre/post durability)
   kRecoverReplay,   ///< crash/fault between replayed WAL records (double crash)
   kIngestFlush,     ///< producer dies mid-flush of the ingest staging buffers
-  kShardPutback,    ///< deferred (overlapped) shard putback fails on a worker
   kTransportSend,   ///< dist transport loses/corrupts an outbound frame
   kTransportRecv,   ///< dist transport loses/corrupts an inbound frame
   kShardSpawn,      ///< supervisor fails to spawn/respawn a shard process
@@ -97,7 +96,6 @@ inline const char* fail_site_name(FailSite s) noexcept {
     case FailSite::kWalFsync: return "wal_fsync";
     case FailSite::kRecoverReplay: return "recover_replay";
     case FailSite::kIngestFlush: return "ingest_flush";
-    case FailSite::kShardPutback: return "shard_putback";
     case FailSite::kTransportSend: return "transport_send";
     case FailSite::kTransportRecv: return "transport_recv";
     case FailSite::kShardSpawn: return "shard_spawn";
@@ -243,20 +241,6 @@ inline bool any_armed() noexcept {
   return fp_detail::g_armed_mask.load(std::memory_order_relaxed) != 0;
 }
 
-/// True when any site OUTSIDE `mask` is armed. Structures whose own sites
-/// have a concurrency-safe recovery story (the deferred shard putback) use
-/// this to stay on their parallel paths while only those sites are armed,
-/// instead of falling back to the serial "cold" cycle that would make the
-/// site unreachable.
-inline bool any_armed_except(std::uint32_t mask) noexcept {
-  return (fp_detail::g_armed_mask.load(std::memory_order_relaxed) & ~mask) != 0;
-}
-
-/// Bit for any_armed_except() masks.
-inline constexpr std::uint32_t site_bit(FailSite s) noexcept {
-  return 1u << static_cast<unsigned>(s);
-}
-
 /// One evaluation of the site: returns true when the schedule says fire.
 /// Lock-free; the disarmed path is a single relaxed load and branch.
 inline bool fire(FailSite site) noexcept {
@@ -347,10 +331,6 @@ inline void disarm(FailSite) noexcept {}
 inline void disarm_all() noexcept {}
 inline bool armed(FailSite) noexcept { return false; }
 inline bool any_armed() noexcept { return false; }
-inline bool any_armed_except(std::uint32_t) noexcept { return false; }
-inline constexpr std::uint32_t site_bit(FailSite s) noexcept {
-  return 1u << static_cast<unsigned>(s);
-}
 inline bool fire(FailSite) noexcept { return false; }
 inline void fire_oom(FailSite) noexcept {}
 inline void fire_fault(FailSite) noexcept {}

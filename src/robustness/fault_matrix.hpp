@@ -43,10 +43,6 @@
 //       slot drains restages the in-flight buffer; no staged item is ever
 //       lost or duplicated (admission may lag a cycle, so the drill runs
 //       under bounded-lag conservation, not stream equality).
-//   shard_putback
-//       deferred-path repair: an injected failure on a team putback worker
-//       is retried serially at the quiesce handshake — the suffix lands,
-//       and the stream stays EXACT.
 //   transport_send / transport_recv
 //       failover: a lost/corrupted frame mid-RPC kills the backend; the
 //       supervisor takes the shard over in-parent (per-shard WAL recovery +
@@ -116,10 +112,10 @@ inline constexpr FailSite kDrilledSites[] = {
     FailSite::kWorkerStall,   FailSite::kShardCycle,
     FailSite::kCkptWrite,     FailSite::kWalAppend,
     FailSite::kWalFsync,      FailSite::kRecoverReplay,
-    FailSite::kIngestFlush,   FailSite::kShardPutback,
-    FailSite::kTransportSend, FailSite::kTransportRecv,
-    FailSite::kShardSpawn,    FailSite::kHeartbeatDrop,
-    FailSite::kSvcAccept,     FailSite::kSvcDispatch,
+    FailSite::kIngestFlush,   FailSite::kTransportSend,
+    FailSite::kTransportRecv, FailSite::kShardSpawn,
+    FailSite::kHeartbeatDrop, FailSite::kSvcAccept,
+    FailSite::kSvcDispatch,
 };
 static_assert(sizeof(kDrilledSites) / sizeof(kDrilledSites[0]) == kNumFailSites,
               "every registered FailSite needs a fault-matrix drill: add the "
@@ -593,30 +589,6 @@ inline FaultSiteResult ingest_flush_drill(const FaultMatrixConfig& cfg) {
                 ok ? "" : "items lost/duplicated across flush faults: " + f.message);
 }
 
-/// Deferred-putback drill: the overlapped team putback faults (injected),
-/// the quiesce handshake retries the unfinished shards serially, and the
-/// deletion stream must stay EXACT — the fault is fully absorbed.
-inline FaultSiteResult shard_putback_drill(const FaultMatrixConfig& cfg) {
-  disarm_all();
-  const testing::OpTrace trace = drill_trace(cfg, FailSite::kShardPutback);
-  using SH = ShardedHeap<U64>;
-  SH::Config scfg;
-  scfg.shards = 3;
-  scfg.rebalance_interval = 16;
-  scfg.workers = 2;
-  scfg.overlap_putback = true;
-  scfg.min_hint = false;  // every shard putback must actually run
-  SH q(cfg.r, scfg);
-  arm(FailSite::kShardPutback,
-      FireSpec{/*nth=*/2, /*period=*/3, /*max_fires=*/20, /*stall_us=*/0});
-  testing::DiffOptions opt;
-  opt.invariant_stride = 64;
-  const testing::DiffFailure f = testing::run_differential(q, trace, opt);
-  const bool ok = !f.failed;
-  return finish(FailSite::kShardPutback, ok,
-                ok ? "" : "stream diverged across putback retries: " + f.message);
-}
-
 // ----------------------------------------------------------- dist drills
 // All four run the shard supervisor over LOOPBACK backends (no fork, no
 // threads — the same protocol/journal/takeover paths as process mode, and
@@ -891,7 +863,6 @@ inline FaultMatrixReport run_fault_matrix(const FaultMatrixConfig& cfg = {},
       FireSpec{/*nth=*/6, /*period=*/29, /*max_fires=*/12, /*stall_us=*/0}));
   rep.rows.push_back(fm_detail::recover_replay_drill(cfg));
   rep.rows.push_back(fm_detail::ingest_flush_drill(cfg));
-  rep.rows.push_back(fm_detail::shard_putback_drill(cfg));
   rep.rows.push_back(fm_detail::dist_transport_drill(
       cfg, FailSite::kTransportSend,
       FireSpec{/*nth=*/6, /*period=*/23, /*max_fires=*/6, /*stall_us=*/0}));

@@ -27,8 +27,8 @@ namespace ph::sim {
 using ShardedEventHeap = ShardedHeap<Event, EventOrder>;
 
 struct ShardedSimConfig {
-  /// The sharded queue's own knobs (shards, workers, quarantine, min hint,
-  /// ...), passed through as is; `router` is set from band_width.
+  /// The sharded queue's own knobs (shards, rebalancing, quarantine, min
+  /// hint), passed through as is; `router` is set from band_width.
   ShardedEventHeap::Config queue{/*shards=*/2, /*rebalance_interval=*/32};
   std::size_t node_capacity = 64;  ///< r of each shard engine
   std::size_t batch = 64;          ///< deletion budget per cycle (<= r)

@@ -255,7 +255,7 @@ class SchedulerCore {
     admitted_in_record_ = 0;
     sink_.clear();
     tier_.cycle({}, 0, sink_);
-    bump(live_.commits);
+    obs::bump(live_.commits);
     refresh_live();
     return admitted_in_record_;
   }
@@ -277,7 +277,7 @@ class SchedulerCore {
     telemetry::SpanScope span(telemetry::Phase::kSvcDispatch);
     const std::uint64_t now = now_ns();
     if (server_now != nullptr) *server_now = now;
-    bump(live_.polls);
+    obs::bump(live_.polls);
 
     commit();  // staged jobs may be due right now
     if (max == 0 || tier_.size() == 0 || next_due_lb_ > now) {
@@ -329,7 +329,7 @@ class SchedulerCore {
       // the same path recovery takes for an unterminated transaction.
       delivered_buf_.clear();
       close_transaction(/*requeue_everything=*/true, frontier);
-      bump(live_.aborted_polls);
+      obs::bump(live_.aborted_polls);
       robustness::note_recovery(f.site);
       refresh_live();
       return PollStatus::kAborted;
@@ -445,9 +445,7 @@ class SchedulerCore {
     gauges_.clear();
     tier_.register_gauges(heap);
     durable().register_gauges(heap);
-    Live* lv = &live_;
-    struct Simple { const char* name; const char* help; std::atomic<std::uint64_t> Live::*field; };
-    static constexpr Simple kSimple[] = {
+    static constexpr obs::GaugeField<Live> kFields[] = {
         {"svc_tenants", "Tenants seen by the scheduler service.", &Live::tenants},
         {"svc_queue_depth", "Jobs anywhere in the service tier (staged+queued).", &Live::queue_depth},
         {"svc_pending_delivery", "Jobs popped but not yet committed to a poller.", &Live::pending},
@@ -458,12 +456,7 @@ class SchedulerCore {
         {"svc_delivered_total", "Jobs delivered to pollers (WAL-derived).", &Live::delivered},
         {"svc_acked_total", "Schedules made durable and acked (WAL-derived).", &Live::acked},
     };
-    for (const Simple& g : kSimple) {
-      auto field = g.field;
-      gauges_.add(obs::GaugeDesc{g.name, {{"heap", heap}}, g.help},
-                  [lv, field] { return static_cast<double>(
-                                    (lv->*field).load(std::memory_order_relaxed)); });
-    }
+    gauges_.add_fields(&live_, {{"heap", heap}}, kFields);
   }
 
  private:
@@ -497,7 +490,7 @@ class SchedulerCore {
 
   Admit shed(std::uint32_t tenant, std::size_t backlog) {
     ++tenants_.at(tenant).shed;
-    bump(live_.shed);
+    obs::bump(live_.shed);
     if (!overloaded_) {
       overloaded_ = true;
       obs::flight(obs::FlightKind::kSvcOverload, tenant, backlog);
@@ -517,15 +510,15 @@ class SchedulerCore {
       if ((j.flags & kRequeuedFlag) != 0 && (j.flags & kCancelFlag) == 0) {
         returns_.emplace_back(tomb_key(j), 1u);
         ++st.requeued;
-        bump(live_.requeued);
+        obs::bump(live_.requeued);
       } else if ((j.flags & kCancelFlag) != 0) {
         ++st.cancel_reqs;
-        bump(live_.cancel_reqs);
+        obs::bump(live_.cancel_reqs);
         ++admitted_in_record_;
         note_admitted(j);
       } else {
         ++st.acked;
-        bump(live_.acked);
+        obs::bump(live_.acked);
         ++admitted_in_record_;
         note_admitted(j);
       }
@@ -539,7 +532,7 @@ class SchedulerCore {
         prune_tombstones();
       } else if (take_tombstone(j)) {
         ++tenants_.at(j.tenant).cancelled;
-        bump(live_.cancelled);
+        obs::bump(live_.cancelled);
       } else {
         pending_delivery_.push_back(j);
       }
@@ -549,7 +542,7 @@ class SchedulerCore {
     if (k == 0 && !pending_delivery_.empty()) {
       for (const Job& j : pending_delivery_) {
         ++tenants_.at(j.tenant).delivered;
-        bump(live_.delivered);
+        obs::bump(live_.delivered);
         if (!recovering_) delivered_buf_.push_back(j);
       }
       pending_delivery_.clear();
@@ -699,14 +692,6 @@ class SchedulerCore {
     live_.queue_depth.store(tier_.size(), std::memory_order_relaxed);
     live_.pending.store(pending_delivery_.size(), std::memory_order_relaxed);
     live_.tombstones.store(tombstones_.size(), std::memory_order_relaxed);
-  }
-
-  /// Adds n to one Live total. Totals are written only where the tenant
-  /// table is (commits, polls, admission accounting), all on one thread (see
-  /// Threading above), so a relaxed load + store is exact (and cheaper than
-  /// an RMW).
-  static void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) noexcept {
-    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
   SvcConfig cfg_;

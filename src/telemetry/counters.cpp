@@ -49,8 +49,6 @@ const char* phase_name(Phase p) noexcept {
     case Phase::kMaintService: return "maint_service";
     case Phase::kShardRoute: return "shard_route";
     case Phase::kShardMerge: return "shard_merge";
-    case Phase::kShardPull: return "shard_pull";
-    case Phase::kShardPutback: return "shard_putback";
     case Phase::kCkptWrite: return "ckpt_write";
     case Phase::kWalAppend: return "wal_append";
     case Phase::kWalFsync: return "wal_fsync";
@@ -80,13 +78,10 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kWalAppends: return "wal_appends";
     case Counter::kWalBytes: return "wal_bytes";
     case Counter::kWalFsyncs: return "wal_fsyncs";
-    case Counter::kWalReplayed: return "wal_replayed";
     case Counter::kRecoveries: return "recoveries";
     case Counter::kLaneQuarantines: return "lane_quarantines";
     case Counter::kIngestStaged: return "ingest_staged";
     case Counter::kIngestRuns: return "ingest_runs";
-    case Counter::kIngestAdmitted: return "ingest_admitted";
-    case Counter::kIngestDeferred: return "ingest_deferred";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -40,8 +40,6 @@ enum class Phase : unsigned {
   kMaintService,    ///< one maintenance worker's share of a half-step
   kShardRoute,      ///< sharded front end splitting a batch by key range
   kShardMerge,      ///< K-way tournament over per-shard prefixes
-  kShardPull,       ///< one worker's stint of the concurrent per-shard pulls
-  kShardPutback,    ///< returning losing prefix suffixes to their shards
   kCkptWrite,       ///< serializing + publishing one durable checkpoint
   kWalAppend,       ///< appending (and per-policy fsyncing) one WAL record
   kWalFsync,        ///< one fsync(2) issued by the WAL writer (latency source)
@@ -72,13 +70,13 @@ enum class Counter : unsigned {
   kWalAppends,       ///< WAL records appended
   kWalBytes,         ///< bytes appended to WAL segments (frames incl. headers)
   kWalFsyncs,        ///< fsync(2) calls issued by the WAL writer
-  kWalReplayed,      ///< WAL records applied during recovery
   kRecoveries,       ///< completed recovery passes (DurableHeap opens)
   kLaneQuarantines,  ///< engine think lanes retired after repeated failures
+  // The two ingest counters stay process-wide because bench_stack reads
+  // them from phd's metrics file (ingest.items_per_run); every other ingest
+  // total is per instance, in IngestStats and the ingest_* gauges.
   kIngestStaged,     ///< items staged into producer buffers (ingest tier)
   kIngestRuns,       ///< sorted runs coalesced out of the staging buffers
-  kIngestAdmitted,   ///< staged items admitted into the inner heap's cycle
-  kIngestDeferred,   ///< run-cycles spent pending under bounded staleness
   kCount
 };
 inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kCount);

@@ -417,10 +417,10 @@ inline const std::vector<std::string>& default_structures() {
       "pipelined_heap_mt",  "locked_binary_heap",
       "batch_binary_heap",  "batch_dary4_heap",   "batch_skew_heap",
       "batch_pairing_heap", "batch_leftist_heap", "batch_calendar_queue",
-      "sharded_heap",       "sharded_heap_conc",  "sharded_heap_wide",
-      "engine_pipeline",    "engine_team",        "local_heaps",
-      "local_heaps_mt",     "flat_combining_mt",  "durable_pipelined",
-      "ingest_pipelined",   "ingest_sharded_strict", "ingest_sharded_relaxed"};
+      "sharded_heap",       "engine_pipeline",    "engine_team",
+      "local_heaps",        "local_heaps_mt",     "flat_combining_mt",
+      "durable_pipelined",  "ingest_pipelined",   "ingest_sharded_strict",
+      "ingest_sharded_relaxed"};
   return names;
 }
 
@@ -506,22 +506,6 @@ inline DiffFailure run_trace(const OpTrace& t) {
                                                      /*sample_capacity=*/1024});
     return run_differential(q, t, opt);
   }
-  if (s == "sharded_heap_conc" || s == "sharded_heap_wide") {
-    // The worker-team paths, pinned bit-exact against the oracle: "conc"
-    // runs 2 workers over 3 shards (one worker serially cycles two shards);
-    // "wide" asks for 5 workers over 3 shards, which the team caps at 3.
-    // Both overlap putback with the caller (quiesce handshake) and use the
-    // min hint.
-    opt.invariant_stride = 64;
-    ShardedHeap<U64>::Config c;
-    c.shards = 3;
-    c.rebalance_interval = 16;
-    c.sample_capacity = 1024;
-    c.workers = (s == "sharded_heap_wide") ? 5 : 2;
-    c.overlap_putback = true;
-    ShardedHeap<U64> q(t.r, c);
-    return run_differential(q, t, opt);
-  }
   if (s == "engine_pipeline") {
     opt.invariant_stride = 64;
     EnginePipelineAdapter q(t.r);
@@ -563,17 +547,15 @@ inline DiffFailure run_trace(const OpTrace& t) {
     return run_differential(q, t, opt);
   }
   if (s == "ingest_sharded_strict" || s == "ingest_sharded_relaxed") {
-    // Staging over the PR7 concurrent sharded heap (2 workers, overlapped
-    // putback) with a key-range router on the shards underneath — the full
-    // producer → staging → route → shard pipeline. Strict is bit-exact;
-    // relaxed allows runs to lag ≤ 3 cycles (bounded_lag conservation).
+    // Staging over a 3-shard heap with a key-band router on the shards
+    // underneath — the full producer → staging → route → shard pipeline.
+    // Strict is bit-exact; relaxed allows runs to lag ≤ 3 cycles
+    // (bounded_lag conservation).
     opt.invariant_stride = 64;
     ShardedHeap<U64>::Config c;
     c.shards = 3;
     c.rebalance_interval = 16;
     c.sample_capacity = 1024;
-    c.workers = 2;
-    c.overlap_putback = true;
     // Banded router (Config::router seam): coalesced runs land on shards by
     // key band, exercising the route-by-run path instead of the quantile map.
     c.router = [](const U64& v) { return static_cast<std::size_t>(v >> 6); };

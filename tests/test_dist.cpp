@@ -23,6 +23,7 @@
 #include "dist/shard_server.hpp"
 #include "dist/supervisor.hpp"
 #include "dist/transport.hpp"
+#include "obs/metrics_registry.hpp"
 #include "persist/format.hpp"
 #include "robustness/failpoint.hpp"
 #include "robustness/watchdog.hpp"
@@ -54,6 +55,17 @@ struct TempDir {
 struct DisarmGuard {
   ~DisarmGuard() { rb::disarm_all(); }
 };
+
+/// Samples one registered gauge by name and `heap` label (-1 if absent).
+double gauge_value(const std::string& name, const std::string& heap) {
+  for (const auto& g : obs::MetricsRegistry::instance().snapshot().gauges) {
+    if (g.desc.name != name) continue;
+    for (const auto& [k, v] : g.desc.labels) {
+      if (k == "heap" && v == heap) return g.value;
+    }
+  }
+  return -1.0;
+}
 
 Sup::Config base_config(const std::string& dir, std::size_t shards,
                         bool use_processes) {
@@ -230,6 +242,7 @@ TEST(DistSupervisor, KillLoopbackShardRecoversExactly) {
 TEST(DistSupervisor, SigkillChildMidRunRecoversExactly) {
   TempDir dir;
   Sup sup(base_config(dir.path, 2, /*use_processes=*/true));
+  sup.register_gauges("dist-sigkill");
   run_exact(sup, 11, 120, [&](std::size_t i) {
     if (i == 50) sup.kill_shard(1);
   });
@@ -249,6 +262,24 @@ TEST(DistSupervisor, SigkillChildMidRunRecoversExactly) {
   EXPECT_GE(sup.stats().respawns, 1u);
   EXPECT_EQ(sup.backend_state(1), Sup::BackendState::kProcess);
   EXPECT_GT(sup.shard_pid(1), 0);
+  // Kill it again with no cycle to follow: detection, takeover and
+  // re-admission all happen inside standalone poll() calls, and the dist_*
+  // gauges must show them without waiting for the next cycle.
+  const std::uint64_t respawns_before = sup.stats().respawns;
+  sup.kill_shard(1);
+  for (int spin = 0; spin < 2000 && (sup.stats().respawns <= respawns_before ||
+                                     sup.backend_state(1) !=
+                                         Sup::BackendState::kProcess);
+       ++spin) {
+    sup.poll();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(sup.stats().respawns, respawns_before);
+  EXPECT_EQ(gauge_value("dist_respawns", "dist-sigkill"),
+            static_cast<double>(sup.stats().respawns));
+  EXPECT_EQ(gauge_value("dist_deaths", "dist-sigkill"),
+            static_cast<double>(sup.stats().deaths));
+  EXPECT_EQ(gauge_value("dist_process_backends", "dist-sigkill"), 2.0);
 }
 
 TEST(DistSupervisor, SigkillBothChildrenSequentiallyStillExact) {

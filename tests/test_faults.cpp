@@ -450,72 +450,6 @@ TEST(Quarantine, DesOutcomeExactWithShardKilledMidRun) {
       << ", fingerprint " << got.sim.fingerprint << " vs " << want.fingerprint;
 }
 
-// ------------------------------------------- overlapped putback recovery
-
-TEST(DeferredPutback, InjectedPutbackFaultIsRetriedAtHandshake) {
-  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
-  DisarmGuard guard;
-  testing::GenConfig gen;
-  gen.r = 8;
-  gen.cycles = 300;
-  gen.seed = 91;
-  const testing::OpTrace trace = testing::generate_trace(gen);
-
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 3;
-  scfg.rebalance_interval = 16;
-  scfg.workers = 2;
-  scfg.overlap_putback = true;
-  scfg.min_hint = false;  // hint skips would starve the putback path
-  ShardedHeap<U64> q(8, scfg);
-  // kShardPutback fires on the worker team BEFORE the shard's insert-only
-  // cycle, so the suffix is still intact when the next handshake retries
-  // the slot serially. Bounded fires so the retries eventually land.
-  rb::arm(rb::FailSite::kShardPutback, rb::FireSpec{2, 3, 20, 0});
-
-  testing::DiffOptions opt;
-  opt.invariant_stride = 64;
-  const testing::DiffFailure f = testing::run_differential(q, trace, opt);
-  EXPECT_FALSE(f.failed) << f.message;
-  q.quiesce();
-  const rb::SiteStats st = rb::stats(rb::FailSite::kShardPutback);
-  EXPECT_GT(st.fires, 0u);
-  EXPECT_GT(st.recoveries, 0u);
-  EXPECT_LE(st.recoveries, st.fires);
-}
-
-TEST(DeferredPutback, TeardownSwallowsDeferredFailureAndRecordsFlight) {
-  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
-  DisarmGuard guard;
-  const auto teardown_flights = [] {
-    std::size_t n = 0;
-    for (const auto& e : obs::FlightRecorder::instance().snapshot()) {
-      if (e.kind == obs::FlightKind::kTeardownError) ++n;
-    }
-    return n;
-  };
-  const std::size_t before = teardown_flights();
-  {
-    ShardedHeap<U64>::Config scfg;
-    scfg.shards = 3;
-    scfg.workers = 2;
-    scfg.overlap_putback = true;
-    scfg.min_hint = false;
-    ShardedHeap<U64> q(8, scfg);
-    q.build(seeded_keys(64));
-    // Unbounded schedule: every putback attempt faults, including all 64
-    // serial retries at the handshake, so the destructor's quiesce() is
-    // left holding an injected failure. It must swallow it (no terminate)
-    // and leave a kTeardownError breadcrumb in the flight ring.
-    rb::arm(rb::FailSite::kShardPutback, rb::FireSpec{1, 1, 0, 0});
-    std::vector<U64> out;
-    q.cycle({}, 4, out);  // leaves losing suffixes for the async putback
-    EXPECT_EQ(out.size(), 4u);
-  }
-  rb::disarm_all();
-  EXPECT_GT(teardown_flights(), before);
-}
-
 // ------------------------------------------------ engine think recovery
 
 TEST(EngineFaults, ThrowingThinkLaneIsRequeuedAtLeastOnce) {
