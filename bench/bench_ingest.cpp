@@ -3,7 +3,7 @@
 //
 // Two phases:
 //
-//  * exactness gate — strict mode must be BIT-EXACT against direct
+//  * exactness gate — staging must be BIT-EXACT against direct
 //    insertion at every producer count P∈{1,2,4,8}: real producer threads
 //    stage their slices concurrently, the driver cycles, and the deletion
 //    stream is compared item-for-item per cycle against a reference heap
@@ -12,11 +12,11 @@
 //    a pipelined inner heap and a 3-shard one (the full
 //    producer → staging → route → shard pipeline).
 //  * throughput — sustained hold-model ops/sec across r∈{64..1024} and
-//    P∈{1,2,4} producer threads, strict vs bounded-staleness (S=4,
-//    admit_min_items=2r), over the pipelined inner heap. On a single-core
-//    container wall-clock speedup cannot manifest; the hardware-independent
-//    evidence is the staged/admitted counter balance and the run-size
-//    telemetry (wide coalesced runs = fewer root-merge entries per item).
+//    P∈{1,2,4} producer threads over the pipelined inner heap. On a
+//    single-core container wall-clock speedup cannot manifest; the
+//    hardware-independent evidence is the admitted-item count and the
+//    run-size telemetry (wide coalesced runs = fewer root-merge entries per
+//    item).
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -43,7 +43,7 @@ std::vector<U64> gen_batch(ph::Xoshiro256& rng, std::size_t n, U64 bound) {
   return v;
 }
 
-/// Strict-mode exactness gate for one inner-heap maker: P producer threads
+/// Exactness gate for one inner-heap maker: P producer threads
 /// stage slices of each cycle's batch concurrently (joined at the cycle
 /// boundary), the reference gets the identical batch directly. Returns true
 /// iff every cycle's deletion stream matched.
@@ -98,26 +98,22 @@ bool run_gate(const char* label, std::size_t r, unsigned producers,
 
 struct ThroughputRow {
   double mops = 0;             ///< staged+deleted ops per second, millions
-  std::uint64_t staged = 0;
   std::uint64_t admitted = 0;
   std::uint64_t runs = 0;
   double mean_run = 0;
 };
 
 /// Hold-style throughput: P producers re-stage the previous cycle's
-/// deletions (bumped) while the driver cycles the tier. Item count is fixed
-/// so strict and relaxed rows do identical logical work.
+/// deletions (bumped) while the driver cycles the tier.
 ThroughputRow run_throughput(std::size_t r, unsigned producers,
-                             std::size_t staleness, std::size_t ops_target) {
+                             std::size_t ops_target) {
   ph::ingest::IngestConfig ic;
   ic.producers = producers;
-  ic.staleness = staleness;
-  ic.admit_min_items = staleness == 0 ? 0 : 2 * r;
   ph::ingest::IngestTier<ph::PipelinedParallelHeap<U64>> tier(
       ph::PipelinedParallelHeap<U64>(r), ic);
   tier.register_gauges("e16-r" + std::to_string(r) + "-p" + std::to_string(producers));
 
-  ph::Xoshiro256 rng(0xe16 ^ (r * 31) ^ producers ^ staleness);
+  ph::Xoshiro256 rng(0xe16 ^ (r * 31) ^ producers);
   {
     const std::vector<U64> seed = gen_batch(rng, 1 << 12, U64{1} << 30);
     tier.inner().build(seed);
@@ -142,15 +138,15 @@ ThroughputRow run_throughput(std::size_t r, unsigned producers,
     });
   }
   const double secs = t.seconds();
-  const auto& st = tier.ingest_stats();
+  const ph::ingest::IngestStats st = tier.ingest_stats();
   ThroughputRow out;
   // Each logical op is one staged insert + one delete-min; ops counts cycles'
   // deletions, and every deletion was staged first.
   out.mops = 2.0 * static_cast<double>(ops) / secs / 1e6;
-  out.staged = st.staged;
   out.admitted = st.admitted_items;
   out.runs = st.runs;
-  out.mean_run = st.runs ? static_cast<double>(st.staged) / static_cast<double>(st.runs) : 0;
+  out.mean_run =
+      st.runs ? static_cast<double>(st.admitted_items) / static_cast<double>(st.runs) : 0;
   return out;
 }
 
@@ -169,7 +165,7 @@ int main(int argc, char** argv) {
          "producer count (gated here), and coalesced sorted runs sustain "
          "insert throughput that direct root-merge insertion cannot");
 
-  // Phase 1: strict-mode exactness gate (the CI contract).
+  // Phase 1: exactness gate (the CI contract).
   const std::size_t gate_cycles = quick ? 40 : 120;
   bool all_exact = true;
   columns("gate,inner,r,producers,exact");
@@ -192,30 +188,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Phase 2: sustained throughput, strict vs bounded staleness.
+  // Phase 2: sustained throughput. The JSON keys keep their strict_ prefix
+  // so the committed trajectory files stay comparable.
   const std::size_t ops_target = quick ? 1 << 15 : 1 << 17;
-  columns("mode,r,producers,mops_per_s,staged,admitted,runs,mean_run");
+  columns("r,producers,mops_per_s,admitted,runs,mean_run");
   for (const std::size_t r :
        {std::size_t{64}, std::size_t{128}, std::size_t{256}, std::size_t{512},
         std::size_t{1024}}) {
     for (const unsigned p : {1u, 2u, 4u}) {
-      for (const std::size_t s : {std::size_t{0}, std::size_t{4}}) {
-        const ThroughputRow tr = run_throughput(r, p, s, ops_target);
-        const char* mode = s == 0 ? "strict" : "relaxed";
-        row("%s,%zu,%u,%.2f,%llu,%llu,%llu,%.1f", mode, r, p, tr.mops,
-            static_cast<unsigned long long>(tr.staged),
-            static_cast<unsigned long long>(tr.admitted),
-            static_cast<unsigned long long>(tr.runs), tr.mean_run);
-        json_metric(std::string(mode) + "_mops_r" + std::to_string(r) + "_p" +
-                        std::to_string(p),
-                    tr.mops);
-      }
+      const ThroughputRow tr = run_throughput(r, p, ops_target);
+      row("%zu,%u,%.2f,%llu,%llu,%.1f", r, p, tr.mops,
+          static_cast<unsigned long long>(tr.admitted),
+          static_cast<unsigned long long>(tr.runs), tr.mean_run);
+      json_metric("strict_mops_r" + std::to_string(r) + "_p" + std::to_string(p),
+                  tr.mops);
     }
   }
 
-  note("gate rows are a correctness contract: exact=0 fails the binary; "
-       "relaxed rows lag admission by <= 4 cycles (bounded staleness), "
-       "trading freshness for wider coalesced runs");
+  note("gate rows are a correctness contract: exact=0 fails the binary");
   if (!all_exact) {
     std::fprintf(stderr,
                  "bench_ingest: FAIL — strict staging diverged from direct "

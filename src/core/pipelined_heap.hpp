@@ -771,7 +771,9 @@ class PipelinedParallelHeap {
     // Each piece is sorted; merge them all.
     runs_.clear();
     for (const auto& piece : pieces_) runs_.emplace_back(piece.data(), piece.size());
-    merge_k(std::span<const std::span<const T>>(runs_), out, cmp_);
+    run_taken_.assign(runs_.size(), 0);
+    merge_k(std::span<const std::span<const T>>(runs_), SIZE_MAX,
+            std::span<std::size_t>(run_taken_), &out, cmp_);
   }
 
   std::size_t r_;
@@ -801,6 +803,7 @@ class PipelinedParallelHeap {
   std::vector<GrandSnap> gsnap_;
   std::vector<std::vector<T>> pieces_;
   std::vector<std::span<const T>> runs_;
+  std::vector<std::size_t> run_taken_;
 };
 
 }  // namespace ph

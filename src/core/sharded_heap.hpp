@@ -217,11 +217,12 @@ class ShardedHeap {
     }
     route_buf_.resize(cfg_.shards);
     pulled_.resize(cfg_.shards);
-    take_.resize(cfg_.shards);
     redist_.resize(cfg_.shards);
     pull_k_.resize(cfg_.shards);
     hint_.resize(cfg_.shards);
-    hint_take_.resize(cfg_.shards);
+    // One tournament entry per slot plus the trailing recovery run.
+    runs_.resize(cfg_.shards + 1);
+    take_.resize(cfg_.shards + 1);
     live_ = std::make_unique<Live>(cfg_.shards);
     reset_active();
     update_live(0);
@@ -381,16 +382,6 @@ class ShardedHeap {
     gauges_.add_fields(lv, {{"heap", heap}}, kFields);
   }
 
-  /// Forces an immediate partition-map re-estimation from the rolling
-  /// sample (testing/tuning; the interval path calls this too).
-  void rebalance_now() {
-    if (cfg_.router) return;  // banded routing bypasses the partition map
-    if (sample_.empty() || active_shards() == 1) return;
-    part_.rebalance(std::span<const T>(sample_));
-    obs::bump(live_->rebalances);
-    obs::flight(obs::FlightKind::kRebalance, active_shards());
-  }
-
   /// Replaces the content: seeds the partition map from `items` and
   /// bulk-loads each shard with its range. Quarantined shards are
   /// reactivated (build is a full reset).
@@ -513,39 +504,18 @@ class ShardedHeap {
 
     // Phase 3: K-way tournament over the sorted prefixes (plus the recovery
     // run, if a quarantine happened this cycle); ties go to the lowest
-    // shard index, with the recovery run losing all ties (deterministic;
-    // invisible under multiset keys). Only this cycle's slots compete: a
-    // shard retired earlier keeps no prefix.
+    // shard index, and the recovery run, entered last, loses all ties
+    // (deterministic; invisible under multiset keys). Only this cycle's
+    // slots compete: a shard retired earlier keeps no prefix.
     std::size_t taken = 0;
-    std::size_t rec_take = 0;
     {
       telemetry::SpanScope span(telemetry::Phase::kShardMerge);
       obs::flight(obs::FlightKind::kPhase,
                   static_cast<std::uint64_t>(telemetry::Phase::kShardMerge),
                   trace_id);
-      std::fill(take_.begin(), take_.end(), std::size_t{0});
-      while (taken < k) {
-        std::size_t best = shards_.size();
-        for (const std::size_t s : cycle_slots_) {
-          if (take_[s] >= pulled_[s].size()) continue;
-          if (best == shards_.size() ||
-              cmp_(pulled_[s][take_[s]], pulled_[best][take_[best]])) {
-            best = s;
-          }
-        }
-        const bool rec_has = rec_take < recovery_.size();
-        if (best == shards_.size()) {
-          if (!rec_has) break;  // all runs exhausted
-          out.push_back(recovery_[rec_take++]);
-        } else if (rec_has &&
-                   cmp_(recovery_[rec_take], pulled_[best][take_[best]])) {
-          out.push_back(recovery_[rec_take++]);
-        } else {
-          out.push_back(pulled_[best][take_[best]++]);
-        }
-        ++taken;
-      }
+      taken = tournament(pulled_, recovery_, k, &out);
     }
+    const std::size_t rec_take = take_.back();
     // Every prefix item not taken, and the untaken recovery remainder, goes
     // back into a shard in phase 4.
     std::size_t width = rec_take > 0 ? 1 : 0;
@@ -614,43 +584,10 @@ class ShardedHeap {
     return all;
   }
 
-  // ---------------------------------------------------- ownership handoff seam
-  //
-  // An external supervisor (dist/supervisor.hpp) that moves a shard's key
-  // range to another execution domain needs a clean ownership boundary:
-  // release surrenders a shard's items and removes it from routing (its key
-  // range redistributes across survivors, exactly as quarantine does —
-  // minus the recovery-run dump, because the caller keeps the items);
-  // adopt is the inverse — hand items back, reactivate, rewiden the map.
-
-  /// Surrenders shard `s`: returns its entire contents (ascending) and
-  /// deactivates it. Survivors keep cycling; fresh values that would have
-  /// routed to `s` spread across the narrowed partition map.
-  std::vector<T> release_shard(std::size_t s) {
-    PH_ASSERT_MSG(active_shards() > 1, "cannot release the last active shard");
-    PH_ASSERT_MSG(active_[s] != 0, "release_shard: shard already inactive");
-    std::vector<T> drained = shards_[s].sorted_contents();
-    shards_[s].build(std::span<const T>{});
-    active_[s] = 0;
-    rebuild_routing();
-    obs::flight(obs::FlightKind::kQuarantine, s, drained.size());
-    return drained;
-  }
-
-  /// Re-admits shard `s` with `items` as its contents (any order) and
-  /// restores it to the routing table. Conservation is the caller's
-  /// contract: adopt back exactly what release (plus interim ops) left.
-  void adopt_shard(std::size_t s, std::span<const T> items) {
-    PH_ASSERT_MSG(active_[s] == 0, "adopt_shard: shard already active");
-    shards_[s].build(items);
-    active_[s] = 1;
-    rebuild_routing();
-  }
-
  private:
   /// Recomputes dense_ from active_ and re-estimates the partition map at
-  /// the new width from the rolling sample: quarantine and release narrow
-  /// it, adopt and reset_active widen it, restore rebuilds it.
+  /// the new width from the rolling sample: quarantine narrows it,
+  /// reset_active widens it, restore rebuilds it.
   void rebuild_routing() {
     dense_.clear();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -704,34 +641,36 @@ class ShardedHeap {
       h.clear();
       merge2(shards_[s].root_items(), std::span<const T>(hint_fresh_), h, cmp_);
       if (h.size() > k) h.erase(h.begin() + static_cast<std::ptrdiff_t>(k), h.end());
-      hint_take_[s] = 0;
     }
-    // Tournament replay over the predictions (cycle_slots_ is ascending, so
-    // scanning it in order preserves the lowest-shard-index tie-break).
-    std::size_t taken = 0;
-    while (taken < k) {
-      std::size_t best = shards_.size();
-      for (const std::size_t s : cycle_slots_) {
-        if (hint_take_[s] >= hint_[s].size()) continue;
-        if (best == shards_.size() ||
-            cmp_(hint_[s][hint_take_[s]], hint_[best][hint_take_[best]])) {
-          best = s;
-        }
-      }
-      if (best == shards_.size()) break;
-      ++hint_take_[best];
-      ++taken;
-    }
+    // Tournament replay over the predictions: phase 3's slot order and
+    // tie-break, counting takes into take_ without output.
+    tournament(hint_, {}, k, nullptr);
     std::size_t skips = 0;
     for (const std::size_t s : cycle_slots_) {
       // An empty prediction means the shard pulls nothing either way; keep
       // its budget at k so behavior matches the pre-hint code exactly.
-      if (hint_take_[s] == 0 && !hint_[s].empty()) {
+      if (take_[s] == 0 && !hint_[s].empty()) {
         pull_k_[s] = 0;
         ++skips;
       }
     }
     obs::bump(live_->hint_skips, skips);
+  }
+
+  /// The K-way tournament (merge_k) over this cycle's slots' runs in `src`
+  /// plus `tail`, entered last so it loses all ties. Every other slot is an
+  /// empty run, so a shard retired earlier cannot compete with the stale
+  /// contents of its buffer. Takes up to k items, appending them to *out
+  /// when out is non-null; take_ holds the per-slot counts, then the tail's.
+  std::size_t tournament(const std::vector<std::vector<T>>& src,
+                         std::span<const T> tail, std::size_t k,
+                         std::vector<T>* out) {
+    std::fill(runs_.begin(), runs_.end(), std::span<const T>{});
+    for (const std::size_t s : cycle_slots_) runs_[s] = std::span<const T>(src[s]);
+    runs_.back() = tail;
+    std::fill(take_.begin(), take_.end(), std::size_t{0});
+    return merge_k(std::span<const std::span<const T>>(runs_), k,
+                   std::span<std::size_t>(take_), out, cmp_);
   }
 
   /// Reactivates every shard and restores the full-width partition map
@@ -792,6 +731,15 @@ class ShardedHeap {
   }
 
 
+  /// Re-estimates the partition map from the rolling sample (phase 5).
+  void rebalance_now() {
+    if (cfg_.router) return;  // banded routing bypasses the partition map
+    if (sample_.empty() || active_shards() == 1) return;
+    part_.rebalance(std::span<const T>(sample_));
+    obs::bump(live_->rebalances);
+    obs::flight(obs::FlightKind::kRebalance, active_shards());
+  }
+
   /// Phase 5's trigger: the periodic re-estimation interval just elapsed.
   bool rebalance_due() const noexcept {
     return cfg_.rebalance_interval != 0 &&
@@ -845,13 +793,16 @@ class ShardedHeap {
 
   // Scratch (reused; allocation-free after warm-up).
   std::vector<std::vector<T>> route_buf_, pulled_, redist_;
-  std::vector<std::size_t> take_, cycle_slots_;
+  std::vector<std::size_t> cycle_slots_;
   std::vector<T> sink_, recovery_, extra_;
+  // Tournament entries (one per slot, then the recovery run) and their take
+  // counts; phase 3 and the min hint share them.
+  std::vector<std::span<const T>> runs_;
+  std::vector<std::size_t> take_;
 
   // Min-hint scratch (compute_pull_budgets).
   std::vector<std::size_t> pull_k_;   ///< per-slot deletion budget this cycle
   std::vector<std::vector<T>> hint_;  ///< predicted pulled prefixes
-  std::vector<std::size_t> hint_take_;
   std::vector<T> hint_fresh_;
 };
 

@@ -247,30 +247,32 @@ void merge2_split(std::span<const T> a, std::span<const T> b, std::size_t keep,
   merge_n(a, i, b, j, spill, rest.data() + rest_base, cmp);
 }
 
-/// K-way merge of sorted runs into `out` (appended). Used by the workload
-/// generators and the multi-way-merge example; runs a simple tournament over
-/// the run heads, which is optimal for the small fan-ins used here.
+/// K-way tournament over the heads of sorted runs: takes up to `k` items in
+/// ascending order, ties going to the lowest run index, and returns how many
+/// it took. `taken[i]` is run i's cursor: the tournament starts at
+/// runs[i][taken[i]] and adds what it takes from run i, so callers zero it
+/// for a fresh merge and read per-run take counts from it afterwards. The
+/// items are appended to `*out` when `out` is non-null. A linear head scan,
+/// which is optimal for the small fan-ins used here; allocates nothing
+/// beyond `out`'s growth.
 template <typename T, typename Compare>
-void merge_k(std::span<const std::span<const T>> runs, std::vector<T>& out,
-             Compare cmp) {
-  std::vector<std::size_t> pos(runs.size(), 0);
-  std::size_t remaining = 0;
-  for (const auto& r : runs) remaining += r.size();
-  out.reserve(out.size() + remaining);
-  while (remaining-- > 0) {
-    int best = -1;
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      if (pos[r] >= runs[r].size()) continue;
-      if (best < 0 || cmp(runs[r][pos[r]],
-                          runs[static_cast<std::size_t>(best)]
-                              [pos[static_cast<std::size_t>(best)]])) {
-        best = static_cast<int>(r);
-      }
+std::size_t merge_k(std::span<const std::span<const T>> runs, std::size_t k,
+                    std::span<std::size_t> taken, std::vector<T>* out,
+                    Compare cmp) {
+  PH_ASSERT(taken.size() >= runs.size());
+  const std::size_t none = runs.size();
+  std::size_t n = 0;
+  for (; n < k; ++n) {
+    std::size_t best = none;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (taken[i] >= runs[i].size()) continue;
+      if (best == none || cmp(runs[i][taken[i]], runs[best][taken[best]])) best = i;
     }
-    PH_ASSERT(best >= 0);
-    out.push_back(
-        runs[static_cast<std::size_t>(best)][pos[static_cast<std::size_t>(best)]++]);
+    if (best == none) break;
+    if (out != nullptr) out->push_back(runs[best][taken[best]]);
+    ++taken[best];
   }
+  return n;
 }
 
 }  // namespace ph

@@ -52,7 +52,6 @@ class ShardServer {
       : cfg_(cfg),
         q_(Heap(cfg.node_capacity, cfg.cmp),
            persist::DurableOptions{cfg.dir, cfg.fsync, /*checkpoint_interval=*/0,
-                                   /*keep_checkpoints=*/2,
                                    /*checkpoint_on_open=*/true}) {
     last_ckpt_seq_ = q_.op_seq();
   }
@@ -101,7 +100,7 @@ class ShardServer {
   std::uint64_t op_seq() const noexcept { return q_.op_seq(); }
   std::uint64_t last_ckpt_seq() const noexcept { return last_ckpt_seq_; }
   std::size_t size() const noexcept { return q_.size(); }
-  const persist::RecoveryInfo& recovery_info() const noexcept {
+  persist::RecoveryInfo recovery_info() const noexcept {
     return q_.recovery_info();
   }
   bool check_invariants(std::string* why = nullptr) {

@@ -66,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sorted_ops.hpp"
 #include "dist/protocol.hpp"
 #include "dist/shard_server.hpp"
 #include "dist/transport.hpp"
@@ -214,7 +215,12 @@ class ShardSupervisor {
         }
         peeks_[s] = std::move(rep.items);
       }
-      removed = merge_winners(k, out);
+      // K-way tournament over the per-shard sorted prefixes: the k global
+      // winners (ascending) go to `out`, per-shard counts to take_. Ties
+      // break by shard index — any total tie-break yields the same multiset.
+      runs_.assign(peeks_.begin(), peeks_.end());
+      removed = merge_k(std::span<const std::span<const T>>(runs_), k,
+                        std::span<std::size_t>(take_), &out, cmp_);
       for (std::size_t s = 0; s < K; ++s) {
         if (take_[s] == 0) continue;
         mutate(s, Msg<T>{MsgType::kRemove, slots_[s].acked + 1, take_[s], 0, {}});
@@ -863,32 +869,6 @@ class ShardSupervisor {
     if (wd_ != nullptr && sl.wd_ch != kNoChannel) wd_->beat(sl.wd_ch);
   }
 
-  // --------------------------------------------------------- merge machinery
-
-  /// K-way tournament over the per-shard sorted prefixes: appends the k
-  /// global winners (ascending) to `out` and fills take_[s]. Ties break by
-  /// shard index — any total tie-break yields the same output multiset.
-  std::size_t merge_winners(std::size_t k, std::vector<T>& out) {
-    const std::size_t K = slots_.size();
-    idx_.assign(K, 0);
-    std::size_t taken = 0;
-    while (taken < k) {
-      std::size_t best = K;
-      for (std::size_t s = 0; s < K; ++s) {
-        if (idx_[s] >= peeks_[s].size()) continue;
-        if (best == K || cmp_(peeks_[s][idx_[s]], peeks_[best][idx_[best]])) {
-          best = s;
-        }
-      }
-      if (best == K) break;
-      out.push_back(peeks_[best][idx_[best]]);
-      ++idx_[best];
-      ++take_[best];
-      ++taken;
-    }
-    return taken;
-  }
-
   /// Refreshes Live's state mirrors (size, degraded flag, process count)
   /// from the slots. End of cycle() and poll().
   void update_live() noexcept {
@@ -907,8 +887,8 @@ class ShardSupervisor {
   std::vector<Slot> slots_;
   std::vector<std::vector<T>> route_;
   std::vector<std::vector<T>> peeks_;
-  std::vector<std::uint64_t> take_;
-  std::vector<std::size_t> idx_;
+  std::vector<std::span<const T>> runs_;
+  std::vector<std::size_t> take_;
   std::vector<std::uint8_t> tx_;
   std::vector<std::uint8_t> rx_;
   robustness::PhaseWatchdog* wd_ = nullptr;

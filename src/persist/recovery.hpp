@@ -71,20 +71,19 @@ struct DurableOptions {
   FsyncPolicy fsync = FsyncPolicy::kEveryRecord;
   /// Auto-checkpoint after this many logged ops (0 = manual checkpoints).
   std::size_t checkpoint_interval = 0;
-  /// Checkpoints retained after each new publication (min 1; default 2 so a
-  /// corrupted newest file can fall back with full WAL coverage).
-  std::size_t keep_checkpoints = 2;
   /// Publish a fresh checkpoint at the end of recovery (step 5). Turning
   /// this off skips the O(n) write for open-inspect-close uses; the next
   /// explicit/auto checkpoint rebases instead.
   bool checkpoint_on_open = true;
 };
 
+/// Checkpoints retained after each new publication: two, so a corrupted
+/// newest file can fall back with full WAL coverage.
+inline constexpr std::size_t kKeepCheckpoints = 2;
+
 /// What recovery found and did (DurableHeap::recovery_info()).
 struct RecoveryInfo {
-  std::uint64_t op_seq = 0;             ///< recovered operation sequence
   bool checkpoint_loaded = false;
-  std::uint64_t checkpoint_seq = 0;     ///< seq of the loaded checkpoint
   std::uint64_t replayed = 0;           ///< WAL records applied
   std::uint64_t corrupt_checkpoints = 0;///< checkpoints rejected by validation
   bool wal_torn = false;                ///< a torn/garbage WAL tail was cut
@@ -117,7 +116,6 @@ class DurableHeap {
   DurableHeap(PQ pq, DurableOptions opt, OpObserver observer = nullptr)
       : pq_(std::move(pq)), opt_(std::move(opt)), observer_(std::move(observer)) {
     PH_ASSERT_MSG(!opt_.dir.empty(), "DurableHeap: empty durable directory");
-    if (opt_.keep_checkpoints == 0) opt_.keep_checkpoints = 1;
     recover();
   }
 
@@ -200,7 +198,7 @@ class DurableHeap {
   /// I/O errors throw PersistError.
   bool checkpoint_now() {
     try {
-      write_checkpoint(opt_.dir, op_seq_, to_image(pq_), opt_.fsync);
+      write_checkpoint(opt_.dir, op_seq(), to_image(pq_), opt_.fsync);
     } catch (const robustness::InjectedFailure& f) {
       robustness::note_recovery(f.site);
       return false;
@@ -216,10 +214,16 @@ class DurableHeap {
 
   PQ& heap() noexcept { return pq_; }
   const PQ& heap() const noexcept { return pq_; }
-  const RecoveryInfo& recovery_info() const noexcept { return info_; }
+  /// What recovery found; `replayed` reads the Live counter.
+  RecoveryInfo recovery_info() const noexcept {
+    return RecoveryInfo{ckpt_loaded_, live_->replayed.load(std::memory_order_relaxed),
+                        corrupt_ckpts_, wal_torn_};
+  }
   const DurableOptions& options() const noexcept { return opt_; }
   /// Sequence of the last logged-and-applied operation.
-  std::uint64_t op_seq() const noexcept { return op_seq_; }
+  std::uint64_t op_seq() const noexcept {
+    return live_->op_seq.load(std::memory_order_relaxed);
+  }
 
   std::size_t size() const noexcept { return pq_.size(); }
   bool empty() const noexcept { return pq_.empty(); }
@@ -229,9 +233,11 @@ class DurableHeap {
     return pq_.check_invariants(why);
   }
 
-  /// Lock-free mirror for gauge callbacks (same convention as
-  /// ShardedHeap::Live): recovery updates `replayed` per applied record, so
-  /// a scrape DURING a long replay shows advancing progress, not a stall.
+  /// Lock-free live state (same convention as ShardedHeap::Live): the op
+  /// sequence and the replay count live only here, so op_seq(),
+  /// recovery_info() and the gauges read the same words. Recovery bumps
+  /// `replayed` per applied record, so a scrape DURING a long replay shows
+  /// advancing progress, not a stall.
   struct Live {
     std::atomic<std::uint64_t> op_seq{0};
     std::atomic<std::uint64_t> replayed{0};
@@ -260,7 +266,7 @@ class DurableHeap {
   // record, so disk never claims an op memory refused.
   void log_op(RecType type, std::uint64_t k, std::span<const T> items) {
     pre_off_ = wal_->offset();
-    wal_->append(type, op_seq_ + 1, k, items);
+    wal_->append(type, op_seq() + 1, k, items);
   }
 
   template <typename Fn>
@@ -274,8 +280,7 @@ class DurableHeap {
   }
 
   void finish_op() {
-    ++op_seq_;
-    live_->op_seq.store(op_seq_, std::memory_order_relaxed);
+    set_op_seq(op_seq() + 1);
     ++ops_since_ckpt_;
     if (opt_.checkpoint_interval != 0 &&
         ops_since_ckpt_ >= opt_.checkpoint_interval) {
@@ -283,10 +288,16 @@ class DurableHeap {
     }
   }
 
+  /// The op sequence's one write site: a live op's finish, or recovery.
+  void set_op_seq(std::uint64_t seq) noexcept {
+    live_->op_seq.store(seq, std::memory_order_relaxed);
+  }
+
   void rotate_wal() {
     wal_.reset();  // close the old segment before the new one takes over
-    wal_ = std::make_unique<WalWriter<T>>(
-        opt_.dir + "/" + wal_filename(op_seq_), op_seq_, opt_.fsync);
+    const std::uint64_t seq = op_seq();
+    wal_ = std::make_unique<WalWriter<T>>(opt_.dir + "/" + wal_filename(seq), seq,
+                                          opt_.fsync);
   }
 
   /// Deletes checkpoints beyond the retention window and WAL segments that
@@ -294,8 +305,8 @@ class DurableHeap {
   /// or below its sequence). Best-effort: a failed unlink only delays reuse.
   void prune() {
     auto ckpts = list_checkpoints(opt_.dir);
-    if (ckpts.size() > opt_.keep_checkpoints) {
-      const std::size_t drop = ckpts.size() - opt_.keep_checkpoints;
+    if (ckpts.size() > kKeepCheckpoints) {
+      const std::size_t drop = ckpts.size() - kKeepCheckpoints;
       for (std::size_t i = 0; i < drop; ++i) ::unlink(ckpts[i].second.c_str());
       ckpts.erase(ckpts.begin(), ckpts.begin() + static_cast<std::ptrdiff_t>(drop));
     }
@@ -375,12 +386,11 @@ class DurableHeap {
         loaded = true;
         break;
       }
-      ++info_.corrupt_checkpoints;
+      ++corrupt_ckpts_;
       ::rename(path_of(*it).c_str(), (path_of(*it) + ".corrupt").c_str());
     }
     if (!loaded) pq_.build(std::span<const T>());
-    info_.checkpoint_loaded = loaded;
-    info_.checkpoint_seq = base;
+    ckpt_loaded_ = loaded;
 
     // A loaded checkpoint must be covered by the segment file set: every
     // publication rotates to a segment starting at the checkpoint's sequence
@@ -417,7 +427,7 @@ class DurableHeap {
         // mattered, a later record's sequence will jump and the hole check
         // below goes off; if they were all shadowed by the checkpoint, this
         // is a stale husk.
-        info_.wal_torn = true;
+        wal_torn_ = true;
         continue;
       }
       for (const WalRecord<T>& rec : seg.records) {
@@ -431,13 +441,11 @@ class DurableHeap {
         robustness::fire_crash(robustness::FailSite::kRecoverReplay);
         apply_record(rec);
         expected = rec.seq;
-        ++info_.replayed;
-        live_->replayed.store(info_.replayed, std::memory_order_relaxed);
+        obs::bump(live_->replayed);
       }
-      if (seg.torn_tail) info_.wal_torn = true;
+      if (seg.torn_tail) wal_torn_ = true;
     }
-    op_seq_ = expected;
-    info_.op_seq = expected;
+    set_op_seq(expected);
 
     // 4. VERIFY the recovered state before acknowledging anything on top.
     std::string why;
@@ -450,9 +458,9 @@ class DurableHeap {
     rotate_wal();
     if (opt_.checkpoint_on_open) checkpoint_now();
     telemetry::count(telemetry::Counter::kRecoveries);
-    live_->op_seq.store(op_seq_, std::memory_order_relaxed);
     live_->recovering.store(0, std::memory_order_relaxed);
-    obs::flight(obs::FlightKind::kRecoveryDone, op_seq_, info_.replayed);
+    obs::flight(obs::FlightKind::kRecoveryDone, expected,
+                live_->replayed.load(std::memory_order_relaxed));
   }
 
   bool verify_recovered(std::string* why) {
@@ -475,10 +483,12 @@ class DurableHeap {
   std::unique_ptr<Live> live_ = std::make_unique<Live>();
   obs::GaugeSet gauges_;
   std::unique_ptr<WalWriter<T>> wal_;
-  std::uint64_t op_seq_ = 0;
   std::size_t ops_since_ckpt_ = 0;
   std::uint64_t pre_off_ = 0;
-  RecoveryInfo info_;
+  // RecoveryInfo's fields other than `replayed` (which lives in Live).
+  bool ckpt_loaded_ = false;
+  bool wal_torn_ = false;
+  std::uint64_t corrupt_ckpts_ = 0;
   std::vector<T> sink_;  ///< replay scratch: regenerated outputs are discarded
 };
 

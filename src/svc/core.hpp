@@ -153,7 +153,7 @@ class SchedulerCore {
   explicit SchedulerCore(SvcConfig cfg)
       : cfg_(std::move(cfg)),
         tenants_(cfg_.weight),
-        tier_(make_inner(), make_ingest_cfg(), JobLess{}) {
+        tier_(make_inner(), ingest::IngestConfig{cfg_.producers}, JobLess{}) {
     recovering_ = false;
     if (durable().recovery_info().checkpoint_loaded) {
       // A checkpoint would have let replay start mid-history, which the
@@ -246,8 +246,7 @@ class SchedulerCore {
   /// The server acks every outstanding schedule/cancel after this returns
   /// with the staging fully drained.
   std::size_t commit() {
-    if (tier_.live().staged_depth.load(std::memory_order_relaxed) == 0 &&
-        tier_.pending_items() == 0) {
+    if (tier_.live().staged_depth.load(std::memory_order_relaxed) == 0) {
       return 0;  // nothing staged: don't write an empty record per tick
     }
     telemetry::SpanScope span(telemetry::Phase::kSvcCommit);
@@ -263,8 +262,7 @@ class SchedulerCore {
   /// True when no staged op is awaiting its admission record — the server's
   /// signal that every outstanding ack is now durable.
   bool staged_fully_admitted() const noexcept {
-    return tier_.live().staged_depth.load(std::memory_order_relaxed) == 0 &&
-           tier_.pending_items() == 0;
+    return tier_.live().staged_depth.load(std::memory_order_relaxed) == 0;
   }
 
   // ------------------------------------------------------------ dispatch side
@@ -479,13 +477,6 @@ class SchedulerCore {
         std::move(opt),
         [this](persist::RecType type, std::uint64_t k, std::span<const Job> items,
                std::span<const Job> out) { absorb_record(type, k, items, out); });
-  }
-
-  ingest::IngestConfig make_ingest_cfg() const {
-    ingest::IngestConfig ic;
-    ic.producers = cfg_.producers == 0 ? 1 : cfg_.producers;
-    ic.staleness = 0;  // strict: an acked op is durable, no lag window
-    return ic;
   }
 
   Admit shed(std::uint32_t tenant, std::size_t backlog) {

@@ -45,7 +45,7 @@ struct DiffOptions {
   bool relaxed = false;
   /// With relaxed: allow a cycle to delete FEWER than min(k, size) items —
   /// for structures that may lawfully hold items back for a bounded number
-  /// of cycles (the ingest tier's bounded-staleness mode). Fabrication and
+  /// of cycles (the ingest tier under flush faults). Fabrication and
   /// loss are still caught (every deletion must be live, the final drain
   /// must converge to empty), only the per-cycle count check is one-sided.
   bool bounded_lag = false;
@@ -100,7 +100,7 @@ class ConservationOracle {
   /// Checks `got` for a cycle with deletion budget `k`; erases the consumed
   /// items. Returns empty string on success, else the failure description.
   /// `allow_short` relaxes the count check to got.size() <= min(k, size)
-  /// for bounded-staleness structures (items may lawfully lag admission).
+  /// for bounded-lag structures (items may lawfully lag admission).
   std::string consume(const std::vector<std::uint64_t>& got, std::size_t k,
                       bool allow_short = false) {
     const std::size_t want_n = std::min(k, live_.size());

@@ -385,11 +385,9 @@ class DistShardedAdapter {
 /// adapter stages each fresh item into one of `producers` slots round-robin
 /// (standing in for that many producer threads — slot assignment is
 /// irrelevant to the admitted multiset), then cycles the tier with NO direct
-/// fresh items. In strict mode every staged item is admitted at the next
-/// cycle boundary, so the deletion stream must be bit-exact against the
-/// oracle — the tier's headline claim, differentially tested. In
-/// bounded-staleness mode runs may lawfully lag ≤ S cycles, so the harness
-/// runs it under relaxed + bounded_lag conservation.
+/// fresh items. Every staged item is admitted at the next cycle boundary,
+/// so the deletion stream must be bit-exact against the oracle — the tier's
+/// headline claim, differentially tested.
 template <typename Inner>
 class IngestTierAdapter {
  public:
@@ -419,8 +417,7 @@ inline const std::vector<std::string>& default_structures() {
       "batch_pairing_heap", "batch_leftist_heap", "batch_calendar_queue",
       "sharded_heap",       "engine_pipeline",    "engine_team",
       "local_heaps",        "local_heaps_mt",     "flat_combining_mt",
-      "durable_pipelined",  "ingest_pipelined",   "ingest_sharded_strict",
-      "ingest_sharded_relaxed"};
+      "durable_pipelined",  "ingest_pipelined",   "ingest_sharded_strict"};
   return names;
 }
 
@@ -546,11 +543,10 @@ inline DiffFailure run_trace(const OpTrace& t) {
         PipelinedParallelHeap<U64>(t.r), ic);
     return run_differential(q, t, opt);
   }
-  if (s == "ingest_sharded_strict" || s == "ingest_sharded_relaxed") {
+  if (s == "ingest_sharded_strict") {
     // Staging over a 3-shard heap with a key-band router on the shards
-    // underneath — the full producer → staging → route → shard pipeline.
-    // Strict is bit-exact; relaxed allows runs to lag ≤ 3 cycles
-    // (bounded_lag conservation).
+    // underneath — the full producer → staging → route → shard pipeline,
+    // bit-exact.
     opt.invariant_stride = 64;
     ShardedHeap<U64>::Config c;
     c.shards = 3;
@@ -561,12 +557,6 @@ inline DiffFailure run_trace(const OpTrace& t) {
     c.router = [](const U64& v) { return static_cast<std::size_t>(v >> 6); };
     ingest::IngestConfig ic;
     ic.producers = 4;
-    if (s == "ingest_sharded_relaxed") {
-      ic.staleness = 3;
-      ic.admit_min_items = 4 * t.r;
-      opt.relaxed = true;
-      opt.bounded_lag = true;
-    }
     IngestTierAdapter<ShardedHeap<U64>> q(ShardedHeap<U64>(t.r, c), ic);
     return run_differential(q, t, opt);
   }

@@ -297,6 +297,7 @@ std::atomic<std::uint64_t> g_fake_now{0};
 std::uint64_t fake_clock() { return g_fake_now.load(std::memory_order_relaxed); }
 
 TEST(DistSupervisor, DroppedHeartbeatsEscalateThroughWatchdog) {
+  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
   const DisarmGuard guard;
   TempDir dir;
   g_fake_now.store(0);
@@ -325,6 +326,7 @@ TEST(DistSupervisor, DroppedHeartbeatsEscalateThroughWatchdog) {
 }
 
 TEST(DistSupervisor, InjectedTransportFaultsAreAbsorbed) {
+  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
   const DisarmGuard guard;
   TempDir dir;
   Sup sup(base_config(dir.path, 2, /*use_processes=*/false));
@@ -337,6 +339,7 @@ TEST(DistSupervisor, InjectedTransportFaultsAreAbsorbed) {
 }
 
 TEST(DistSupervisor, SpawnFaultsBackOffThenReadmit) {
+  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
   const DisarmGuard guard;
   TempDir dir;
   g_fake_now.store(0);
@@ -359,6 +362,7 @@ TEST(DistSupervisor, SpawnFaultsBackOffThenReadmit) {
 }
 
 TEST(DistSupervisor, ChildFaultCrashesChildAndSupervisorRecovers) {
+  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
   TempDir dir;
   Sup::Config cfg = base_config(dir.path, 2, /*use_processes=*/true);
   // The child's own fail point kills it from the inside mid-conversation —

@@ -564,7 +564,7 @@ TEST(DurableHeap, RetentionPrunesOldCheckpointsAndSegments) {
   testing::SortedOracle oracle;
   run_ops(q, oracle, 21, 40, 8);  // ~10 checkpoints published
   const auto ckpts = ps::list_checkpoints(dir.path);
-  EXPECT_EQ(ckpts.size(), 2u);  // keep_checkpoints default
+  EXPECT_EQ(ckpts.size(), ps::kKeepCheckpoints);
   for (const auto& [sseq, spath] : ps::list_wal_segments(dir.path)) {
     EXPECT_GE(sseq, ckpts.front().first) << spath;
   }

@@ -7,12 +7,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/pipelined_heap.hpp"
 #include "core/sharded_heap.hpp"
+#include "robustness/watchdog.hpp"
 #include "sim/network.hpp"
 #include "sim/serial_sim.hpp"
 #include "sim/sharded_sim.hpp"
@@ -266,76 +266,22 @@ TEST(ShardedHeap, DifferentialHarnessVerifiesSharded) {
 
 // ------------------------------------------------------------------- DES
 
-TEST(ShardedHeap, ReleaseAdoptHandoffConservesAndStaysExact) {
-  // The ownership seam an external supervisor drives: release a shard (its
-  // items come back to the caller, its key range redistributes), keep
-  // cycling on the survivors, then adopt it back with its items plus what
-  // the "other domain" did to them — the stream must stay exact throughout.
-  ShardedHeap<U64>::Config cfg;
-  cfg.shards = 3;
-  cfg.rebalance_interval = 8;
-  ShardedHeap<U64> q(8, cfg);
-  std::multiset<U64> expected;
-  std::vector<U64> items;
-  for (U64 v = 0; v < 96; ++v) items.push_back((v * 53) % 257);
-  q.build(items);
-  expected.insert(items.begin(), items.end());
-
-  const std::vector<U64> handed = q.release_shard(1);
-  EXPECT_FALSE(q.shard_active(1));
-  EXPECT_EQ(q.active_shards(), 2u);
-  EXPECT_TRUE(std::is_sorted(handed.begin(), handed.end()));
-  EXPECT_EQ(q.size() + handed.size(), 96u);
-
-  // Survivors keep cycling, exact against an oracle seeded with their share
-  // (sorted_contents copies — the heap keeps its items).
-  SortedOracle survivors;
-  {
-    std::vector<U64> sink;
-    const std::vector<U64> rest = q.sorted_contents();
-    survivors.cycle(std::span<const U64>(rest), 0, sink);
-  }
-  std::vector<U64> got, want;
-  for (std::size_t i = 0; i < 6; ++i) {
-    const U64 fresh[] = {static_cast<U64>(i * 31 % 100),
-                         static_cast<U64>(i * 71 % 100)};
-    got.clear();
-    want.clear();
-    q.cycle(std::span<const U64>(fresh, 2), 4, got);
-    survivors.cycle(std::span<const U64>(fresh, 2), 4, want);
-    ASSERT_EQ(got, want) << "survivor cycle " << i;
-    for (const U64 v : fresh) expected.insert(v);
-    for (const U64 v : got) {
-      const auto it = expected.find(v);
-      ASSERT_NE(it, expected.end());
-      expected.erase(it);
-    }
-  }
-
-  q.adopt_shard(1, std::span<const U64>(handed));
-  EXPECT_TRUE(q.shard_active(1));
-  EXPECT_EQ(q.active_shards(), 3u);
-  std::string why;
-  EXPECT_TRUE(q.check_invariants(&why)) << why;
-
-  // Conservation end to end: the full drain equals the tracked multiset.
-  std::vector<U64> drained;
-  for (int guard = 0; guard < 1 << 10; ++guard) {
-    got.clear();
-    if (q.cycle({}, 8, got) == 0) break;
-    drained.insert(drained.end(), got.begin(), got.end());
-  }
-  EXPECT_TRUE(q.empty());
-  const std::vector<U64> want_all(expected.begin(), expected.end());
-  EXPECT_EQ(drained, want_all);
-}
+std::uint64_t g_fake_now = 0;
+std::uint64_t fake_clock() { return g_fake_now; }
 
 TEST(ShardedHeap, ReleaseAfterCyclesKeepsSurvivorStreamExact) {
-  // A shard released after it has pulled prefixes must not bring its last
-  // (already delivered or put back) prefix into the next tournament.
+  // A shard retired by a watchdog verdict after it has pulled prefixes must
+  // not bring its last (already delivered or put back) prefix into the next
+  // tournament: only this cycle's slots compete.
+  robustness::PhaseWatchdog::Config wcfg;
+  wcfg.stall_timeout_ns = 1000;
+  wcfg.clock = &fake_clock;
+  g_fake_now = 0;
+  robustness::PhaseWatchdog wd(wcfg);
   ShardedHeap<U64>::Config cfg;
   cfg.shards = 3;
   ShardedHeap<U64> q(8, cfg);
+  q.attach_watchdog(wd, 1);
   SortedOracle all;
   std::vector<U64> got, want, items;
   for (U64 v = 0; v < 96; ++v) items.push_back((v * 53) % 257);
@@ -350,21 +296,23 @@ TEST(ShardedHeap, ReleaseAfterCyclesKeepsSurvivorStreamExact) {
     ASSERT_EQ(got, want) << "warm-up cycle " << c;
   }
   // Shard 0 holds the smallest keys, so it contributed to the last cycle.
-  const std::vector<U64> handed = q.release_shard(0);
-  SortedOracle survivors;
-  {
-    const std::vector<U64> rest = q.sorted_contents();
-    survivors.cycle(std::span<const U64>(rest), 0, want);
-  }
-  for (int c = 0; c < 40; ++c) {
+  // Its channel stalls; the next cycle retires it and folds its items into
+  // that cycle's tournament.
+  g_fake_now += 5000;
+  wd.beat(q.watchdog_channel(1));
+  wd.beat(q.watchdog_channel(2));
+  wd.poll();
+  for (int c = 0; c < 60; ++c) {
     got.clear();
     want.clear();
     q.cycle({}, 4, got);
-    survivors.cycle({}, 4, want);
+    all.cycle({}, 4, want);
     ASSERT_EQ(got, want) << "survivor cycle " << c;
   }
+  EXPECT_FALSE(q.shard_active(0));
+  EXPECT_EQ(q.sharded_stats().quarantines, 1u);
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(handed.empty());
+  EXPECT_TRUE(all.empty());
 }
 
 TEST(ShardedSim, MatchesSerialReferenceAcrossShardCounts) {

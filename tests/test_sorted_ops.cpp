@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -302,21 +305,74 @@ TEST(SortedOps, KernelsAllEqualKeys) {
   }
 }
 
+std::size_t merge_all(const std::vector<std::span<const int>>& runs,
+                      std::vector<std::size_t>& taken, std::vector<int>& out) {
+  taken.assign(runs.size(), 0);
+  return merge_k(std::span<const std::span<const int>>(runs), SIZE_MAX,
+                 std::span<std::size_t>(taken), &out, Less{});
+}
+
 TEST(SortedOps, MergeKBasic) {
   std::vector<int> r1{1, 5}, r2{2, 6}, r3{0, 9}, out;
-  std::vector<std::span<const int>> runs{std::span<const int>(r1),
-                                         std::span<const int>(r2),
-                                         std::span<const int>(r3)};
-  merge_k(std::span<const std::span<const int>>(runs), out, Less{});
+  std::vector<std::size_t> taken;
+  EXPECT_EQ(merge_all({r1, r2, r3}, taken, out), 6u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 5, 6, 9}));
+  EXPECT_EQ(taken, (std::vector<std::size_t>{2, 2, 2}));
 }
 
 TEST(SortedOps, MergeKSingleAndEmptyRuns) {
   std::vector<int> r1{3, 4}, r2, out;
-  std::vector<std::span<const int>> runs{std::span<const int>(r1),
-                                         std::span<const int>(r2)};
-  merge_k(std::span<const std::span<const int>>(runs), out, Less{});
+  std::vector<std::size_t> taken;
+  EXPECT_EQ(merge_all({r1, r2}, taken, out), 2u);
   EXPECT_EQ(out, (std::vector<int>{3, 4}));
+  EXPECT_EQ(merge_all({}, taken, out), 0u);
+}
+
+TEST(SortedOps, MergeKTiesGoToLowestRunIndex) {
+  // Tie-heavy runs of tagged items (key, run): the tournament must equal a
+  // stable sort of the runs' concatenation, cut at k, with per-run take
+  // counts matching the cut; a null output only counts; a nonzero cursor
+  // resumes mid-run.
+  using Tag = std::pair<int, int>;
+  struct KeyLess {
+    bool operator()(const Tag& a, const Tag& b) const { return a.first < b.first; }
+  };
+  Xoshiro256 rng(41);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t nruns = 1 + rng.next_below(6);
+    std::vector<std::vector<Tag>> runs(nruns);
+    std::vector<Tag> all;
+    for (std::size_t i = 0; i < nruns; ++i) {
+      std::vector<int> keys(rng.next_below(20));
+      for (int& key : keys) key = static_cast<int>(rng.next_below(4));
+      std::sort(keys.begin(), keys.end());
+      for (const int key : keys) runs[i].push_back({key, static_cast<int>(i)});
+      all.insert(all.end(), runs[i].begin(), runs[i].end());
+    }
+    std::stable_sort(all.begin(), all.end(), KeyLess{});
+    std::vector<std::span<const Tag>> spans(runs.begin(), runs.end());
+    const std::size_t k = rng.next_below(all.size() + 2);
+    const std::size_t want_n = std::min(k, all.size());
+
+    std::vector<Tag> out;
+    std::vector<std::size_t> taken(nruns, 0);
+    const std::span<const std::span<const Tag>> in(spans);
+    ASSERT_EQ(merge_k(in, k, std::span<std::size_t>(taken), &out, KeyLess{}), want_n);
+    ASSERT_EQ(out, std::vector<Tag>(all.begin(), all.begin() + want_n)) << trial;
+    std::vector<std::size_t> want_taken(nruns, 0);
+    for (const Tag& t : out) ++want_taken[static_cast<std::size_t>(t.second)];
+    EXPECT_EQ(taken, want_taken) << trial;
+
+    std::vector<std::size_t> counted(nruns, 0);
+    EXPECT_EQ(merge_k<Tag>(in, k, std::span<std::size_t>(counted), nullptr, KeyLess{}),
+              want_n);
+    EXPECT_EQ(counted, want_taken) << trial;
+
+    // Resume from the cursors: the rest of the stream follows.
+    ASSERT_EQ(merge_k(in, SIZE_MAX, std::span<std::size_t>(taken), &out, KeyLess{}),
+              all.size() - want_n);
+    EXPECT_EQ(out, all) << trial;
+  }
 }
 
 }  // namespace
