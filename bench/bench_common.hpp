@@ -17,7 +17,6 @@
 // json_metric().
 #pragma once
 
-#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +30,7 @@
 #include "obs/provenance.hpp"
 #include "obs/publisher.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/flags.hpp"
 
 namespace ph::bench {
 
@@ -183,27 +183,15 @@ inline void parse_args(int& argc, char** argv) {
   // Like the --json= empty-path check above: a typo'd number must not
   // silently become port 0 (ephemeral!) or a default cadence — reject the
   // whole flag loudly instead, even when the flag alone starts no publisher.
-  // Full-consumption strtol + range check.
-  auto parse_long = [](const char* flag, const std::string& text, long lo,
-                       long hi) -> long {
-    errno = 0;
-    char* end = nullptr;
-    const long v = std::strtol(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' || v < lo || v > hi) {
-      std::fprintf(stderr, "bench: %s requires an integer in [%ld, %ld], got '%s'\n",
-                   flag, lo, hi, text.c_str());
-      std::exit(2);
-    }
-    return v;
-  };
   obs::SnapshotPublisher::Config pc;
   pc.file_path = metrics_file;
   if (!metrics_port.empty()) {
-    pc.port = static_cast<int>(parse_long("--metrics-port", metrics_port, 0, 65535));
+    pc.port = static_cast<int>(
+        flag_uint("bench", "--metrics-port", metrics_port.c_str(), 0, 65535));
   }
   if (!metrics_period.empty()) {
     pc.period_ms = static_cast<unsigned>(
-        parse_long("--metrics-period-ms", metrics_period, 1, 3'600'000));
+        flag_uint("bench", "--metrics-period-ms", metrics_period.c_str(), 1, 3'600'000));
   }
   // Either alone suffices; a failed bind warns and the bench runs on.
   if (!metrics_file.empty() || !metrics_port.empty()) {

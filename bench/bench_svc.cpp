@@ -30,6 +30,7 @@
 
 #include "bench_common.hpp"
 #include "svc/core.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -395,9 +396,9 @@ int main(int argc, char** argv) {
   std::size_t gate_ops = 4000;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--ops" && i + 1 < argc) {
-      ops = std::strtoull(argv[++i], nullptr, 10);
+      ops = ph::flag_uint("bench_svc", "--ops", argv[++i], 1, SIZE_MAX);
     } else if (std::string(argv[i]) == "--gate-ops" && i + 1 < argc) {
-      gate_ops = std::strtoull(argv[++i], nullptr, 10);
+      gate_ops = ph::flag_uint("bench_svc", "--gate-ops", argv[++i], 1, SIZE_MAX);
     }
   }
 

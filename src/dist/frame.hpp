@@ -1,11 +1,10 @@
-// Shared stream framing for every localhost wire in the tree.
+// Stream framing for the service wire (DESIGN.md §14).
 //
 // The durability layer defined the frame unit — [u32 len][u32 crc32][payload]
-// (persist/format.hpp) — and PR 9's SocketTransport re-derived the stream
-// side of it inline: accumulate bytes, cut complete frames, treat corruption
-// as connection death. The service listener (src/svc/) needs the identical
-// logic over many concurrent client fds, so this header is that logic
-// factored once:
+// (persist/format.hpp). This header is the stream side of it: accumulate
+// bytes, cut complete frames, treat corruption as connection death. phd's
+// listener runs it over many concurrent client fds; ph_loadgen and the
+// bench_stack client run it over one:
 //
 //   FrameParser   an incremental decoder over an unbounded byte stream.
 //                 feed() appends raw bytes; next() cuts at most one complete
@@ -21,7 +20,6 @@
 //                 MSG_NOSIGNAL so a dead peer is EPIPE (false), never
 //                 SIGPIPE.
 //
-// SocketTransport (transport.hpp) and the svc listener both delegate here;
 // tests/test_frame.cpp drills torn frames, oversized prefixes, CRC damage,
 // and zero-length payloads against this class directly.
 #pragma once

@@ -69,10 +69,6 @@ const char* flight_kind_name(FlightKind k) noexcept {
     case FlightKind::kNote: return "note";
     case FlightKind::kLaneQuarantine: return "lane_quarantine";
     case FlightKind::kIngestFlush: return "ingest_flush";
-    case FlightKind::kShardProcSpawn: return "shard_proc_spawn";
-    case FlightKind::kShardProcDeath: return "shard_proc_death";
-    case FlightKind::kShardTakeover: return "shard_takeover";
-    case FlightKind::kShardReadmit: return "shard_readmit";
     case FlightKind::kSvcOverload: return "svc_overload";
     case FlightKind::kSvcDrain: return "svc_drain";
     case FlightKind::kCount: break;
@@ -159,7 +155,7 @@ std::string FlightRecorder::dump_to_file(const char* reason) const noexcept {
     }
     const std::int64_t now_ms =
         epoch_unix_ms_ + static_cast<std::int64_t>(now_ns() / 1'000'000);
-    // Multi-process runs (supervisor + shard children) share one dump dir, so
+    // Several processes may share one dump dir (phd and a bench client), so
     // the name carries the pid; the per-process counter keeps two same-reason
     // dumps from one process apart even within a single millisecond. Note:
     // getpid() must be read per-dump, not cached — a fork()ed child inherits

@@ -57,10 +57,6 @@ enum class FlightKind : std::uint8_t {
   kNote,              ///< freeform marker; a/b caller-defined
   kLaneQuarantine,    ///< engine think lane retired; a=lane id, b=consecutive faults
   kIngestFlush,       ///< ingest staging buffers flushed; a=runs, b=items
-  kShardProcSpawn,    ///< supervisor spawned a shard backend; a=shard, b=pid (0=loopback)
-  kShardProcDeath,    ///< shard backend died/was failed; a=shard, b=pid
-  kShardTakeover,     ///< supervisor took a shard over in-parent; a=shard, b=replayed ops
-  kShardReadmit,      ///< recovered shard re-admitted; a=shard, b=resent ops
   kSvcOverload,       ///< service began shedding; a=tenant, b=backlog depth
   kSvcDrain,          ///< service drain started; a=in-flight, b=backlog depth
   kCount
@@ -118,7 +114,7 @@ class FlightRecorder {
 
   /// Writes dump() to `<dir>/flightrec-<reason>-<unix ms>-<pid>-<n>.json`
   /// where dir is set_dump_dir() if called, else $PH_FLIGHTREC_DIR, else ".".
-  /// `<pid>` keeps concurrent processes (supervisor + shard children sharing
+  /// `<pid>` keeps concurrent processes (e.g. phd and a client sharing
   /// one $PH_FLIGHTREC_DIR) apart and `<n>` is a per-process dump counter, so
   /// two dumps can never clobber each other even within one millisecond.
   /// Returns the path ("" on failure — the dump must never throw; it runs on

@@ -110,15 +110,6 @@ inline std::vector<std::pair<std::uint64_t, std::string>> list_seq_files(
   return out;
 }
 
-/// Per-shard durable subdirectory used by the dist supervisor: each shard's
-/// WAL segments and checkpoints live under their own `shard-<i>` directory,
-/// so a shard checkpoints, prunes, and recovers independently of siblings.
-inline std::string shard_dir(const std::string& base, std::size_t shard) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "/shard-%04zu", shard);
-  return base + buf;
-}
-
 inline std::vector<std::pair<std::uint64_t, std::string>> list_checkpoints(
     const std::string& dir) {
   return list_seq_files(dir, "ckpt-", ".phc");
@@ -191,7 +182,6 @@ void write_checkpoint(const std::string& dir, std::uint64_t seq,
                          " failed: " + std::strerror(errno));
     }
     if (policy != FsyncPolicy::kNever) fsync_dir(dir);
-    telemetry::count(telemetry::Counter::kCkptWrites);
     telemetry::count(telemetry::Counter::kCkptBytes, bytes);
     obs::flight(obs::FlightKind::kCkptPublish, seq, bytes);
   } catch (...) {

@@ -40,6 +40,7 @@
 // type — no call-site churn.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -337,14 +338,19 @@ class DurableHeap {
         break;
       case RecType::kDelete:
         // Mirrors the live path: delete_min_batch chunks k into <= r-sized
-        // steps, so a logged k may legally exceed the node capacity. PQs
-        // without that surface (ShardedHeap) accept any k in cycle().
+        // steps, so a logged k may legally exceed the node capacity. A PQ
+        // without that surface (ShardedHeap, reopening a WAL another layout
+        // wrote) takes the same <= r-sized steps through cycle().
         if constexpr (requires(PQ& q, std::vector<T>& o) {
                         q.delete_min_batch(std::size_t{}, o);
                       }) {
           pq_.delete_min_batch(rec.k, sink_);
         } else {
-          pq_.cycle(std::span<const T>(), rec.k, sink_);
+          for (std::size_t left = rec.k; left > 0 && !pq_.empty();) {
+            const std::size_t step = std::min(left, pq_.node_capacity());
+            pq_.cycle(std::span<const T>(), step, sink_);
+            left -= step;
+          }
         }
         break;
       case RecType::kBuild:

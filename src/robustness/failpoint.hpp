@@ -70,10 +70,6 @@ enum class FailSite : std::uint8_t {
   kWalFsync,        ///< crash/fault around the WAL fsync (pre/post durability)
   kRecoverReplay,   ///< crash/fault between replayed WAL records (double crash)
   kIngestFlush,     ///< producer dies mid-flush of the ingest staging buffers
-  kTransportSend,   ///< dist transport loses/corrupts an outbound frame
-  kTransportRecv,   ///< dist transport loses/corrupts an inbound frame
-  kShardSpawn,      ///< supervisor fails to spawn/respawn a shard process
-  kHeartbeatDrop,   ///< shard server silently skips its liveness beat
   kSvcAccept,       ///< scheduler service fails while accepting a request
   kSvcDispatch,     ///< scheduler service dies mid-dispatch (between the due
                     ///< pop and the transaction-closing requeue record)
@@ -96,10 +92,6 @@ inline const char* fail_site_name(FailSite s) noexcept {
     case FailSite::kWalFsync: return "wal_fsync";
     case FailSite::kRecoverReplay: return "recover_replay";
     case FailSite::kIngestFlush: return "ingest_flush";
-    case FailSite::kTransportSend: return "transport_send";
-    case FailSite::kTransportRecv: return "transport_recv";
-    case FailSite::kShardSpawn: return "shard_spawn";
-    case FailSite::kHeartbeatDrop: return "heartbeat_drop";
     case FailSite::kSvcAccept: return "svc_accept";
     case FailSite::kSvcDispatch: return "svc_dispatch";
     case FailSite::kCount: break;

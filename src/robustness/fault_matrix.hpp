@@ -43,20 +43,6 @@
 //       slot drains restages the in-flight buffer; no staged item is ever
 //       lost or duplicated (admission may lag a cycle, so the drill runs
 //       under bounded-lag conservation, not stream equality).
-//   transport_send / transport_recv
-//       failover: a lost/corrupted frame mid-RPC kills the backend; the
-//       supervisor takes the shard over in-parent (per-shard WAL recovery +
-//       journal replay), retries the op, and the stream stays EXACT while
-//       survivors keep cycling.
-//   shard_spawn
-//       bounded respawn: injected spawn failures at construction and at
-//       re-admission back off and retry; the shard serves in-parent in the
-//       meantime and the stream stays EXACT end to end.
-//   heartbeat_drop
-//       liveness escalation: a shard that answers requests but silently
-//       skips its beats must be detected through the watchdog channel
-//       (consecutive stall verdicts -> failover), not through traffic —
-//       stream EXACT across the forced takeovers.
 //   svc_accept
 //       clean refusal: a faulted schedule/cancel accept stages NOTHING (the
 //       client gets kTransient and retries); after a full drain the
@@ -89,10 +75,8 @@
 #include "core/engine.hpp"
 #include "core/pipelined_heap.hpp"
 #include "core/sharded_heap.hpp"
-#include "dist/supervisor.hpp"
 #include "persist/recovery.hpp"
 #include "robustness/failpoint.hpp"
-#include "robustness/watchdog.hpp"
 #include "svc/core.hpp"
 #include "testing/differential.hpp"
 #include "testing/op_trace.hpp"
@@ -112,9 +96,7 @@ inline constexpr FailSite kDrilledSites[] = {
     FailSite::kWorkerStall,   FailSite::kShardCycle,
     FailSite::kCkptWrite,     FailSite::kWalAppend,
     FailSite::kWalFsync,      FailSite::kRecoverReplay,
-    FailSite::kIngestFlush,   FailSite::kTransportSend,
-    FailSite::kTransportRecv, FailSite::kShardSpawn,
-    FailSite::kHeartbeatDrop, FailSite::kSvcAccept,
+    FailSite::kIngestFlush,   FailSite::kSvcAccept,
     FailSite::kSvcDispatch,
 };
 static_assert(sizeof(kDrilledSites) / sizeof(kDrilledSites[0]) == kNumFailSites,
@@ -589,143 +571,6 @@ inline FaultSiteResult ingest_flush_drill(const FaultMatrixConfig& cfg) {
                 ok ? "" : "items lost/duplicated across flush faults: " + f.message);
 }
 
-// ----------------------------------------------------------- dist drills
-// All four run the shard supervisor over LOOPBACK backends (no fork, no
-// threads — the same protocol/journal/takeover paths as process mode, and
-// safe under tsan). ph_crash --mode=shard-proc drives the process carrier
-// with real SIGKILLs.
-
-/// Deterministic clock shared by the supervisor and the watchdog in the
-/// dist drills (fn-pointer config seams — no state capture allowed).
-inline std::atomic<std::uint64_t>& dist_fake_now() {
-  static std::atomic<std::uint64_t> now{0};
-  return now;
-}
-inline std::uint64_t dist_fake_clock() {
-  return dist_fake_now().load(std::memory_order_relaxed);
-}
-
-inline typename dist::ShardSupervisor<U64>::Config dist_drill_config(
-    const std::string& dir) {
-  typename dist::ShardSupervisor<U64>::Config scfg;
-  scfg.shards = 2;
-  scfg.node_capacity = 8;
-  scfg.dir = dir;
-  scfg.fsync = persist::FsyncPolicy::kNever;
-  scfg.checkpoint_interval = 16;
-  scfg.use_processes = false;
-  scfg.clock = &dist_fake_clock;
-  return scfg;
-}
-
-/// Advances the shared fake clock (and polls the watchdog, when given one)
-/// before every cycle, so respawn backoff deadlines and stall verdicts
-/// march deterministically through the differential trace.
-struct DistClockedAdapter {
-  dist::ShardSupervisor<U64>& q;
-  PhaseWatchdog* wd = nullptr;
-  std::uint64_t tick_ns = 10'000'000;
-
-  std::size_t cycle(std::span<const U64> fresh, std::size_t k,
-                    std::vector<U64>& out) {
-    dist_fake_now().fetch_add(tick_ns, std::memory_order_relaxed);
-    if (wd != nullptr) wd->poll();
-    return q.cycle(fresh, k, out);
-  }
-  bool check_invariants(std::string* why) { return q.check_invariants(why); }
-};
-
-/// transport_send / transport_recv: a frame lost mid-RPC must be absorbed
-/// by kill + takeover + journal replay + retry, with the stream EXACT and
-/// at least one takeover actually exercised.
-inline FaultSiteResult dist_transport_drill(const FaultMatrixConfig& cfg,
-                                            FailSite site, FireSpec spec) {
-  disarm_all();
-  const testing::OpTrace trace = drill_trace(cfg, site);
-  const TempDir dir("ph-fm-dist");
-  dist_fake_now().store(0, std::memory_order_relaxed);
-  dist::ShardSupervisor<U64> q(dist_drill_config(dir.path));
-  DistClockedAdapter a{q};
-  arm(site, spec);
-  testing::DiffOptions opt;
-  opt.invariant_stride = 64;
-  const testing::DiffFailure f = testing::run_differential(a, trace, opt);
-  std::string detail;
-  bool ok = !f.failed;
-  if (f.failed) {
-    detail = "stream diverged across transport failovers: " + f.message;
-  } else if (q.stats().takeovers == 0 && stats(site).fires > 0) {
-    ok = false;
-    detail = std::string(fail_site_name(site)) +
-             " fired but no takeover was recorded";
-  }
-  return finish(site, ok, std::move(detail));
-}
-
-/// shard_spawn: injected spawn failures (here: from the very first spawn at
-/// construction) leave the shard serving in-parent; bounded backoff retries
-/// re-admit it mid-trace once the site exhausts its fires — stream EXACT.
-inline FaultSiteResult dist_spawn_drill(const FaultMatrixConfig& cfg) {
-  disarm_all();
-  const testing::OpTrace trace = drill_trace(cfg, FailSite::kShardSpawn);
-  const TempDir dir("ph-fm-spawn");
-  dist_fake_now().store(0, std::memory_order_relaxed);
-  // Armed BEFORE construction: both initial spawns fail, both shards start
-  // life taken-over, and respawn succeeds once max_fires is exhausted.
-  arm(FailSite::kShardSpawn,
-      FireSpec{/*nth=*/1, /*period=*/1, /*max_fires=*/2, /*stall_us=*/0});
-  dist::ShardSupervisor<U64> q(dist_drill_config(dir.path));
-  DistClockedAdapter a{q};
-  testing::DiffOptions opt;
-  opt.invariant_stride = 64;
-  const testing::DiffFailure f = testing::run_differential(a, trace, opt);
-  std::string detail;
-  bool ok = !f.failed;
-  if (f.failed) {
-    detail = "stream diverged across spawn retries: " + f.message;
-  } else if (q.stats().spawn_retries == 0) {
-    ok = false;
-    detail = "shard_spawn fired but no spawn retry was recorded";
-  } else if (q.stats().respawns == 0) {
-    ok = false;
-    detail = "shard was never re-admitted after the spawn faults cleared";
-  }
-  return finish(FailSite::kShardSpawn, ok, std::move(detail));
-}
-
-/// heartbeat_drop: the shard keeps answering requests but its beats vanish;
-/// detection must come through the watchdog channel (consecutive stall
-/// verdicts -> failover), while the stream stays EXACT across the forced
-/// takeovers and re-admissions.
-inline FaultSiteResult dist_heartbeat_drill(const FaultMatrixConfig& cfg) {
-  disarm_all();
-  const testing::OpTrace trace = drill_trace(cfg, FailSite::kHeartbeatDrop);
-  const TempDir dir("ph-fm-beat");
-  dist_fake_now().store(0, std::memory_order_relaxed);
-  dist::ShardSupervisor<U64> q(dist_drill_config(dir.path));
-  PhaseWatchdog::Config wcfg;
-  wcfg.stall_timeout_ns = 50'000'000;   // ticks are 100 ms: one quiet tick stalls
-  wcfg.dump_after_polls = 1u << 30;     // the drill wants verdicts, not dumps
-  wcfg.clock = &dist_fake_clock;
-  PhaseWatchdog wd(wcfg);
-  q.attach_watchdog(wd, /*polls_to_failover=*/2);
-  arm(FailSite::kHeartbeatDrop,
-      FireSpec{/*nth=*/1, /*period=*/1, /*max_fires=*/40, /*stall_us=*/0});
-  DistClockedAdapter a{q, &wd, /*tick_ns=*/100'000'000};
-  testing::DiffOptions opt;
-  opt.invariant_stride = 64;
-  const testing::DiffFailure f = testing::run_differential(a, trace, opt);
-  std::string detail;
-  bool ok = !f.failed;
-  if (f.failed) {
-    detail = "stream diverged across heartbeat-loss failovers: " + f.message;
-  } else if (q.stats().stall_verdicts == 0) {
-    ok = false;
-    detail = "dropped heartbeats never escalated to a watchdog stall verdict";
-  }
-  return finish(FailSite::kHeartbeatDrop, ok, std::move(detail));
-}
-
 // ------------------------------------------------------------ svc drills
 
 /// Deterministic clock for the scheduler-service drills (fn-pointer seam).
@@ -863,14 +708,6 @@ inline FaultMatrixReport run_fault_matrix(const FaultMatrixConfig& cfg = {},
       FireSpec{/*nth=*/6, /*period=*/29, /*max_fires=*/12, /*stall_us=*/0}));
   rep.rows.push_back(fm_detail::recover_replay_drill(cfg));
   rep.rows.push_back(fm_detail::ingest_flush_drill(cfg));
-  rep.rows.push_back(fm_detail::dist_transport_drill(
-      cfg, FailSite::kTransportSend,
-      FireSpec{/*nth=*/6, /*period=*/23, /*max_fires=*/6, /*stall_us=*/0}));
-  rep.rows.push_back(fm_detail::dist_transport_drill(
-      cfg, FailSite::kTransportRecv,
-      FireSpec{/*nth=*/9, /*period=*/31, /*max_fires=*/6, /*stall_us=*/0}));
-  rep.rows.push_back(fm_detail::dist_spawn_drill(cfg));
-  rep.rows.push_back(fm_detail::dist_heartbeat_drill(cfg));
   rep.rows.push_back(fm_detail::svc_site_drill(
       cfg, FailSite::kSvcAccept,
       FireSpec{/*nth=*/5, /*period=*/11, /*max_fires=*/20, /*stall_us=*/0}));

@@ -1,8 +1,7 @@
 // Client <-> phd wire protocol (DESIGN.md §15).
 //
 // Requests and replies share one shape riding the CRC frame codec
-// (dist/frame.hpp — the same [u32 len][u32 crc][payload] unit as the WAL
-// and the shard transport):
+// (dist/frame.hpp — the same [u32 len][u32 crc][payload] unit as the WAL):
 //
 //   payload := [u8 type][u32 tenant][u64 a][u64 b][u64 c][u64 d]
 //              [u32 item_size][u64 nitems][raw items]
@@ -144,9 +143,9 @@ inline void encode_svc(const SvcMsg& m, std::vector<std::uint8_t>& out) {
   }
 }
 
-/// Strict decode, same stance as dist::decode_msg: unknown types, short
-/// payloads, trailing bytes, and item-size drift all fail loudly. The frame
-/// CRC already rejected corruption; this rejects protocol skew.
+/// Strict decode: unknown types, short payloads, trailing bytes, and item-size
+/// drift all fail loudly. The frame CRC already rejected corruption; this
+/// rejects protocol skew.
 inline bool decode_svc(std::span<const std::uint8_t> payload, SvcMsg& m) {
   if (payload.empty()) return false;
   const auto raw_type = payload[0];

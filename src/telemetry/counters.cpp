@@ -73,7 +73,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kHalfSteps: return "half_steps";
     case Counter::kWatchdogStalls: return "watchdog_stalls";
     case Counter::kThinkFaults: return "think_faults";
-    case Counter::kCkptWrites: return "ckpt_writes";
     case Counter::kCkptBytes: return "ckpt_bytes";
     case Counter::kWalAppends: return "wal_appends";
     case Counter::kWalBytes: return "wal_bytes";

@@ -65,7 +65,6 @@ enum class Counter : unsigned {
   kHalfSteps,
   kWatchdogStalls,   ///< watchdog polls that found a stalled channel
   kThinkFaults,      ///< engine think-callbacks that threw (lane recovered)
-  kCkptWrites,       ///< checkpoints published (atomic rename completed)
   kCkptBytes,        ///< bytes written into published checkpoint files
   kWalAppends,       ///< WAL records appended
   kWalBytes,         ///< bytes appended to WAL segments (frames incl. headers)

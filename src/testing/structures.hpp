@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <filesystem>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,10 +37,7 @@
 #include "core/parallel_heap.hpp"
 #include "core/pipelined_heap.hpp"
 #include "core/sharded_heap.hpp"
-#include "dist/supervisor.hpp"
 #include "ingest/ingest_tier.hpp"
-#include <optional>
-
 #include "persist/recovery.hpp"
 #include "robustness/failpoint.hpp"
 #include "testing/differential.hpp"
@@ -337,49 +336,6 @@ class DurablePipelinedAdapter {
   std::optional<persist::DurableHeap<PipelinedParallelHeap<std::uint64_t>>> q_;
 };
 
-/// The shard supervisor (dist/supervisor.hpp) with real child processes:
-/// every trace op becomes framed RPCs over Unix socketpairs to K forked
-/// shard servers, each journaling to its own WAL directory. The deletion
-/// stream must stay bit-exact against the oracle — the distributed cycle
-/// decomposition (route/insert/peek/merge/remove) is what's under test.
-/// Opt-in via --structures=dist_sharded, NOT in default_structures():
-/// forking children per stress instance is too heavy for the default sweep,
-/// and tsan presets must not fork a multi-threaded image.
-class DistShardedAdapter {
- public:
-  explicit DistShardedAdapter(std::size_t r, std::size_t shards = 2,
-                              bool use_processes = true)
-      : dir_(persist::make_temp_dir("ph-dist")) {
-    typename dist::ShardSupervisor<std::uint64_t>::Config cfg;
-    cfg.shards = shards;
-    cfg.node_capacity = r;
-    cfg.dir = dir_;
-    cfg.fsync = persist::FsyncPolicy::kNever;  // soak targets logic, not disks
-    cfg.use_processes = use_processes;
-    q_.emplace(std::move(cfg));
-  }
-
-  DistShardedAdapter(const DistShardedAdapter&) = delete;
-  DistShardedAdapter& operator=(const DistShardedAdapter&) = delete;
-
-  ~DistShardedAdapter() {
-    q_.reset();  // shut the children down before sweeping their directories
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-
-  std::size_t cycle(std::span<const std::uint64_t> fresh, std::size_t k,
-                    std::vector<std::uint64_t>& out) {
-    return q_->cycle(fresh, k, out);
-  }
-
-  bool check_invariants(std::string* why) { return q_->check_invariants(why); }
-
- private:
-  std::string dir_;
-  std::optional<dist::ShardSupervisor<std::uint64_t>> q_;
-};
-
 /// The ingestion tier (ingest/ingest_tier.hpp) over an inner batch heap,
 /// driven so every trace item arrives through the staging buffers: the
 /// adapter stages each fresh item into one of `producers` slots round-robin
@@ -558,11 +514,6 @@ inline DiffFailure run_trace(const OpTrace& t) {
     ingest::IngestConfig ic;
     ic.producers = 4;
     IngestTierAdapter<ShardedHeap<U64>> q(ShardedHeap<U64>(t.r, c), ic);
-    return run_differential(q, t, opt);
-  }
-  if (s == "dist_sharded") {
-    opt.invariant_stride = 64;
-    DistShardedAdapter q(t.r);
     return run_differential(q, t, opt);
   }
   return {true, 0, "unknown structure '" + s + "' (see structures.hpp)"};

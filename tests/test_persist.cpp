@@ -589,6 +589,66 @@ TEST(DurableHeap, ShardedEngineRestartsExactly) {
   drain_exact(q, oracle, 8);
 }
 
+/// Logs inserts and delete_min_batch(k = 3r + 1) through a WAL-only
+/// pipelined DurableHeap, checking each popped batch against `oracle`. A k
+/// above r is lawful there: delete_min_batch cuts it into r-sized steps.
+/// Returns the number of records logged.
+std::size_t log_wide_deletes(const ps::DurableOptions& d, std::size_t r,
+                             testing::SortedOracle& oracle) {
+  const std::size_t k = 3 * r + 1;
+  PipelinedDH q(PipelinedParallelHeap<U64>(r), d);
+  Xoshiro256 rng(0x5eed);
+  std::vector<U64> fresh, got, want;
+  std::size_t records = 0;
+  for (std::size_t i = 0; i < 24; ++i) {
+    fresh.clear();
+    for (std::size_t j = 0; j < 2 * k; ++j) fresh.push_back(rng.next_below(1u << 12));
+    q.insert_batch(fresh);
+    oracle.cycle(fresh, 0, want);
+    got.clear();
+    want.clear();
+    q.delete_min_batch(k, got);
+    oracle.cycle({}, k, want);
+    EXPECT_EQ(got, want) << "batch " << i;
+    records += 2;
+  }
+  return records;
+}
+
+ps::DurableOptions wal_only(const TempDir& dir) {
+  ps::DurableOptions d = opts(dir);
+  d.checkpoint_on_open = false;  // every record must come back through replay
+  return d;
+}
+
+TEST(DurableHeap, WideDeleteRecordsReplayThroughDeleteMinBatch) {
+  TempDir dir;
+  constexpr std::size_t r = 4;
+  testing::SortedOracle oracle;
+  const std::size_t records = log_wide_deletes(wal_only(dir), r, oracle);
+  PipelinedDH q(PipelinedParallelHeap<U64>(r), wal_only(dir));
+  EXPECT_EQ(q.recovery_info().replayed, records);
+  EXPECT_EQ(q.size(), oracle.size());
+  drain_exact(q, oracle, r);
+}
+
+TEST(DurableHeap, WideDeleteRecordsReplayThroughShardedCycle) {
+  // ShardedHeap has no delete_min_batch, so a kDelete record replays as one
+  // cycle({}, k). The WAL is layout-free: write it through the pipelined
+  // heap, reopen it over four shards.
+  TempDir dir;
+  constexpr std::size_t r = 4;
+  testing::SortedOracle oracle;
+  const std::size_t records = log_wide_deletes(wal_only(dir), r, oracle);
+  using SH = ShardedHeap<U64>;
+  SH::Config scfg;
+  scfg.shards = 4;
+  ps::DurableHeap<SH> q(SH(r, scfg), wal_only(dir));
+  EXPECT_EQ(q.recovery_info().replayed, records);
+  EXPECT_EQ(q.size(), oracle.size());
+  drain_exact(q, oracle, r);
+}
+
 TEST(DurableHeap, EngineRunsOverDurableHeapAndRemainderSurvivesRestart) {
   TempDir dir;
   using DH = PipelinedDH;

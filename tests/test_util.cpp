@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/barrier.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/spinlock.hpp"
 #include "util/thread_pool.hpp"
@@ -169,6 +170,46 @@ TEST(PhaseTimer, AccumulatesAcrossEpisodes) {
   t.start();
   t.stop();
   EXPECT_GE(t.total_seconds(), one);
+}
+
+TEST(Flags, ParseUintTakesPlainDigitsInRange) {
+  EXPECT_EQ(parse_uint("0", 0, 10), 0u);
+  EXPECT_EQ(parse_uint("65535", 0, 65535), 65535u);
+  EXPECT_EQ(parse_uint("18446744073709551615", 0, UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(parse_uint("007", 1, 10), 7u);
+  // Inclusive range: both ends are in, one past either end is out.
+  EXPECT_EQ(parse_uint("1", 1, 8), 1u);
+  EXPECT_EQ(parse_uint("8", 1, 8), 8u);
+  EXPECT_FALSE(parse_uint("0", 1, 8));
+  EXPECT_FALSE(parse_uint("9", 1, 8));
+  EXPECT_FALSE(parse_uint("70000", 0, 65535));
+}
+
+TEST(Flags, ParseUintRejectsEverythingElse) {
+  for (const char* bad : {"", "junk", "12abc", "1.5", " 1", "1 ", "+1", "-1", "-0",
+                          "0x10", "18446744073709551616", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_uint(bad, 0, UINT64_MAX)) << "'" << bad << "'";
+  }
+}
+
+TEST(Flags, ParseDoubleNeedsAFiniteNumberFillingTheText) {
+  EXPECT_EQ(parse_double("2.5"), 2.5);
+  EXPECT_EQ(parse_double("0"), 0.0);
+  EXPECT_EQ(parse_double("-0.25"), -0.25);
+  EXPECT_EQ(parse_double("1e3"), 1000.0);
+  for (const char* bad : {"", "junk", "1.5x", " 1", "1 ", "inf", "-inf", "nan", "1e999"}) {
+    EXPECT_FALSE(parse_double(bad)) << "'" << bad << "'";
+  }
+}
+
+TEST(FlagsDeathTest, BadValueExitsTwoNamingTheFlag) {
+  EXPECT_EQ(flag_uint("tool", "--seeds", "3", 1, 8), 3u);
+  EXPECT_EXIT(flag_uint("tool", "--seeds", "junk", 1, 8), ::testing::ExitedWithCode(2),
+              "tool: --seeds needs an integer in \\[1, 8\\], got 'junk'");
+  EXPECT_EXIT(flag_uint("tool", "--port", "70000", 0, 65535),
+              ::testing::ExitedWithCode(2), "--port");
+  EXPECT_EXIT(flag_double("tool", "--rate", "nan"), ::testing::ExitedWithCode(2),
+              "tool: --rate needs a finite number, got 'nan'");
 }
 
 }  // namespace

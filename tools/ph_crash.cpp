@@ -21,37 +21,24 @@
 // to the previous checkpoint, and still replay to the exact same state —
 // a corrupt frame must never be silently loaded.
 //
-// --mode=shard-proc switches to the distributed supervisor drills: for each
-// (K, seed) a ShardSupervisor runs K real shard child processes and the
-// sweep (a) SIGKILLs one child at a seeded op offset, (b) injects
-// transport_send faults into the supervisor's frames, and (c) suppresses a
-// child's heartbeats until the watchdog convicts it — in every case the
-// whole run must stay bit-exact against a fault-free single-process oracle
-// while the surviving shards keep cycling (per-shard WAL recovery + journal
-// replay + re-admission are what's under test).
-//
 // Exit code 0 iff every sweep and drill is bit-exact.
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/pipelined_heap.hpp"
-#include "dist/supervisor.hpp"
 #include "obs/flight_recorder.hpp"
 #include "persist/recovery.hpp"
 #include "robustness/failpoint.hpp"
-#include "robustness/watchdog.hpp"
 #include "testing/oracle.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -64,6 +51,10 @@ namespace fp = ph::robustness;
 using U64 = std::uint64_t;
 using DH = DurableHeap<PipelinedParallelHeap<U64>>;
 
+// Upper bound for --seeds, --ops and --r: far past any useful sweep, low
+// enough that a stray digit cannot ask for an unbounded run.
+constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 20;
+
 struct Options {
   std::uint64_t seed = 1;
   std::size_t seeds = 8;     // seeds swept per site
@@ -72,7 +63,6 @@ struct Options {
   std::uint64_t key_bound = 1u << 20;
   std::vector<std::string> sites = {"ckpt_write", "wal_append", "wal_fsync",
                                     "recover_replay"};
-  std::string mode = "durable";  // or "shard-proc"
   bool verbose = false;
 };
 
@@ -348,222 +338,6 @@ bool corrupt_checkpoint_round(const Options& opt, std::uint64_t seed) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// --mode=shard-proc: ShardSupervisor drills with REAL child processes.
-// ---------------------------------------------------------------------------
-
-using Sup = ph::dist::ShardSupervisor<U64>;
-
-Sup::Config shard_cfg(const Options& opt, const std::string& dir,
-                      std::size_t shards) {
-  Sup::Config c;
-  c.shards = shards;
-  c.node_capacity = opt.r;
-  c.dir = dir;
-  c.fsync = FsyncPolicy::kNever;  // SIGKILL keeps the page cache: acked == durable
-  c.checkpoint_interval = 8;
-  c.use_processes = true;
-  return c;
-}
-
-// Drives the full (seed, ops) stream through the supervisor and a fault-free
-// oracle side by side, invoking `hook(i)` before op i, then drains both.
-// Any divergence anywhere — including mid-failover — is a failure.
-bool drive_shards_exact(Sup& sup, const Options& opt, std::uint64_t seed,
-                        const std::function<void(std::size_t)>& hook,
-                        std::string& why) {
-  ph::testing::SortedOracle oracle;
-  std::vector<U64> got, want;
-  for (std::size_t i = 1; i <= opt.ops; ++i) {
-    if (hook) hook(i);
-    const Op op = gen_op(opt, seed, i);
-    got.clear();
-    want.clear();
-    sup.cycle(op.fresh, op.k, got);
-    oracle.cycle(op.fresh, op.k, want);
-    if (got != want) {
-      why = "delete-min stream diverged at op " + std::to_string(i);
-      return false;
-    }
-  }
-  for (int guard = 0; guard < 1 << 15; ++guard) {
-    if (sup.empty() && oracle.empty()) break;
-    got.clear();
-    want.clear();
-    sup.cycle({}, opt.r, got);
-    oracle.cycle({}, opt.r, want);
-    if (got != want) {
-      why = "drain stream diverged";
-      return false;
-    }
-    if (got.empty() && !oracle.empty()) {
-      why = "supervisor drained dry before the oracle";
-      return false;
-    }
-  }
-  return sup.check_invariants(&why);
-}
-
-// SIGKILL one shard child at a seeded mid-run offset; survivors keep
-// cycling, the victim is taken over, its WAL replayed, and a fresh child
-// re-admitted — all while the stream stays bit-exact.
-bool shard_kill_round(const Options& opt, std::size_t shards,
-                      std::uint64_t seed, std::string& why) {
-  TempDir dir("ph-crash-shard");
-  Sup sup(shard_cfg(opt, dir.path, shards));
-  std::uint64_t s = seed * 0x9e3779b97f4a7c15ull + shards;
-  const std::size_t span = std::max<std::size_t>(1, opt.ops / 3);
-  const std::size_t kill_at = opt.ops / 3 + splitmix(s) % span;
-  const std::size_t victim = seed % shards;
-  if (!drive_shards_exact(
-          sup, opt, seed,
-          [&](std::size_t i) {
-            if (i == kill_at) sup.kill_shard(victim);
-          },
-          why)) {
-    return false;
-  }
-  const Sup::Stats st = sup.stats();
-  if (st.deaths == 0) {
-    why = "child was SIGKILLed but its death was never reaped";
-    return false;
-  }
-  if (st.takeovers == 0) {
-    why = "child died but no in-parent takeover was recorded";
-    return false;
-  }
-  if (st.respawns == 0) {
-    why = "victim shard was never re-admitted to a fresh child";
-    return false;
-  }
-  if (sup.backend_state(victim) != Sup::BackendState::kProcess) {
-    why = "victim shard did not return to a child process by end of run";
-    return false;
-  }
-  return true;
-}
-
-// Seeded transport_send faults in the SUPERVISOR: a frame lost mid-RPC
-// forces kill + takeover + journal replay + retry against live children.
-bool shard_transport_round(const Options& opt, std::size_t shards,
-                           std::uint64_t seed, std::string& why) {
-  fp::disarm_all();
-  TempDir dir("ph-crash-shard-tr");
-  Sup sup(shard_cfg(opt, dir.path, shards));
-  // Armed after construction so initial spawn/build frames are clean; fires
-  // are spaced far apart (period >> frames per op) so the per-op failover
-  // budget is never exhausted by back-to-back injections.
-  std::uint64_t s = seed ^ 0xd1342543de82ef95ull;
-  fp::arm(fp::FailSite::kTransportSend,
-          fp::FireSpec{/*nth=*/4 + static_cast<std::uint32_t>(splitmix(s) % 32),
-                       /*period=*/29, /*max_fires=*/4, /*stall_us=*/0});
-  const bool exact = drive_shards_exact(sup, opt, seed, nullptr, why);
-  const std::uint64_t fires = fp::stats(fp::FailSite::kTransportSend).fires;
-  const Sup::Stats st = sup.stats();
-  fp::disarm_all();
-  if (!exact) return false;
-  if (fires == 0) {
-    why = "transport_send never fired (seeded schedule missed the run)";
-    return false;
-  }
-  if (st.takeovers == 0) {
-    why = "transport faults fired but no takeover was recorded";
-    return false;
-  }
-  return true;
-}
-
-// Fake monotonic clock shared by the supervisor and the watchdog so stall
-// verdicts and respawn backoff march deterministically per op.
-std::atomic<std::uint64_t> g_shard_now{0};
-std::uint64_t shard_fake_clock() {
-  return g_shard_now.load(std::memory_order_relaxed);
-}
-
-// Child-side heartbeat suppression: the child keeps answering RPCs but its
-// kBeat frames vanish, so detection must come through the watchdog channel
-// (consecutive stall verdicts -> failover) — not the reply path.
-bool shard_heartbeat_round(const Options& opt, std::size_t shards,
-                           std::uint64_t seed, std::string& why) {
-  fp::disarm_all();
-  TempDir dir("ph-crash-shard-hb");
-  g_shard_now.store(0, std::memory_order_relaxed);
-  Sup::Config c = shard_cfg(opt, dir.path, shards);
-  c.clock = &shard_fake_clock;
-  c.child_faults.push_back(
-      {fp::FailSite::kHeartbeatDrop,
-       fp::FireSpec{/*nth=*/1, /*period=*/1, /*max_fires=*/40, /*stall_us=*/0}});
-  Sup sup(c);
-  fp::PhaseWatchdog::Config wcfg;
-  wcfg.stall_timeout_ns = 50'000'000;  // ticks are 100 ms: one quiet tick stalls
-  wcfg.dump_after_polls = 1u << 30;    // verdicts, not dump files
-  wcfg.clock = &shard_fake_clock;
-  fp::PhaseWatchdog wd(wcfg);
-  sup.attach_watchdog(wd, /*polls_to_failover=*/2);
-  const bool exact = drive_shards_exact(
-      sup, opt, seed,
-      [&](std::size_t) {
-        g_shard_now.fetch_add(100'000'000, std::memory_order_relaxed);
-        wd.poll();
-      },
-      why);
-  const Sup::Stats st = sup.stats();
-  if (!exact) return false;
-  if (st.stall_verdicts == 0) {
-    why = "dropped heartbeats never escalated to a watchdog stall verdict";
-    return false;
-  }
-  if (st.takeovers == 0) {
-    why = "stall verdicts were issued but no takeover followed";
-    return false;
-  }
-  return true;
-}
-
-struct ShardSweep {
-  const char* name;
-  bool (*round)(const Options&, std::size_t, std::uint64_t, std::string&);
-  bool needs_failpoints;
-};
-
-int run_shard_proc_mode(const Options& opt) {
-  static const ShardSweep kSweeps[] = {
-      {"shard-kill", &shard_kill_round, false},
-      {"shard-transport", &shard_transport_round, true},
-      {"shard-heartbeat", &shard_heartbeat_round, true},
-  };
-  bool ok = true;
-  for (const ShardSweep& sw : kSweeps) {
-    if (sw.needs_failpoints && !fp::kFailpoints) {
-      std::printf("ph_crash: %-16s SKIP (built with PH_FAILPOINTS=OFF)\n",
-                  sw.name);
-      continue;
-    }
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-      std::size_t fails = 0;
-      for (std::size_t i = 0; i < opt.seeds; ++i) {
-        const std::uint64_t seed = opt.seed + i;
-        std::string why;
-        if (!sw.round(opt, shards, seed, why)) {
-          ++fails;
-          ok = false;
-          std::fprintf(stderr, "ph_crash: %s K=%zu seed %llu: FAIL: %s\n",
-                       sw.name, shards, static_cast<unsigned long long>(seed),
-                       why.c_str());
-        } else if (opt.verbose) {
-          std::printf("ph_crash: %-16s K=%zu seed %llu  recovered bit-exact\n",
-                      sw.name, shards, static_cast<unsigned long long>(seed));
-        }
-      }
-      std::printf("ph_crash: %-16s K=%zu %s (%zu/%zu rounds)\n", sw.name,
-                  shards, fails == 0 ? "OK" : "FAIL", opt.seeds - fails,
-                  opt.seeds);
-    }
-  }
-  std::printf("ph_crash: %s\n", ok ? "ALL RECOVERIES BIT-EXACT" : "FAILURES");
-  return ok ? 0 : 1;
-}
-
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -574,8 +348,6 @@ void usage(const char* argv0) {
       "  --r N        node capacity (default 8)\n"
       "  --sites CSV  sites to sweep (default "
       "ckpt_write,wal_append,wal_fsync,recover_replay)\n"
-      "  --mode M     durable (default) | shard-proc (multi-process\n"
-      "               ShardSupervisor kill/transport/heartbeat drills)\n"
       "  --verbose    per-round lines\n",
       argv0);
 }
@@ -603,13 +375,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--seed") {
-      opt.seed = std::strtoull(next(), nullptr, 10);
+      opt.seed = ph::flag_uint("ph_crash", "--seed", next(), 0, UINT64_MAX);
     } else if (a == "--seeds") {
-      opt.seeds = std::strtoull(next(), nullptr, 10);
+      opt.seeds = ph::flag_uint("ph_crash", "--seeds", next(), 1, kMaxCount);
     } else if (a == "--ops") {
-      opt.ops = std::strtoull(next(), nullptr, 10);
+      opt.ops = ph::flag_uint("ph_crash", "--ops", next(), 1, kMaxCount);
     } else if (a == "--r") {
-      opt.r = std::strtoull(next(), nullptr, 10);
+      opt.r = ph::flag_uint("ph_crash", "--r", next(), 1, kMaxCount);
     } else if (a == "--sites") {
       opt.sites.clear();
       std::string csv = next();
@@ -622,19 +394,12 @@ int main(int argc, char** argv) {
         if (comma == std::string::npos) break;
         pos = comma + 1;
       }
-    } else if (a == "--mode") {
-      opt.mode = next();
     } else if (a == "--verbose") {
       opt.verbose = true;
     } else {
       usage(argv[0]);
       return 2;
     }
-  }
-  if (opt.mode == "shard-proc") return run_shard_proc_mode(opt);
-  if (opt.mode != "durable") {
-    std::fprintf(stderr, "ph_crash: unknown mode '%s'\n", opt.mode.c_str());
-    return 2;
   }
   if (!fp::kFailpoints) {
     std::fprintf(stderr,

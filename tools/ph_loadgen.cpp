@@ -44,6 +44,7 @@
 
 #include "dist/frame.hpp"
 #include "svc/proto.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
@@ -513,23 +514,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (a == "--port") opt.port = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 10));
-    else if (a == "--tenants") opt.tenants = std::strtoull(next(), nullptr, 10);
-    else if (a == "--zipf") opt.zipf_s = std::strtod(next(), nullptr);
-    else if (a == "--rate") opt.rate = std::strtod(next(), nullptr);
-    else if (a == "--burst") opt.burst = std::strtoull(next(), nullptr, 10);
-    else if (a == "--seconds") opt.seconds = std::strtod(next(), nullptr);
-    else if (a == "--ops") opt.max_ops = std::strtoull(next(), nullptr, 10);
-    else if (a == "--delay-min-us") opt.delay_min_us = std::strtoull(next(), nullptr, 10);
-    else if (a == "--delay-max-us") opt.delay_max_us = std::strtoull(next(), nullptr, 10);
-    else if (a == "--cancel-frac") opt.cancel_frac = std::strtod(next(), nullptr);
-    else if (a == "--poll-every") opt.poll_every = std::strtoull(next(), nullptr, 10);
-    else if (a == "--poll-batch") opt.poll_batch = std::strtoull(next(), nullptr, 10);
-    else if (a == "--seed") opt.seed = std::strtoull(next(), nullptr, 10);
+    auto count = [&](const char* flag, std::uint64_t hi = UINT64_MAX) {
+      return ph::flag_uint("ph_loadgen", flag, next(), 0, hi);
+    };
+    auto real = [&](const char* flag) {
+      return ph::flag_double("ph_loadgen", flag, next());
+    };
+    if (a == "--port") opt.port = static_cast<std::uint16_t>(count("--port", 65535));
+    else if (a == "--tenants") opt.tenants = count("--tenants");
+    else if (a == "--zipf") opt.zipf_s = real("--zipf");
+    else if (a == "--rate") opt.rate = real("--rate");
+    else if (a == "--burst") opt.burst = count("--burst");
+    else if (a == "--seconds") opt.seconds = real("--seconds");
+    else if (a == "--ops") opt.max_ops = count("--ops");
+    else if (a == "--delay-min-us") opt.delay_min_us = count("--delay-min-us");
+    else if (a == "--delay-max-us") opt.delay_max_us = count("--delay-max-us");
+    else if (a == "--cancel-frac") opt.cancel_frac = real("--cancel-frac");
+    else if (a == "--poll-every") opt.poll_every = count("--poll-every");
+    else if (a == "--poll-batch") opt.poll_batch = count("--poll-batch");
+    else if (a == "--seed") opt.seed = count("--seed");
     else if (a == "--json") opt.json = true;
     else if (a == "--ledger") opt.ledger = next();
     else if (a == "--verify") opt.verify = true;
-    else if (a == "--verify-timeout") opt.verify_timeout_s = std::strtod(next(), nullptr);
+    else if (a == "--verify-timeout") opt.verify_timeout_s = real("--verify-timeout");
     else if (a == "--shutdown") opt.shutdown = true;
     else if (a == "--help" || a == "-h") { usage(argv[0]); return 0; }
     else {

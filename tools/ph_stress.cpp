@@ -29,6 +29,7 @@
 #include "robustness/watchdog.hpp"
 #include "testing/sched_fuzz.hpp"
 #include "testing/stress.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -73,14 +74,9 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-std::uint64_t parse_u64(const char* s, const char* what) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::fprintf(stderr, "ph_stress: bad %s '%s'\n", what, s);
-    std::exit(2);
-  }
-  return v;
+std::uint64_t parse_count(const char* flag, const char* text,
+                          std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX) {
+  return ph::flag_uint("ph_stress", flag, text, lo, hi);
 }
 
 /// --flightrec-smoke: drive the whole black-box chain in one process — a
@@ -165,42 +161,39 @@ int main(int argc, char** argv) {
       inline_val = eq + 1;
     }
     if (std::strcmp(a, "--seed") == 0) {
-      cfg.seed = parse_u64(value(i, a), "seed");
+      cfg.seed = parse_count("--seed", value(i, a));
     } else if (std::strcmp(a, "--rounds") == 0) {
-      cfg.rounds = parse_u64(value(i, a), "rounds");
+      cfg.rounds = parse_count("--rounds", value(i, a));
     } else if (std::strcmp(a, "--cycles") == 0) {
-      cfg.cycles = parse_u64(value(i, a), "cycles");
+      cfg.cycles = parse_count("--cycles", value(i, a));
     } else if (std::strcmp(a, "--r") == 0) {
       cfg.r_values.clear();
       for (const auto& tok : split_csv(value(i, a))) {
-        cfg.r_values.push_back(parse_u64(tok.c_str(), "r"));
+        cfg.r_values.push_back(
+            parse_count("--r", tok.c_str(), 1, std::uint64_t{1} << 20));
       }
     } else if (std::strcmp(a, "--key-bounds") == 0) {
       cfg.key_bounds.clear();
       for (const auto& tok : split_csv(value(i, a))) {
-        cfg.key_bounds.push_back(parse_u64(tok.c_str(), "key bound"));
+        cfg.key_bounds.push_back(parse_count("--key-bounds", tok.c_str()));
       }
     } else if (std::strcmp(a, "--structures") == 0) {
       cfg.structures = split_csv(value(i, a));
     } else if (std::strcmp(a, "--repro-dir") == 0) {
       cfg.repro_dir = value(i, a);
     } else if (std::strcmp(a, "--budget") == 0) {
-      cfg.time_budget_s = std::strtod(value(i, a), nullptr);
+      cfg.time_budget_s = ph::flag_double("ph_stress", "--budget", value(i, a));
     } else if (std::strcmp(a, "--max-failures") == 0) {
-      cfg.max_failures = parse_u64(value(i, a), "max failures");
+      cfg.max_failures = parse_count("--max-failures", value(i, a));
     } else if (std::strcmp(a, "--shrink-attempts") == 0) {
-      cfg.shrink_attempts = parse_u64(value(i, a), "shrink attempts");
+      cfg.shrink_attempts = parse_count("--shrink-attempts", value(i, a));
     } else if (std::strcmp(a, "--no-shrink") == 0) {
       cfg.shrink = false;
     } else if (std::strcmp(a, "--sched-fuzz") == 0) {
       sched_fuzz = true;
-      sched_fuzz_seed = parse_u64(value(i, a), "sched fuzz seed");
+      sched_fuzz_seed = parse_count("--sched-fuzz", value(i, a));
     } else if (std::strcmp(a, "--sched-fuzz-permille") == 0) {
-      sched_fuzz_permille = parse_u64(value(i, a), "sched fuzz permille");
-      if (sched_fuzz_permille > 1000) {
-        std::fprintf(stderr, "ph_stress: --sched-fuzz-permille must be 0..1000\n");
-        return 2;
-      }
+      sched_fuzz_permille = parse_count("--sched-fuzz-permille", value(i, a), 0, 1000);
     } else if (std::strcmp(a, "--must-fail") == 0) {
       must_fail = true;
     } else if (std::strcmp(a, "--failpoint") == 0) {

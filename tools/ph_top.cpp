@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/flags.hpp"
 #include "util/mini_json.hpp"
 
 namespace {
@@ -237,15 +238,17 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--port") == 0) {
-      opt.port = std::atoi(need("--port"));
+      opt.port =
+          static_cast<int>(ph::flag_uint("ph_top", "--port", need("--port"), 0, 65535));
     } else if (std::strcmp(argv[i], "--file") == 0) {
       opt.file = need("--file");
     } else if (std::strcmp(argv[i], "--once") == 0) {
       opt.once = true;
     } else if (std::strcmp(argv[i], "--interval-ms") == 0) {
-      opt.interval_ms = static_cast<unsigned>(std::atoi(need("--interval-ms")));
+      opt.interval_ms = static_cast<unsigned>(
+          ph::flag_uint("ph_top", "--interval-ms", need("--interval-ms"), 0, 3'600'000));
     } else if (std::strcmp(argv[i], "--count") == 0) {
-      opt.count = static_cast<std::uint64_t>(std::atoll(need("--count")));
+      opt.count = ph::flag_uint("ph_top", "--count", need("--count"), 0, UINT64_MAX);
     } else {
       usage(argv[0]);
     }

@@ -15,15 +15,20 @@
 // outstanding ack, exit 0). kill -9 is the recovery drill: restart with the
 // same --dir and the WAL replays the full ledger bit-exactly.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 
 #include "svc/server.hpp"
+#include "util/flags.hpp"
 
 namespace {
+
+// --node-capacity ceiling: one node is this many job slots, so a stray digit
+// must not ask the arena for gigabytes.
+constexpr std::uint64_t kMaxNodeCapacity = std::uint64_t{1} << 20;
 
 ph::svc::Server* g_server = nullptr;
 void on_term(int) {
@@ -60,9 +65,11 @@ int main(int argc, char** argv) {
     if (a == "--dir") {
       cfg.core.dir = next();
     } else if (a == "--port") {
-      cfg.port = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 10));
+      cfg.port =
+          static_cast<std::uint16_t>(ph::flag_uint("phd", "--port", next(), 0, 65535));
     } else if (a == "--node-capacity") {
-      cfg.core.node_capacity = std::strtoull(next(), nullptr, 10);
+      cfg.core.node_capacity =
+          ph::flag_uint("phd", "--node-capacity", next(), 1, kMaxNodeCapacity);
     } else if (a == "--fsync") {
       const std::string v = next();
       if (v == "never") {
@@ -76,17 +83,19 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--max-backlog") {
-      cfg.core.max_backlog = std::strtoull(next(), nullptr, 10);
+      cfg.core.max_backlog = ph::flag_uint("phd", "--max-backlog", next(), 0, SIZE_MAX);
     } else if (a == "--overload-watermark") {
-      cfg.core.overload_watermark = std::strtoull(next(), nullptr, 10);
+      cfg.core.overload_watermark =
+          ph::flag_uint("phd", "--overload-watermark", next(), 0, SIZE_MAX);
     } else if (a == "--admit-rate") {
-      cfg.core.admit_rate = std::strtod(next(), nullptr);
+      cfg.core.admit_rate = ph::flag_double("phd", "--admit-rate", next());
     } else if (a == "--burst") {
-      cfg.core.burst = std::strtod(next(), nullptr);
+      cfg.core.burst = ph::flag_double("phd", "--burst", next());
     } else if (a == "--max-inflight") {
-      cfg.max_inflight = std::strtoull(next(), nullptr, 10);
+      cfg.max_inflight = ph::flag_uint("phd", "--max-inflight", next(), 0, SIZE_MAX);
     } else if (a == "--metrics-port") {
-      cfg.metrics_port = static_cast<int>(std::strtol(next(), nullptr, 10));
+      cfg.metrics_port =
+          static_cast<int>(ph::flag_uint("phd", "--metrics-port", next(), 0, 65535));
     } else if (a == "--metrics-file") {
       cfg.metrics_file = next();
     } else if (a == "--no-watchdog") {
