@@ -10,7 +10,9 @@
 // the binary emits cycle_scaling_{ns,items_merged,items_written}_per_op_n<n>
 // _<heap> (heap = sync or pipelined): wall time per op and the HeapStats
 // work counters per op over exactly the timed ops, so every row averages
-// the same op count.
+// the same op count. The pipelined heap also emits
+// cycle_scaling_procs_per_op_n<n>_pipelined: update processes serviced
+// (PipelineStats::procs_serviced) per timed op, a report-only figure.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -67,6 +69,11 @@ void steady_hold(benchmark::State& state, const char* heap_name) {
   ph::bench::json_metric("cycle_scaling_ns_per_op" + tail, ns);
   ph::bench::json_metric("cycle_scaling_items_merged_per_op" + tail, merged);
   ph::bench::json_metric("cycle_scaling_items_written_per_op" + tail, written);
+  if constexpr (requires { heap.pipeline_stats(); }) {
+    const double procs = static_cast<double>(heap.pipeline_stats().procs_serviced) / ops;
+    state.counters["procs_per_op"] = procs;
+    ph::bench::json_metric("cycle_scaling_procs_per_op" + tail, procs);
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(res.ops));
 }
 

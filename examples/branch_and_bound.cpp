@@ -12,10 +12,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <vector>
 
 #include "core/engine.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -72,8 +73,11 @@ int knapsack_dp(const std::vector<Item>& items, int capacity) {
 int main(int argc, char** argv) {
   using namespace ph;
 
-  const int n_items = argc > 1 ? std::atoi(argv[1]) : 36;
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 5;
+  const int n_items =
+      argc > 1 ? static_cast<int>(flag_uint("branch_and_bound", "items", argv[1], 1, 1000))
+               : 36;
+  const std::uint64_t seed =
+      argc > 2 ? flag_uint("branch_and_bound", "seed", argv[2], 0, UINT64_MAX) : 5;
 
   // Correlated instance (weights ~ values) — the hard kind for B&B.
   Xoshiro256 rng(seed);

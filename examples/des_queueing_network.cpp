@@ -13,7 +13,6 @@
 //
 // Build & run:  ./build/examples/des_queueing_network [rows cols end_time]
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/binary_heap.hpp"
 #include "baselines/locked_pq.hpp"
@@ -22,14 +21,20 @@
 #include "sim/network.hpp"
 #include "sim/serial_sim.hpp"
 #include "sim/sync_sim.hpp"
+#include "util/flags.hpp"
 
 int main(int argc, char** argv) {
   using namespace ph;
   using namespace ph::sim;
 
-  const std::size_t rows = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 64;
-  const std::size_t cols = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 64;
-  const double end_time = argc > 3 ? std::strtod(argv[3], nullptr) : 60.0;
+  constexpr const char* kProg = "des_queueing_network";
+  const std::size_t rows = argc > 1 ? flag_uint(kProg, "rows", argv[1], 1, 4096) : 64;
+  const std::size_t cols = argc > 2 ? flag_uint(kProg, "cols", argv[2], 1, 4096) : 64;
+  const double end_time = argc > 3 ? flag_double(kProg, "end_time", argv[3]) : 60.0;
+  if (end_time <= 0) {
+    std::fprintf(stderr, "%s: end_time must be positive, got '%s'\n", kProg, argv[3]);
+    return 2;
+  }
 
   // The lineage's setup: per-LP service times in [1, 5], 10% "hot" LPs with
   // near-zero service to make the event population fine-grained.

@@ -12,13 +12,13 @@
 //
 // Build & run:  ./build/examples/parallel_sssp [grid_side]
 #include <cstdio>
-#include <cstdlib>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "baselines/binary_heap.hpp"
 #include "core/parallel_heap.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -134,7 +134,8 @@ std::vector<std::uint64_t> batch_dijkstra(const Graph& g, std::uint32_t src,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t side = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 512;
+  const std::size_t side =
+      argc > 1 ? ph::flag_uint("parallel_sssp", "grid_side", argv[1], 1, 4096) : 512;
   const Graph g = make_grid(side, 7);
   std::printf("grid %zux%zu: %zu vertices, %zu edges\n", side, side, g.n,
               g.dst.size() / 2);

@@ -17,20 +17,21 @@
 // Build & run:  ./build/examples/topk_merge [streams items_per_stream]
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
 #include "core/pipelined_heap.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
 int main(int argc, char** argv) {
   using namespace ph;
 
-  const std::size_t streams = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 64;
+  const std::size_t streams =
+      argc > 1 ? flag_uint("topk_merge", "streams", argv[1], 1, 1 << 16) : 64;
   const std::size_t per_stream =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1 << 14;
+      argc > 2 ? flag_uint("topk_merge", "items_per_stream", argv[2], 1, 1 << 24) : 1 << 14;
   const std::size_t r = 512;
   const std::size_t chunk = 64;
   constexpr std::uint64_t kInf = std::numeric_limits<std::uint64_t>::max();

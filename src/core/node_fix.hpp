@@ -34,10 +34,18 @@
 namespace ph {
 
 /// Scratch buffers for fix_node (reuse across calls to stay allocation-free).
+/// kid_prefix only grows: discovery writes its first t slots through a
+/// pointer, so a repair neither clears nor zero-fills it.
 template <typename T>
 struct FixScratch {
   std::vector<T> kid_prefix, dirty;
   std::size_t written = 0;  ///< items stored into v and the children, summed over calls
+
+  /// Room for a discovery against a node of nv items.
+  T* prefix_for(std::size_t nv) {
+    if (kid_prefix.size() < nv) kid_prefix.resize(nv);
+    return kid_prefix.data();
+  }
 };
 
 template <typename T>
@@ -52,21 +60,21 @@ struct FixOutcome {
 namespace detail {
 
 /// The exchange both repairs end with, once discovery has put the t child
-/// items to pull up in s.kid_prefix and child c's share in taken[c]. Saves
+/// items to pull up in s.kid_prefix[0, t) and child c's share in taken[c]. Saves
 /// v's t largest as the fills, merges the kid prefix into v's kept part from
 /// the back, then refills each child in `order` with the next taken[c]
 /// fills (refill(): the child drops its taken prefix and merges the fills
 /// in). Sets violates[c] for each refilled child; returns items moved.
 template <typename T, typename Compare>
-std::size_t exchange(std::span<T> sv, std::span<NodeSlot<T>> children,
+std::size_t exchange(std::span<T> sv, std::size_t t, std::span<NodeSlot<T>> children,
                      std::span<const std::size_t> order,
                      std::span<const std::size_t> taken,
                      std::span<const T* const> grandmins, std::span<bool> violates,
                      FixScratch<T>& s, Compare cmp) {
   const std::size_t nv = sv.size();
-  const std::size_t t = s.kid_prefix.size();
   s.dirty.assign(sv.begin() + static_cast<std::ptrdiff_t>(nv - t), sv.end());
-  s.written += merge_back_into(sv, nv - t, std::span<const T>(s.kid_prefix), cmp);
+  s.written +=
+      merge_back_into(sv, nv - t, std::span<const T>(s.kid_prefix.data(), t), cmp);
   std::size_t moved = nv;
 
   std::size_t offset = 0;
@@ -103,21 +111,27 @@ FixOutcome<T> fix_node(std::span<T> sv, NodeSlot<T>& l, NodeSlot<T>& r, const T*
   PH_ASSERT(nv > 0);
 
   // Two-pointer exchange discovery: stream the children's merged prefix
-  // against v's suffix (largest first).
-  s.kid_prefix.clear();
+  // against v's suffix (largest first). While both children have items the
+  // pick is a branch-free select; once one runs out, the other streams alone.
+  T* const kp = s.prefix_for(nv);
   std::size_t il = 0, ir = 0, t = 0;
-  while (t < nv && (il < nl || ir < nr)) {
+  bool profitable = true;
+  while (t < nv && il < nl && ir < nr) {
     // Tie-consistent: prefer L on ties (matches select_smallest3's order).
-    const bool from_l = ir >= nr || (il < nl && !cmp(sr[ir], sl[il]));
-    const T& cand = from_l ? sl[il] : sr[ir];
-    if (!cmp(cand, sv[nv - 1 - t])) break;  // no longer profitable: done
-    s.kid_prefix.push_back(cand);
-    if (from_l) {
-      ++il;
-    } else {
-      ++ir;
+    const bool from_l = !cmp(sr[ir], sl[il]);
+    const T* cand = from_l ? &sl[il] : &sr[ir];
+    if (!cmp(*cand, sv[nv - 1 - t])) {  // no longer profitable: done
+      profitable = false;
+      break;
     }
-    ++t;
+    kp[t++] = *cand;
+    il += from_l;
+    ir += !from_l;
+  }
+  if (profitable) {
+    const std::span<const T> rest = il < nl ? sl : sr;
+    std::size_t& i = il < nl ? il : ir;
+    while (t < nv && i < rest.size() && cmp(rest[i], sv[nv - 1 - t])) kp[t++] = rest[i++];
   }
   FixOutcome<T> out;
   out.taken_l = il;
@@ -135,7 +149,7 @@ FixOutcome<T> fix_node(std::span<T> sv, NodeSlot<T>& l, NodeSlot<T>& r, const T*
   const std::array<std::size_t, 2> taken{il, ir};
   const std::array<const T*, 2> gms{gl, gr};
   std::array<bool, 2> viol{false, false};
-  out.items_moved = detail::exchange(sv, std::span<NodeSlot<T>>(kids),
+  out.items_moved = detail::exchange(sv, t, std::span<NodeSlot<T>>(kids),
                                      std::span<const std::size_t>(order),
                                      std::span<const std::size_t>(taken),
                                      std::span<const T* const>(gms), std::span<bool>(viol),
@@ -169,7 +183,7 @@ std::size_t fix_node_multi(std::span<T> sv, std::span<NodeSlot<T>> children,
   PH_ASSERT(d <= kid.size());
 
   // Exchange discovery: d-way tournament over child heads vs v's suffix.
-  s.kid_prefix.clear();
+  T* const kp = s.prefix_for(nv);
   for (std::size_t c = 0; c < d; ++c) {
     kid[c] = children[c].items();
     taken_out[c] = 0;
@@ -187,9 +201,8 @@ std::size_t fix_node_multi(std::span<T> sv, std::span<NodeSlot<T>> children,
     if (best == d) break;  // all children exhausted
     const T& cand = kid[best][taken_out[best]];
     if (!cmp(cand, sv[nv - 1 - t])) break;
-    s.kid_prefix.push_back(cand);
+    kp[t++] = cand;
     ++taken_out[best];
-    ++t;
   }
   if (t == 0) return 0;
 
@@ -203,7 +216,7 @@ std::size_t fix_node_multi(std::span<T> sv, std::span<NodeSlot<T>> children,
                      if (grandmins[b] == nullptr) return true;
                      return cmp(*grandmins[a], *grandmins[b]);
                    });
-  return detail::exchange(sv, children, std::span<const std::size_t>(order.data(), d),
+  return detail::exchange(sv, t, children, std::span<const std::size_t>(order.data(), d),
                           std::span<const std::size_t>(taken_out.data(), d), grandmins,
                           violates_out, s, cmp);
 }

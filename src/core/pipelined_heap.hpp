@@ -27,6 +27,17 @@
 // Each cycle is O(r) critical-path work regardless of heap size; total
 // maintenance work per cycle is O(r log n) spread across the pipeline.
 //
+// A delete-update carries nothing, so it is parked as a bare node id in a
+// per-level queue (dels_); only insert-updates are ProcT records. A repair
+// that refills a child parks the child's re-service only if the child has a
+// committed child (occupancy(2c + 1) > 0): committed slots grow only in
+// root work, and new items need at least two half-steps to be stored at
+// level 2 or deeper, so a child without committed children still has no
+// stored children when its re-service would run — and that re-service
+// would return at once. The skip therefore changes no repair and no
+// HeapStats counter; procs_spawned/procs_serviced (and the kProcsSpawned/
+// kProcsServiced telemetry counters) simply no longer count these no-ops.
+//
 // Substitute fetch under pipelining. A shrinking heap must refill the root
 // from its logical tail, but the tail slots may belong to deliveries still
 // in flight. We then *steal* the substitutes directly from the in-flight
@@ -74,14 +85,13 @@ struct PipelineStats {
 template <typename T, typename Compare = std::less<T>>
 class PipelinedParallelHeap {
  private:
-  enum class Kind : std::uint8_t { kDelete, kInsert };
-
+  /// An insert-update. A delete-update carries nothing but the node it
+  /// repairs next, so it is parked as a bare node id (dels_).
   struct ProcT {
-    Kind kind;
     std::size_t node;        ///< node to service next
-    std::size_t target;      ///< insert only: destination (tail) node
+    std::size_t target;      ///< destination (tail) node
     std::uint64_t id;        ///< spawn order; later procs own later tail slots
-    std::vector<T> carried;  ///< insert only: items in flight (sorted)
+    std::vector<T> carried;  ///< items in flight (sorted)
   };
 
  public:
@@ -98,6 +108,7 @@ class PipelinedParallelHeap {
     std::vector<T> kept_, rest_;
     FixScratch<T> fix_;
     std::vector<ProcT> spawned_;
+    std::vector<std::size_t> spawned_dels_;
     HeapStats stats_{};
   };
 
@@ -128,13 +139,16 @@ class PipelinedParallelHeap {
   /// processes are discarded together with the old content.
   void build(std::span<const T> items) {
     procs_.clear();
+    dels_.clear();
     inflight_ = 0;
     // A throw mid-half-step (injected fault, user comparator) can strand
     // already-spawned continuations in the transient scratch; if they
     // survived a rebuild, the next half-step's merge_ctx would park them
     // again and duplicate their carried items.
-    batch_.clear();
+    ibatch_.clear();
+    dbatch_.clear();
     ctx_.spawned_.clear();
+    ctx_.spawned_dels_.clear();
     ctx_.stats_ = HeapStats{};
     arena_.build(items, cmp_);
     size_ = items.size();
@@ -188,16 +202,12 @@ class PipelinedParallelHeap {
   void advance_with(std::size_t parity, Runner&& runner) {
     ++pstats_.half_steps;
     telemetry::count(telemetry::Counter::kHalfSteps);
-    batch_.clear();
-    for (std::size_t lvl = 0; lvl < procs_.size(); ++lvl) {
-      if (lvl % 2 != parity || procs_[lvl].empty()) continue;
-      for (auto& p : procs_[lvl]) batch_.push_back(std::move(p));
-      procs_[lvl].clear();
-    }
-    if (batch_.empty()) return;
+    ibatch_.clear();
+    dbatch_.clear();
+    for (std::size_t lvl = parity; lvl < procs_.size(); lvl += 2) collect(lvl);
+    if (ibatch_.empty() && dbatch_.empty()) return;
     telemetry::SpanScope span(parity == 1 ? telemetry::Phase::kOddHalfStep
                                           : telemetry::Phase::kEvenHalfStep);
-    inflight_ -= batch_.size();
     run_batch(std::forward<Runner>(runner));
   }
 
@@ -265,17 +275,16 @@ class PipelinedParallelHeap {
       std::size_t deepest = 0;
       bool found = false;
       for (std::size_t lvl = procs_.size(); lvl-- > 0;) {
-        if (!procs_[lvl].empty()) {
+        if (!procs_[lvl].empty() || !dels_[lvl].empty()) {
           deepest = lvl;
           found = true;
           break;
         }
       }
       if (!found) break;
-      batch_.clear();
-      for (auto& p : procs_[deepest]) batch_.push_back(std::move(p));
-      procs_[deepest].clear();
-      inflight_ -= batch_.size();
+      ibatch_.clear();
+      dbatch_.clear();
+      collect(deepest);
       run_batch([this](std::size_t ngroups,
                        const std::function<void(std::size_t, ServiceCtx&)>& fn) {
         for (std::size_t g = 0; g < ngroups; ++g) fn(g, ctx_);
@@ -387,6 +396,7 @@ class PipelinedParallelHeap {
     }
     std::size_t carried = 0;
     std::size_t parked = 0;
+    for (const auto& lvl : dels_) parked += lvl.size();
     for (const auto& lvl : procs_) {
       for (const auto& p : lvl) {
         ++parked;
@@ -394,9 +404,6 @@ class PipelinedParallelHeap {
         if (!is_sorted_run(std::span<const T>(p.carried), cmp_)) {
           return fail(why, "carried set of process " + std::to_string(p.id) +
                                " is not sorted");
-        }
-        if (p.kind == Kind::kDelete && !p.carried.empty()) {
-          return fail(why, "delete-update carries items");
         }
       }
     }
@@ -442,34 +449,81 @@ class PipelinedParallelHeap {
     return best;
   }
 
-  void park(ProcT&& p) {
-    const std::size_t lvl = level_of(p.node);
-    if (procs_.size() <= lvl) procs_.resize(lvl + 1);
-    procs_[lvl].push_back(std::move(p));
+  /// Whether a re-service of node c could find anything to repair (see the
+  /// file comment): only if c has a committed child.
+  bool has_committed_child(std::size_t c) const noexcept { return occupancy(2 * c + 1) > 0; }
+
+  /// Grows both per-level queues to hold level `lvl`.
+  void ensure_level(std::size_t lvl) {
+    if (procs_.size() <= lvl) {
+      procs_.resize(lvl + 1);
+      dels_.resize(lvl + 1);
+    }
+  }
+
+  void note_parked() {
     ++inflight_;
     ++pstats_.procs_spawned;
     telemetry::count(telemetry::Counter::kProcsSpawned);
     pstats_.max_inflight = std::max<std::uint64_t>(pstats_.max_inflight, inflight_);
   }
 
-  /// Sorts the collected batch into per-node groups and runs them through
-  /// the runner; merges spawned processes and stats afterwards.
+  void park(ProcT&& p) {
+    const std::size_t lvl = level_of(p.node);
+    ensure_level(lvl);
+    procs_[lvl].push_back(std::move(p));
+    note_parked();
+  }
+
+  void park_delete(std::size_t node) {
+    const std::size_t lvl = level_of(node);
+    ensure_level(lvl);
+    dels_[lvl].push_back(node);
+    note_parked();
+  }
+
+  /// Moves level `lvl`'s parked processes onto the batch.
+  void collect(std::size_t lvl) {
+    dbatch_.insert(dbatch_.end(), dels_[lvl].begin(), dels_[lvl].end());
+    inflight_ -= dels_[lvl].size();
+    dels_[lvl].clear();
+    for (auto& p : procs_[lvl]) ibatch_.push_back(std::move(p));
+    inflight_ -= procs_[lvl].size();
+    procs_[lvl].clear();
+  }
+
+  /// Groups the collected batch by node and runs the groups through the
+  /// runner; merges spawned processes and stats afterwards.
   template <typename Runner>
   void run_batch(Runner&& runner) {
     // Node order; within a node delete-updates precede insert-updates, and
     // insert-updates run in spawn order — the deterministic composition for
-    // same-generation processes sharing a path prefix.
-    std::stable_sort(batch_.begin(), batch_.end(), [](const ProcT& a, const ProcT& b) {
-      if (a.node != b.node) return a.node < b.node;
-      if (a.kind != b.kind) return a.kind == Kind::kDelete;
-      return a.id < b.id;
-    });
-    groups_.clear();
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      if (i == 0 || batch_[i].node != batch_[i - 1].node) groups_.push_back(i);
+    // same-generation processes sharing a path prefix. The serial paths park
+    // both kinds already in this order (levels are collected ascending, and
+    // the groups of ascending nodes spawn their children in ascending
+    // order); a runner that merges several contexts may not, so sort then.
+    if (!std::is_sorted(dbatch_.begin(), dbatch_.end())) {
+      std::sort(dbatch_.begin(), dbatch_.end());
     }
-    groups_.push_back(batch_.size());
-    const std::size_t ngroups = groups_.size() - 1;
+    const auto by_node_id = [](const ProcT& a, const ProcT& b) {
+      return a.node != b.node ? a.node < b.node : a.id < b.id;
+    };
+    if (!std::is_sorted(ibatch_.begin(), ibatch_.end(), by_node_id)) {
+      std::sort(ibatch_.begin(), ibatch_.end(), by_node_id);
+    }
+    const std::size_t nd = dbatch_.size();
+    const std::size_t ni = ibatch_.size();
+    groups_.clear();
+    for (std::size_t d = 0, i = 0; d < nd || i < ni;) {
+      const std::size_t node = d == nd   ? ibatch_[i].node
+                               : i == ni ? dbatch_[d]
+                                         : std::min(dbatch_[d], ibatch_[i].node);
+      groups_.push_back(Group{node, d, i});
+      while (d < nd && dbatch_[d] == node) ++d;
+      while (i < ni && ibatch_[i].node == node) ++i;
+    }
+    const std::size_t ngroups = groups_.size();
+    groups_.push_back(Group{0, nd, ni});
 
     // Snapshot the grandchild minima each delete group will consult BEFORE
     // the parallel phase. A same-parity group two levels down rewrites those
@@ -481,34 +535,33 @@ class PipelinedParallelHeap {
     // a delete at v writes only v and its children, never its grandchildren.
     gsnap_.assign(ngroups, GrandSnap{});
     for (std::size_t g = 0; g < ngroups; ++g) {
-      const ProcT& head = batch_[groups_[g]];
-      if (head.kind != Kind::kDelete) continue;  // deletes sort first per node
+      if (groups_[g].d == groups_[g + 1].d) continue;  // no delete-update here
+      const std::size_t v = groups_[g].node;
       GrandSnap& gs = gsnap_[g];
-      if (const T* m = grandchild_min(2 * head.node + 1)) {
+      if (const T* m = grandchild_min(2 * v + 1)) {
         gs.lmin = *m;
         gs.has_l = true;
       }
-      if (const T* m = grandchild_min(2 * head.node + 2)) {
+      if (const T* m = grandchild_min(2 * v + 2)) {
         gs.rmin = *m;
         gs.has_r = true;
       }
     }
     pstats_.task_groups += ngroups;
     pstats_.max_groups = std::max<std::uint64_t>(pstats_.max_groups, ngroups);
-    pstats_.procs_serviced += batch_.size();
-    telemetry::count(telemetry::Counter::kProcsServiced, batch_.size());
+    pstats_.procs_serviced += nd + ni;
+    telemetry::count(telemetry::Counter::kProcsServiced, nd + ni);
 
     std::function<void(std::size_t, ServiceCtx&)> fn = [this](std::size_t g,
                                                               ServiceCtx& ctx) {
       const GrandSnap& gs = gsnap_[g];
-      for (std::size_t i = groups_[g]; i < groups_[g + 1]; ++i) {
-        ProcT& p = batch_[i];
-        if (p.kind == Kind::kDelete) {
-          service_delete(p.node, ctx, gs.has_l ? &gs.lmin : nullptr,
-                         gs.has_r ? &gs.rmin : nullptr);
-        } else {
-          service_insert(std::move(p), ctx);
-        }
+      const Group& grp = groups_[g];
+      for (std::size_t d = grp.d; d < groups_[g + 1].d; ++d) {
+        service_delete(grp.node, ctx, gs.has_l ? &gs.lmin : nullptr,
+                       gs.has_r ? &gs.rmin : nullptr);
+      }
+      for (std::size_t i = grp.i; i < groups_[g + 1].i; ++i) {
+        service_insert(std::move(ibatch_[i]), ctx);
       }
     };
     runner(ngroups, fn);
@@ -523,6 +576,8 @@ class PipelinedParallelHeap {
   /// the heap (must be called serially, once per context, after a parallel
   /// advance_with half-step; the serial paths call it automatically).
   void merge_ctx(ServiceCtx& ctx) {
+    for (const std::size_t v : ctx.spawned_dels_) park_delete(v);
+    ctx.spawned_dels_.clear();
     for (auto& p : ctx.spawned_) park(std::move(p));
     ctx.spawned_.clear();
     stats_.delete_procs += ctx.stats_.delete_procs;
@@ -537,9 +592,10 @@ class PipelinedParallelHeap {
  private:
   /// One node-local delete-update: repairs `v` against its children, pushes
   /// displaced dirty items down, spawns continuations at the children that
-  /// received dirty items. `gl`/`gr` are the grandchild minima snapshotted
-  /// by run_batch before the parallel phase (nullptr when the child has no
-  /// children) — never read live here, see the snapshot comment above.
+  /// received dirty items and have committed children of their own.
+  /// `gl`/`gr` are the grandchild minima snapshotted by run_batch before the
+  /// parallel phase (nullptr when the child has no children) — never read
+  /// live here, see the snapshot comment above.
   void service_delete(std::size_t v, ServiceCtx& c, const T* gl, const T* gr) {
     const std::size_t l = 2 * v + 1;
     const std::size_t rc = 2 * v + 2;
@@ -553,11 +609,13 @@ class PipelinedParallelHeap {
     if (!viol_l && !viol_r) return;
 
     // Node-local repair (node_fix.hpp). Unlike the synchronous heap, a
-    // child that received fills is *always* re-serviced next half-step —
-    // the violation check against currently-stored grandchildren can be
-    // stale with respect to in-flight processes below, and the deferred
-    // re-service (which early-outs in O(1) when clean) is what makes the
-    // pipeline sound.
+    // child that received fills is re-serviced next half-step whenever it
+    // has committed children — the violation check against currently-stored
+    // grandchildren can be stale with respect to in-flight processes below,
+    // and the deferred re-service (which early-outs in O(1) when clean) is
+    // what makes the pipeline sound. A child without committed children is
+    // skipped: its re-service would find no stored children and return at
+    // once (has_committed_child).
     const FixOutcome<T> out = fix_node(sv, sl, sr, gl, gr, c.fix_, cmp_);
     if (out.taken_l > 0) arena_.commit(l, sl);
     if (out.taken_r > 0) arena_.commit(rc, sr);
@@ -569,11 +627,11 @@ class PipelinedParallelHeap {
     // stream (armed with {nth=1, period=1, max_fires=0} it reproduces the
     // old always-on inject_fault_for_testing behavior).
     const bool skip_clean = robustness::fire(robustness::FailSite::kSkipReservice);
-    if (out.taken_l > 0 && !(skip_clean && !out.l_violates)) {
-      c.spawned_.push_back(ProcT{Kind::kDelete, l, 0, 0, {}});
+    if (out.taken_l > 0 && has_committed_child(l) && !(skip_clean && !out.l_violates)) {
+      c.spawned_dels_.push_back(l);
     }
-    if (out.taken_r > 0 && !(skip_clean && !out.r_violates)) {
-      c.spawned_.push_back(ProcT{Kind::kDelete, rc, 0, 0, {}});
+    if (out.taken_r > 0 && has_committed_child(rc) && !(skip_clean && !out.r_violates)) {
+      c.spawned_dels_.push_back(rc);
     }
     if (out.taken_l > 0 && out.taken_r > 0) ++c.stats_.proc_splits;
     ++c.stats_.nodes_touched;
@@ -688,9 +746,7 @@ class PipelinedParallelHeap {
       // one nets the rest of the accounting (old root out, rest+subs in).
       size_ = size_ - root_cnt + new_root_cnt;
     }
-    if (size_ > arena_.count(0)) {
-      park(ProcT{Kind::kDelete, 0, 0, next_id_++, {}});
-    }
+    if (size_ > arena_.count(0)) park_delete(0);
     return take;
   }
 
@@ -720,8 +776,7 @@ class PipelinedParallelHeap {
         // Allocation-failure site: the carried-set vector is the one real
         // allocation on this path.
         robustness::fire_oom(robustness::FailSite::kSpawnAlloc);
-        park(ProcT{Kind::kInsert, 0, target, next_id_++,
-                   std::vector<T>(items.begin(), items.end())});
+        park(ProcT{0, target, next_id_++, std::vector<T>(items.begin(), items.end())});
       }
       size_ += chunk;
       remaining -= chunk;
@@ -743,7 +798,7 @@ class PipelinedParallelHeap {
       ProcT* victim = nullptr;
       for (auto& lvl : procs_) {
         for (auto& p : lvl) {
-          if (p.kind != Kind::kInsert || p.target != lt || p.carried.empty()) continue;
+          if (p.target != lt || p.carried.empty()) continue;
           if (victim == nullptr || p.id > victim->id) victim = &p;
         }
       }
@@ -783,7 +838,8 @@ class PipelinedParallelHeap {
   std::size_t size_ = 0;
   std::size_t inflight_ = 0;
   std::uint64_t next_id_ = 0;
-  std::vector<std::vector<ProcT>> procs_;
+  std::vector<std::vector<ProcT>> procs_;        ///< insert-updates, per level
+  std::vector<std::vector<std::size_t>> dels_;   ///< delete-updates (node ids), per level
 
   HeapStats stats_;
   PipelineStats pstats_;
@@ -796,10 +852,17 @@ class PipelinedParallelHeap {
     bool has_l = false, has_r = false;
   };
 
+  // One node's processes in a half-step: dbatch_[d, next.d) and
+  // ibatch_[i, next.i); groups_ ends with a sentinel.
+  struct Group {
+    std::size_t node, d, i;
+  };
+
   // Scratch (reused; the hot path is allocation-free after warm-up).
   std::vector<T> new_buf_, merged_, subs_;
-  std::vector<ProcT> batch_;
-  std::vector<std::size_t> groups_;
+  std::vector<ProcT> ibatch_;
+  std::vector<std::size_t> dbatch_;
+  std::vector<Group> groups_;
   std::vector<GrandSnap> gsnap_;
   std::vector<std::vector<T>> pieces_;
   std::vector<std::span<const T>> runs_;

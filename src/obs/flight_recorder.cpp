@@ -101,12 +101,14 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
   std::vector<FlightEvent> out;
   out.reserve(static_cast<std::size_t>(end - begin));
   for (std::uint64_t idx = begin; idx < end; ++idx) {
-    const Slot& s = slots_[idx & (kCapacity - 1)];
+    Slot& s = slots_[idx & (kCapacity - 1)];
     const std::uint64_t pre = s.stamp.load(std::memory_order_acquire);
     if (pre != idx * 2 + 2) continue;  // torn, lapped, or not yet published
     FlightEvent ev = s.ev;
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (s.stamp.load(std::memory_order_relaxed) != pre) continue;
+    // Re-check with a read-don't-modify-write rather than a fence plus a
+    // load: its release half keeps the copy above before the re-check, and
+    // ThreadSanitizer models it (it does not model atomic_thread_fence).
+    if (s.stamp.fetch_add(0, std::memory_order_acq_rel) != pre) continue;
     out.push_back(ev);
   }
   // Cursor order ≈ time order, but two racing writers can publish out of

@@ -161,6 +161,11 @@ TEST(CrossStructure, FixedHoldWorkCountersAreExact) {
   };
   PipelinedParallelHeap<std::uint64_t> pipe(512);
   check(pipe, {1148928, 828, 588, 512, 576765}, "pipelined");
+  // Only delete-updates at nodes with committed children are parked, and
+  // this hold spawns no insert-updates, so every serviced process is a
+  // delete-update that reached a node with children.
+  EXPECT_EQ(pipe.pipeline_stats().procs_serviced, 866u);
+  EXPECT_EQ(pipe.pipeline_stats().procs_serviced, pipe.stats().delete_procs);
   ParallelHeap<std::uint64_t> par2(512);
   check(par2, {1181184, 850, 607, 512, 590360}, "parallel d=2");
   ParallelHeap<std::uint64_t> par4(512, std::less<std::uint64_t>{}, 4);

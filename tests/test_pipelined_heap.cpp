@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/parallel_heap.hpp"
+#include "testing/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace ph {
@@ -233,6 +234,41 @@ TEST(PipelinedHeap, StatsAccounting) {
   EXPECT_EQ(s.cycles, 1u);
   pipe.reset_stats();
   EXPECT_EQ(pipe.stats().cycles, 0u);
+}
+
+TEST(PipelinedHeap, GrowthUnderRefilledNodes) {
+  // A delete-update's continuation at a refilled child is parked only when
+  // that child has committed children. Here insert-heavy cycles (more fresh
+  // items than deletions) grow the tail under nodes the delete-heavy cycles
+  // have just refilled, so deliveries to a child's children are often still
+  // in flight — stored empty, committed full — when the child is refilled.
+  // Skipping the re-service on the stored count would leave such a child's
+  // fills above the items delivered beneath it.
+  for (const std::size_t r : {2u, 3u, 8u}) {
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      Pipelined pipe(r);
+      testing::SortedOracle oracle;
+      Xoshiro256 rng(700 + 97 * r + seed);
+      std::vector<std::uint64_t> fresh, got, want;
+      for (int cycle = 0; cycle < 300; ++cycle) {
+        const bool grow = cycle % 2 == 0;
+        const std::size_t k = grow ? rng.next_below(r) : r;
+        const std::size_t n = grow ? k + 1 + rng.next_below(2 * r + 1) : rng.next_below(r);
+        fresh.clear();
+        for (std::size_t i = 0; i < n; ++i) fresh.push_back(rng.next_below(1u << 10));
+        got.clear();
+        want.clear();
+        pipe.step(fresh, k, got);
+        oracle.cycle(fresh, k, want);
+        ASSERT_EQ(got, want) << "r=" << r << " seed " << seed << " cycle " << cycle;
+        std::string why;
+        ASSERT_TRUE(pipe.verify_invariants(&why)) << why;
+      }
+      std::string why;
+      ASSERT_TRUE(pipe.check_invariants(&why)) << "r=" << r << " seed " << seed << ": " << why;
+      ASSERT_EQ(pipe.sorted_contents(), oracle.contents());
+    }
+  }
 }
 
 TEST(PipelinedHeap, LongRandomSoak) {

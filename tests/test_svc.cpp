@@ -658,7 +658,9 @@ TEST(SchedulerCore, RecoveryReplaysLedgerBitExactly) {
       std::uint64_t deadline = 0;
       ASSERT_EQ(core.schedule(t, rnd() % 30'000'000, i + 1, 0, 0, &deadline),
                 Admit::kOk);
-      if (rnd() % 6 == 0) ASSERT_EQ(core.cancel(t, deadline, i + 1), Admit::kOk);
+      if (rnd() % 6 == 0) {
+        ASSERT_EQ(core.cancel(t, deadline, i + 1), Admit::kOk);
+      }
       if (i % 32 == 31) {
         advance_ms(10);
         core.poll_due(16, due);
