@@ -176,10 +176,7 @@ int main(int argc, char** argv) {
       });
       row("gate,pipelined,%zu,%u,%d", r, p, ok_pipe ? 1 : 0);
       const bool ok_shard = run_gate("sharded", r, p, gate_cycles, [&] {
-        ph::ShardedHeap<U64>::Config c;
-        c.shards = 3;
-        c.rebalance_interval = 16;
-        return ph::ShardedHeap<U64>(r, c);
+        return ph::ShardedHeap<U64>(r, {/*shards=*/3});
       });
       row("gate,sharded,%zu,%u,%d", r, p, ok_shard ? 1 : 0);
       all_exact = all_exact && ok_pipe && ok_shard;

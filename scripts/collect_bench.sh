@@ -11,7 +11,7 @@
 #   [build-dir]  build tree containing bench/ (default: build)
 #
 # environment:
-#   BENCH_ONLY=bench_sharded,bench_hold   comma-separated subset to run
+#   BENCH_ONLY=bench_ingest,bench_hold    comma-separated subset to run
 set -euo pipefail
 
 PR="${1:?usage: collect_bench.sh <pr-number> [build-dir]}"

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI smoke for the black-box flight recorder: run the end-to-end drill
-# (ph_stress --flightrec-smoke: a fail-point trips a shard into quarantine,
-# then a real watchdog stall verdict persists the event ring), then assert
-# the dump file exists, parses as JSON, and holds the causal chain in order:
-# failpoint_fire(shard_cycle) -> quarantine -> watchdog_stall ->
+# (ph_stress --flightrec-smoke: a fail-point makes an engine think lane throw
+# and the engine retires the lane, then a real watchdog stall verdict
+# persists the event ring), then assert the dump file exists, parses as
+# JSON, and holds the causal chain in order:
+# failpoint_fire(think_throw) -> lane_quarantine -> watchdog_stall ->
 # watchdog_report.
 #
 # usage: scripts/flightrec_smoke.sh [build-dir]   (default: build-release)
@@ -46,16 +47,16 @@ def first_index(pred):
     return next((i for i, e in enumerate(events) if pred(e)), None)
 
 fire = first_index(lambda e: e["kind"] == "failpoint_fire"
-                   and e.get("a_name") == "shard_cycle")
-quar = first_index(lambda e: e["kind"] == "quarantine")
+                   and e.get("a_name") == "think_throw")
+quar = first_index(lambda e: e["kind"] == "lane_quarantine")
 stall = first_index(lambda e: e["kind"] == "watchdog_stall")
 report = first_index(lambda e: e["kind"] == "watchdog_report")
-for name, idx in [("failpoint_fire", fire), ("quarantine", quar),
+for name, idx in [("failpoint_fire", fire), ("lane_quarantine", quar),
                   ("watchdog_stall", stall), ("watchdog_report", report)]:
     assert idx is not None, f"dump missing {name} event"
 assert fire < quar < stall < report, (
-    f"causal order broken: fire@{fire} quarantine@{quar} "
+    f"causal order broken: fire@{fire} lane_quarantine@{quar} "
     f"stall@{stall} report@{report}")
 print(f"flightrec_smoke: OK — {len(events)} events, causal chain "
-      f"fire@{fire} < quarantine@{quar} < stall@{stall} < report@{report}")
+      f"fire@{fire} < lane_quarantine@{quar} < stall@{stall} < report@{report}")
 EOF

@@ -6,14 +6,13 @@
 // race just spin on their own slot — a single line bouncing once per op —
 // instead of contending on the heap's internals.
 //
-// This is the classic "serialize cheaply" baseline for bench_parallel_cycle:
-// it preserves exact global-minimum semantics (every pop is the true min at
-// its linearization point inside a combine pass), so it brackets the design
-// space opposite the relaxed MultiQueues-style LocalHeaps — the sharded /
-// pipelined structures must beat it on throughput while matching its
-// exactness. Combine-pass statistics (combines(), combined_ops()) expose the
-// batching factor: ops-per-lock-acquisition is the whole point of the
-// technique, and the bench reports it.
+// This is the classic "serialize cheaply" baseline: it preserves exact
+// global-minimum semantics (every pop is the true min at its linearization
+// point inside a combine pass), so it brackets the design space opposite the
+// relaxed MultiQueues-style LocalHeaps. The stress registry's
+// flat_combining_mt entry drives it from real threads. Combine-pass
+// statistics (combines(), combined_ops()) expose the batching factor:
+// ops-per-lock-acquisition is the whole point of the technique.
 #pragma once
 
 #include <atomic>

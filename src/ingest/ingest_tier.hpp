@@ -149,7 +149,7 @@ class IngestTier {
     }
   }
 
-  /// Lock-free live state (same contract as ShardedHeap::Live): producers
+  /// Lock-free live state (same contract as DurableHeap::Live): producers
   /// bump staged_depth as they stage; every IngestStats counter lives here
   /// once, written by the driver at its one site in flush_staged().
   /// Scrapers never touch the real buffers.

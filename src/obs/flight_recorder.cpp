@@ -59,8 +59,6 @@ const char* flight_kind_name(FlightKind k) noexcept {
     case FlightKind::kWatchdogStall: return "watchdog_stall";
     case FlightKind::kWatchdogReport: return "watchdog_report";
     case FlightKind::kWatchdogAbort: return "watchdog_abort";
-    case FlightKind::kQuarantine: return "quarantine";
-    case FlightKind::kRebalance: return "rebalance";
     case FlightKind::kCycle: return "cycle";
     case FlightKind::kWalRotate: return "wal_rotate";
     case FlightKind::kCkptPublish: return "ckpt_publish";

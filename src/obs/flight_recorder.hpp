@@ -1,6 +1,7 @@
 // Always-on black-box flight recorder: a fixed-size, lock-light ring of
 // structured events (phase transitions, fail-point fires, watchdog beats and
-// escalations, quarantine/recovery, WAL rotations, checkpoint publications).
+// escalations, lane quarantine, recovery, WAL rotations, checkpoint
+// publications).
 //
 // Purpose: when a run wedges or dies — a watchdog stall verdict, a ph_crash
 // child, a fatal PH_ASSERT — the last few thousand events are dumped to a
@@ -47,8 +48,6 @@ enum class FlightKind : std::uint8_t {
   kWatchdogStall,     ///< poll found a stalled channel; a=channel, b=consecutive
   kWatchdogReport,    ///< rung-2 escalation (report dumped); a=channel
   kWatchdogAbort,     ///< rung-3 escalation (about to abort); a=channel
-  kQuarantine,        ///< shard retired; a=shard slot, b=items drained
-  kRebalance,         ///< partition map re-estimated; a=active shards
   kCycle,             ///< sharded cycle started; a=trace id, b=fresh batch size
   kWalRotate,         ///< new WAL segment opened; a=start sequence
   kCkptPublish,       ///< checkpoint published; a=sequence, b=bytes

@@ -2,12 +2,12 @@
 //
 // The telemetry registry (counters.hpp) answers "what has the process done"
 // — monotone counters and latency histograms merged from per-thread slots.
-// It cannot answer "what is the process doing *now*": per-shard heap sizes,
+// It cannot answer "what is the process doing *now*": staged ingest depth,
 // replay progress, watchdog escalation depth. Those live in component state
 // that telemetry deliberately does not know about.
 //
 // This registry closes the gap with *gauges*: named callbacks registered by
-// the component that owns the state (ShardedHeap, PhaseWatchdog, WalWriter,
+// the component that owns the state (IngestTier, PhaseWatchdog, WalWriter,
 // DurableHeap) and sampled on demand. snapshot() evaluates every gauge,
 // merges the telemetry counters, and stamps the result with a sequence
 // number and timestamp — one coherent ObsSnapshot that the exposition layer
@@ -15,7 +15,7 @@
 // (publisher.hpp) serves over TCP or writes to a file.
 //
 // Gauge callbacks must be safe to invoke from the publisher's thread while
-// the engine runs. The convention (see ShardedHeap::Live) is: the
+// the engine runs. The convention (see DurableHeap::Live) is: the
 // component keeps its observable state in relaxed atomics — mirrors
 // refreshed at phase boundaries, or the counters themselves — and the
 // callback only loads them, never walking live data structures.

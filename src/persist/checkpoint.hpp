@@ -5,8 +5,9 @@
 //
 //   frame 0  header   magic "PHCKPT01", version, item size, op sequence,
 //                     split/active/run counts
-//   frame 1  map      the sharded partition map: split values + active mask
-//                     (both empty for an unsharded heap)
+//   frame 1  map      the sharded partition map: split values + active mask,
+//                     one byte per shard, written as all ones (both empty
+//                     for an unsharded heap)
 //   frame 2..N runs   one frame per sorted run: item count + raw items
 //
 // Publication: the frames are written to `<final>.tmp`, fsync'd (unless
@@ -26,6 +27,7 @@
 // durability layer by adding an overload pair, not by touching the format.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -50,7 +52,7 @@ inline constexpr std::uint32_t kCkptVersion = 1;
 template <typename T>
 struct CheckpointImage {
   std::vector<T> splits;
-  std::vector<std::uint8_t> active;
+  std::vector<std::uint8_t> active;  ///< 1 per serving shard (see from_image)
   bool seeded = false;
   std::vector<std::vector<T>> runs;
 
@@ -271,14 +273,14 @@ void from_image(PipelinedParallelHeap<T, Compare>& pq,
   pq.build(std::span<const T>(all));
 }
 
-// The image is the cycle-boundary snapshot: partition map, active mask, and
-// every shard's items (the rolling sample is dropped; see snapshot()).
+// The image is the cycle-boundary snapshot: the partition map and every
+// shard's items. The active mask is all ones: every shard serves traffic.
 template <typename T, typename Compare>
 CheckpointImage<T> to_image(const ShardedHeap<T, Compare>& pq) {
   typename ShardedHeap<T, Compare>::Snapshot snap = pq.snapshot();
   CheckpointImage<T> img;
   img.splits = std::move(snap.splits);
-  img.active = std::move(snap.active);
+  img.active.assign(pq.num_shards(), std::uint8_t{1});
   img.seeded = snap.seeded;
   img.runs = std::move(snap.shard_items);
   return img;
@@ -286,18 +288,21 @@ CheckpointImage<T> to_image(const ShardedHeap<T, Compare>& pq) {
 
 template <typename T, typename Compare>
 void from_image(ShardedHeap<T, Compare>& pq, const CheckpointImage<T>& img) {
+  const bool all_active =
+      std::all_of(img.active.begin(), img.active.end(),
+                  [](std::uint8_t a) { return a == 1; });
   if (img.runs.size() == pq.num_shards() &&
-      img.active.size() == pq.num_shards()) {
+      img.active.size() == pq.num_shards() && all_active) {
     typename ShardedHeap<T, Compare>::Snapshot snap;
     snap.splits = img.splits;
-    snap.active = img.active;
     snap.seeded = img.seeded;
     snap.shard_items = img.runs;
     pq.restore(snap);
     return;
   }
-  // Shard-count mismatch (checkpoint from a differently-configured heap):
-  // fall back to a flat rebuild — contents are exact, layout is reseeded.
+  // A different shard count, or a mask that retires a shard (older images
+  // could carry one): fall back to a flat rebuild — contents are exact,
+  // the layout is reseeded.
   std::vector<T> all;
   all.reserve(img.total_items());
   for (const auto& run : img.runs) all.insert(all.end(), run.begin(), run.end());

@@ -234,7 +234,7 @@ class DurableHeap {
     return pq_.check_invariants(why);
   }
 
-  /// Lock-free live state (same convention as ShardedHeap::Live): the op
+  /// Lock-free live state (the MetricsRegistry convention): the op
   /// sequence and the replay count live only here, so op_seq(),
   /// recovery_info() and the gauges read the same words. Recovery bumps
   /// `replayed` per applied record, so a scrape DURING a long replay shows

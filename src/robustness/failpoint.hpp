@@ -2,7 +2,7 @@
 //
 // Every layer of the library assumes the happy path unless told otherwise: an
 // allocation that fails mid-batch, a user comparator that throws, a worker
-// that stalls, a shard that trips mid-cycle. This registry gives those
+// that stalls, a WAL append torn by a crash. This registry gives those
 // failure modes *names* and a deterministic firing schedule, so the
 // differential harness can drive each one inside a soak and prove the
 // documented guarantee (rollback, recovery, or detection — see
@@ -64,7 +64,6 @@ enum class FailSite : std::uint8_t {
   kCompareThrow,    ///< user comparator throws (fired by instrumented comparators)
   kThinkThrow,      ///< engine think-callback throws on a worker
   kWorkerStall,     ///< bounded injected delay in a ThreadTeam worker
-  kShardCycle,      ///< shard trips at its cycle boundary (quarantine driver)
   kCkptWrite,       ///< crash/fault between checkpoint frames (persist layer)
   kWalAppend,       ///< crash/fault mid-append: tears a WAL record on disk
   kWalFsync,        ///< crash/fault around the WAL fsync (pre/post durability)
@@ -86,7 +85,6 @@ inline const char* fail_site_name(FailSite s) noexcept {
     case FailSite::kCompareThrow: return "compare_throw";
     case FailSite::kThinkThrow: return "think_throw";
     case FailSite::kWorkerStall: return "worker_stall";
-    case FailSite::kShardCycle: return "shard_cycle";
     case FailSite::kCkptWrite: return "ckpt_write";
     case FailSite::kWalAppend: return "wal_append";
     case FailSite::kWalFsync: return "wal_fsync";

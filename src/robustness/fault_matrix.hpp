@@ -22,9 +22,6 @@
 //   think_throw
 //       at-least-once: engine think lanes that throw are requeued; every
 //       seeded item must still be processed and the heap must drain empty.
-//   shard_cycle
-//       graceful degradation: a quarantined shard's items fold into the
-//       tournament and survivors take over its range — stream stays EXACT.
 //   ckpt_write
 //       non-fatal checkpoints: an injected failure mid-checkpoint is
 //       swallowed by DurableHeap (the .tmp never publishes), the heap keeps
@@ -74,7 +71,6 @@
 
 #include "core/engine.hpp"
 #include "core/pipelined_heap.hpp"
-#include "core/sharded_heap.hpp"
 #include "persist/recovery.hpp"
 #include "robustness/failpoint.hpp"
 #include "svc/core.hpp"
@@ -93,11 +89,10 @@ inline constexpr FailSite kDrilledSites[] = {
     FailSite::kRootAlloc,     FailSite::kSpawnAlloc,
     FailSite::kTornInsert,    FailSite::kSkipReservice,
     FailSite::kCompareThrow,  FailSite::kThinkThrow,
-    FailSite::kWorkerStall,   FailSite::kShardCycle,
-    FailSite::kCkptWrite,     FailSite::kWalAppend,
-    FailSite::kWalFsync,      FailSite::kRecoverReplay,
-    FailSite::kIngestFlush,   FailSite::kSvcAccept,
-    FailSite::kSvcDispatch,
+    FailSite::kWorkerStall,   FailSite::kCkptWrite,
+    FailSite::kWalAppend,     FailSite::kWalFsync,
+    FailSite::kRecoverReplay, FailSite::kIngestFlush,
+    FailSite::kSvcAccept,     FailSite::kSvcDispatch,
 };
 static_assert(sizeof(kDrilledSites) / sizeof(kDrilledSites[0]) == kNumFailSites,
               "every registered FailSite needs a fault-matrix drill: add the "
@@ -108,7 +103,6 @@ struct FaultMatrixConfig {
   std::size_t r = 8;            ///< node capacity for the heap drills
   std::size_t cycles = 300;     ///< ops per drill trace
   std::uint64_t key_bound = std::uint64_t{1} << 16;
-  std::size_t shards = 4;       ///< K for the quarantine drill
 };
 
 struct FaultSiteResult {
@@ -303,36 +297,6 @@ inline FaultSiteResult worker_stall_drill(const FaultMatrixConfig& cfg) {
   if (ok) note_recovery(FailSite::kWorkerStall);  // stalls absorbed, stream exact
   return finish(FailSite::kWorkerStall, ok,
                 ok ? "" : "stream diverged under injected worker stalls: " + f.message);
-}
-
-inline FaultSiteResult shard_cycle_drill(const FaultMatrixConfig& cfg) {
-  disarm_all();
-  const testing::OpTrace trace = drill_trace(cfg, FailSite::kShardCycle);
-  using SH = ShardedHeap<U64>;
-  SH::Config scfg;
-  scfg.shards = cfg.shards;
-  scfg.rebalance_interval = 16;
-  scfg.quarantine = true;
-  SH q(cfg.r, scfg);
-  // Evaluations advance once per active shard per cycle; fire twice early
-  // so the drill covers quarantine-then-keep-running and a repeat
-  // quarantine with one fewer survivor.
-  arm(FailSite::kShardCycle,
-      FireSpec{/*nth=*/cfg.shards + 2, /*period=*/6 * cfg.shards + 1,
-               /*max_fires=*/2, /*stall_us=*/0});
-  testing::DiffOptions opt;
-  opt.invariant_stride = 64;
-  const testing::DiffFailure f = testing::run_differential(q, trace, opt);
-  std::string detail;
-  bool ok = !f.failed;
-  if (f.failed) {
-    detail = "stream diverged across quarantine: " + f.message;
-  } else if (q.sharded_stats().quarantines == 0 &&
-             stats(FailSite::kShardCycle).fires > 0) {
-    ok = false;
-    detail = "shard_cycle fired but no quarantine was recorded";
-  }
-  return finish(FailSite::kShardCycle, ok, std::move(detail));
 }
 
 inline FaultSiteResult think_throw_drill(const FaultMatrixConfig& cfg) {
@@ -698,7 +662,6 @@ inline FaultMatrixReport run_fault_matrix(const FaultMatrixConfig& cfg = {},
   rep.rows.push_back(fm_detail::skip_reservice_drill(cfg));
   rep.rows.push_back(fm_detail::think_throw_drill(cfg));
   rep.rows.push_back(fm_detail::worker_stall_drill(cfg));
-  rep.rows.push_back(fm_detail::shard_cycle_drill(cfg));
   rep.rows.push_back(fm_detail::ckpt_write_drill(cfg));
   rep.rows.push_back(fm_detail::wal_site_drill(
       cfg, FailSite::kWalAppend,

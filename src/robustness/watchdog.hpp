@@ -1,8 +1,8 @@
 // PhaseWatchdog — liveness monitoring for phase-structured pipelines.
 //
 // The pipelined heap's drivers advance in strict phases (half-step barriers,
-// think/maintenance joins, shard cycles); a stalled worker doesn't crash
-// anything, it silently wedges the whole cycle behind a barrier. The
+// think/maintenance joins); a stalled worker doesn't crash anything, it
+// silently wedges the whole cycle behind a barrier. The
 // watchdog makes that visible: each participant owns a *channel* and beats
 // it at its phase crossings (one relaxed-ish atomic store of a monotonic
 // clock); a poller — the driver between cycles, or the optional background
@@ -200,14 +200,6 @@ class PhaseWatchdog {
   /// Total stalled-channel observations across all polls.
   std::uint64_t stalls() const noexcept {
     return stalls_.load(std::memory_order_relaxed);
-  }
-
-  /// Consecutive stalled polls currently charged to `ch` (0 = healthy as of
-  /// the last poll). This is the *verdict* consumers read: ShardedHeap's
-  /// watchdog-driven quarantine retires a shard once its channel's verdict
-  /// reaches a configured threshold. Safe against a concurrent poller.
-  std::uint32_t consecutive_stalls(std::size_t ch) const noexcept {
-    return channels_[ch]->consecutive.load(std::memory_order_relaxed);
   }
 
  private:

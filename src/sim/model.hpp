@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -99,21 +98,5 @@ struct SimResult {
     return processed == o.processed && fingerprint == o.fingerprint;
   }
 };
-
-/// Timestamp-band routing for the sharded and distributed DES drivers:
-/// an event routes to band floor(ts / width) (the queue takes it modulo its
-/// shard count), so one cycle's delete wave — at most lookahead() wide by
-/// the hold-model property — spans bands instead of hammering the
-/// earliest-range shard. `band_width` > 0 is an explicit width in sim-time
-/// units, 0 is the model's lookahead (one conservative window per band),
-/// and < 0 returns no router, leaving the queue's default routing.
-inline std::function<std::size_t(const Event&)> band_router(const Model& model,
-                                                            double band_width) {
-  if (band_width < 0) return nullptr;
-  const double band = band_width > 0 ? band_width : model.lookahead();
-  return [band](const Event& e) {
-    return static_cast<std::size_t>(e.ts >= 0 ? e.ts / band : 0.0);
-  };
-}
 
 }  // namespace ph::sim

@@ -7,7 +7,8 @@
 // a private trace ring. Writers never share a line; readers (collect(),
 // write_chrome_trace()) merge every slot on demand without stopping the
 // writers. Counters here are process-wide; a per-instance quantity (one
-// ShardedHeap's putbacks, say) belongs in that instance's gauges instead.
+// DurableHeap's replayed records, say) belongs in that instance's gauges
+// instead.
 #pragma once
 
 #include <array>

@@ -454,9 +454,7 @@ inline DiffFailure run_trace(const OpTrace& t) {
   }
   if (s == "sharded_heap") {
     opt.invariant_stride = 64;  // drains every shard's pipeline
-    ShardedHeap<U64> q(t.r, ShardedHeap<U64>::Config{/*shards=*/3,
-                                                     /*rebalance_interval=*/16,
-                                                     /*sample_capacity=*/1024});
+    ShardedHeap<U64> q(t.r, ShardedHeap<U64>::Config{/*shards=*/3});
     return run_differential(q, t, opt);
   }
   if (s == "engine_pipeline") {
@@ -500,20 +498,12 @@ inline DiffFailure run_trace(const OpTrace& t) {
     return run_differential(q, t, opt);
   }
   if (s == "ingest_sharded_strict") {
-    // Staging over a 3-shard heap with a key-band router on the shards
-    // underneath — the full producer → staging → route → shard pipeline,
-    // bit-exact.
+    // Staging over a 3-shard heap — the full producer → staging → route →
+    // shard pipeline, bit-exact.
     opt.invariant_stride = 64;
-    ShardedHeap<U64>::Config c;
-    c.shards = 3;
-    c.rebalance_interval = 16;
-    c.sample_capacity = 1024;
-    // Banded router (Config::router seam): coalesced runs land on shards by
-    // key band, exercising the route-by-run path instead of the quantile map.
-    c.router = [](const U64& v) { return static_cast<std::size_t>(v >> 6); };
     ingest::IngestConfig ic;
     ic.producers = 4;
-    IngestTierAdapter<ShardedHeap<U64>> q(ShardedHeap<U64>(t.r, c), ic);
+    IngestTierAdapter<ShardedHeap<U64>> q(ShardedHeap<U64>(t.r, {/*shards=*/3}), ic);
     return run_differential(q, t, opt);
   }
   return {true, 0, "unknown structure '" + s + "' (see structures.hpp)"};

@@ -1,10 +1,9 @@
 // Recovery-path tests for the fault-tolerance subsystem (src/robustness/):
 // the fail-point registry's deterministic schedules, the strong-guarantee
 // batch wrappers under injected OOM / torn batches / throwing comparators,
-// snapshot/restore checkpoints, shard quarantine (fault- and deadline-
-// driven) with exact deletion streams, the engine's at-least-once think
-// recovery, the phase watchdog's escalation ladder on a fake clock, the
-// assert-flush hook, and SenseBarrier liveness under oversubscription.
+// snapshot/restore checkpoints, the engine's at-least-once think recovery,
+// the phase watchdog's escalation ladder on a fake clock, the assert-flush
+// hook, and SenseBarrier liveness under oversubscription.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,13 +15,9 @@
 
 #include "core/engine.hpp"
 #include "core/pipelined_heap.hpp"
-#include "core/sharded_heap.hpp"
 #include "robustness/fault_matrix.hpp"
 #include "robustness/failpoint.hpp"
 #include "robustness/watchdog.hpp"
-#include "sim/network.hpp"
-#include "sim/serial_sim.hpp"
-#include "sim/sharded_sim.hpp"
 #include "telemetry/telemetry.hpp"
 #include "testing/differential.hpp"
 #include "testing/op_trace.hpp"
@@ -248,208 +243,6 @@ TEST(FaultRecovery, VerifyInvariantsSeesMidPipelineState) {
   EXPECT_GT(q.inflight(), 0u);  // the check must not have drained
 }
 
-// -------------------------------------------------- shard quarantine
-
-TEST(Quarantine, InjectedShardFaultPreservesExactStream) {
-  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
-  DisarmGuard guard;
-  testing::GenConfig gen;
-  gen.r = 8;
-  gen.cycles = 300;
-  gen.seed = 77;
-  const testing::OpTrace trace = testing::generate_trace(gen);
-
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 4;
-  scfg.rebalance_interval = 16;
-  scfg.quarantine = true;
-  ShardedHeap<U64> q(8, scfg);
-  // Evaluations advance once per active shard per cycle: fire in cycle 2
-  // (second active shard), then once more ~6 cycles later.
-  rb::arm(rb::FailSite::kShardCycle, rb::FireSpec{6, 25, 2, 0});
-
-  testing::DiffOptions opt;
-  opt.invariant_stride = 64;
-  const testing::DiffFailure f = testing::run_differential(q, trace, opt);
-  EXPECT_FALSE(f.failed) << f.message;
-  EXPECT_GE(q.sharded_stats().quarantines, 1u);
-  EXPECT_LT(q.active_shards(), 4u);
-}
-
-TEST(Quarantine, QuarantineWithInflightPipelinesLosesNoItems) {
-  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
-  DisarmGuard guard;
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 4;
-  scfg.quarantine = true;
-  ShardedHeap<U64> q(8, scfg);
-
-  // Feed several insert-heavy cycles so every shard has parked processes,
-  // then trip a shard while those pipelines are mid-flight.
-  testing::SortedOracle oracle;
-  std::vector<U64> got, want;
-  Xoshiro256 rng(3);
-  for (int c = 0; c < 40; ++c) {
-    std::vector<U64> fresh(24);
-    for (auto& v : fresh) v = rng.next_below(1u << 20);
-    if (c == 10) rb::arm(rb::FailSite::kShardCycle, rb::FireSpec{2, 0, 1, 0});
-    got.clear();
-    want.clear();
-    q.cycle(fresh, 8, got);
-    oracle.cycle(fresh, 8, want);
-    ASSERT_EQ(got, want) << "cycle " << c;
-  }
-  EXPECT_GE(q.sharded_stats().quarantines, 1u);
-  // Drain both sides completely: exact same tail.
-  while (oracle.size() > 0) {
-    got.clear();
-    want.clear();
-    q.cycle({}, 8, got);
-    oracle.cycle({}, 8, want);
-    ASSERT_EQ(got, want);
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-std::uint64_t g_fake_now = 0;
-std::uint64_t fake_clock() { return g_fake_now; }
-
-TEST(Quarantine, WatchdogStallVerdictRetiresShardOnFakeClock) {
-  // Satellite of the durability PR: PhaseWatchdog verdicts feed ShardedHeap
-  // retirement. Shard 2's heartbeat goes silent on a fake clock; after the
-  // configured consecutive stalled polls its shard is quarantined at the
-  // next cycle boundary, and the deletion stream stays exact throughout.
-  rb::PhaseWatchdog::Config wcfg;
-  wcfg.stall_timeout_ns = 1000;
-  wcfg.clock = &fake_clock;
-  g_fake_now = 0;
-  rb::PhaseWatchdog wd(wcfg);
-
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 4;
-  ShardedHeap<U64> q(8, scfg);
-  q.attach_watchdog(wd, /*polls_to_quarantine=*/2);
-
-  testing::SortedOracle oracle;
-  std::vector<U64> got, want;
-  Xoshiro256 rng(13);
-  const std::size_t victim = 2;
-  for (int c = 0; c < 40; ++c) {
-    std::vector<U64> fresh(20);
-    for (auto& v : fresh) v = rng.next_below(1u << 20);
-    got.clear();
-    want.clear();
-    q.cycle(fresh, 8, got);
-    oracle.cycle(fresh, 8, want);
-    ASSERT_EQ(got, want) << "cycle " << c;
-    if (c >= 10 && c < 12) {
-      // Between cycles: time passes, every shard but the victim beats, and
-      // the poller runs. Two such polls reach the verdict threshold.
-      g_fake_now += 5000;
-      for (std::size_t s = 0; s < 4; ++s) {
-        if (s != victim && q.shard_active(s)) wd.beat(q.watchdog_channel(s));
-      }
-      wd.poll();
-    }
-  }
-  EXPECT_FALSE(q.shard_active(victim));
-  EXPECT_EQ(q.active_shards(), 3u);
-  EXPECT_GE(q.sharded_stats().quarantines, 1u);
-  // Exact tail: the retired shard's items were redistributed, not lost.
-  while (!oracle.empty() || !q.empty()) {
-    got.clear();
-    want.clear();
-    q.cycle({}, 8, got);
-    oracle.cycle({}, 8, want);
-    ASSERT_EQ(got, want);
-  }
-}
-
-TEST(Quarantine, WatchdogNeverRetiresTheLastShard) {
-  rb::PhaseWatchdog::Config wcfg;
-  wcfg.stall_timeout_ns = 1000;
-  wcfg.clock = &fake_clock;
-  g_fake_now = 0;
-  rb::PhaseWatchdog wd(wcfg);
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 3;
-  ShardedHeap<U64> q(4, scfg);
-  q.attach_watchdog(wd, 1);
-
-  std::vector<U64> sink;
-  q.cycle(seeded_keys(40), 4, sink);
-  // Every channel stalls; polls accumulate verdicts against all shards.
-  g_fake_now += 1u << 20;
-  wd.poll();
-  wd.poll();
-  testing::SortedOracle oracle;
-  std::vector<U64> rest(sink.begin(), sink.end());  // already deleted
-  sink.clear();
-  q.cycle({}, 4, sink);  // quarantine sweep happens here
-  EXPECT_EQ(q.active_shards(), 1u);  // degraded to one survivor, never zero
-  // The heap still answers exactly: drain and check global sortedness.
-  std::vector<U64> drained(sink.begin(), sink.end());
-  while (true) {
-    sink.clear();
-    q.cycle({}, 4, sink);
-    if (sink.empty()) break;
-    drained.insert(drained.end(), sink.begin(), sink.end());
-  }
-  EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end()));
-  EXPECT_EQ(drained.size() + rest.size(), 40u);
-}
-
-TEST(Quarantine, BuildReactivatesQuarantinedShards) {
-  // Watchdog verdicts retire shards without a fail-point build; build()
-  // must bring every retired shard back.
-  rb::PhaseWatchdog::Config wcfg;
-  wcfg.stall_timeout_ns = 1000;
-  wcfg.clock = &fake_clock;
-  g_fake_now = 0;
-  rb::PhaseWatchdog wd(wcfg);
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 4;
-  ShardedHeap<U64> q(8, scfg);
-  q.attach_watchdog(wd, 1);
-  std::vector<U64> sink;
-  q.cycle(seeded_keys(64), 8, sink);
-  g_fake_now += 1u << 20;
-  wd.poll();
-  q.cycle({}, 8, sink);  // the verdicts retire shards here
-  ASSERT_LT(q.active_shards(), 4u);
-
-  q.build(seeded_keys(32));
-  EXPECT_EQ(q.active_shards(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(q.shard_active(i));
-}
-
-TEST(Quarantine, DesOutcomeExactWithShardKilledMidRun) {
-  if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
-  DisarmGuard guard;
-  const sim::Topology topo = sim::make_torus(8, 8);
-  sim::ModelConfig mc;
-  mc.seed = 5;
-  const sim::Model model(topo, mc);
-  const double end_time = 60.0;
-  const sim::SimResult want = sim::run_serial_sim(model, end_time);
-  ASSERT_GT(want.processed, 0u);
-
-  sim::ShardedSimConfig cfg;
-  cfg.queue.shards = 4;
-  cfg.node_capacity = 32;
-  cfg.batch = 32;
-  cfg.queue.quarantine = true;
-  // Kill one shard mid-run (evals advance once per active shard per cycle).
-  rb::arm(rb::FailSite::kShardCycle, rb::FireSpec{4 * 10 + 2, 0, 1, 0});
-  const sim::ShardedSimResult got = sim::run_sharded_sim(model, end_time, cfg);
-  rb::disarm_all();
-
-  EXPECT_EQ(got.shard.quarantines, 1u);
-  EXPECT_TRUE(got.sim.same_outcome(want))
-      << "processed " << got.sim.processed << " vs " << want.processed
-      << ", fingerprint " << got.sim.fingerprint << " vs " << want.fingerprint;
-}
-
 // ------------------------------------------------ engine think recovery
 
 TEST(EngineFaults, ThrowingThinkLaneIsRequeuedAtLeastOnce) {
@@ -513,6 +306,9 @@ TEST(EngineFaults, UserExceptionIsAlsoContained) {
 }
 
 // --------------------------------------------------------- watchdog
+
+std::uint64_t g_fake_now = 0;
+std::uint64_t fake_clock() { return g_fake_now; }
 
 TEST(Watchdog, LadderEscalatesOnFakeClock) {
   rb::PhaseWatchdog::Config cfg;

@@ -4,8 +4,8 @@
 // format, causal trace context in the Chrome export (valid JSON, per-thread
 // chronology, accurate dropped-span accounting on ring wrap), the watchdog's
 // pluggable report sink, build provenance, and the acceptance chain: a
-// fail-point-induced quarantine plus a watchdog stall verdict must land in
-// one flight dump in causal order.
+// fail-point-induced think-lane quarantine plus a watchdog stall verdict must
+// land in one flight dump in causal order.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -21,12 +21,14 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/sharded_heap.hpp"
 #include "obs/exposition.hpp"
 #include "obs/flight_recorder.hpp"
@@ -455,26 +457,29 @@ TEST(Watchdog, ReportSinkReceivesBlockAndFlightDumpIsWritten) {
   EXPECT_TRUE(kinds.count("watchdog_report"));
 }
 
-// Acceptance chain: fail-point fire → shard quarantine → watchdog stall
+// Acceptance chain: fail-point fire → think-lane quarantine → watchdog stall
 // verdict, all visible in ONE flight dump in causal (recorded) order.
-TEST(FlightDump, FailpointQuarantineAndStallAppearInCausalOrder) {
+TEST(FlightDump, FailpointLaneQuarantineAndStallAppearInCausalOrder) {
   if (!rb::kFailpoints) GTEST_SKIP() << "built with PH_FAILPOINTS=OFF";
   DisarmGuard guard;
+  // The ring also holds earlier tests' events (stalls, reports) when the
+  // whole binary runs in one process; the chain is judged from here on.
+  const std::uint64_t t0 = obs::FlightRecorder::instance().now_ns();
 
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 4;
-  scfg.quarantine = true;
-  ShardedHeap<U64> q(8, scfg);
-  rb::arm(rb::FailSite::kShardCycle, rb::FireSpec{2, 0, 1, 0});
+  EngineConfig ecfg;
+  ecfg.node_capacity = 8;
+  ecfg.think_threads = 2;
+  ecfg.lane_fault_limit = 1;  // the first throw retires its lane
+  ParallelHeapEngine<U64> engine(ecfg);
   Xoshiro256 rng(17);
-  std::vector<U64> sink;
-  for (int c = 0; c < 8 && q.sharded_stats().quarantines == 0; ++c) {
-    std::vector<U64> fresh(24);
-    for (auto& v : fresh) v = rng.next_below(1u << 20);
-    sink.clear();
-    q.cycle(fresh, 8, sink);
-  }
-  ASSERT_GE(q.sharded_stats().quarantines, 1u);
+  std::vector<U64> items(64);
+  for (auto& v : items) v = rng.next_below(1u << 20);
+  engine.seed(items);
+  rb::arm(rb::FailSite::kThinkThrow, rb::FireSpec{2, 0, 1, 0});
+  const EngineReport rep = engine.run(
+      [](unsigned, std::span<const U64>, std::span<const U64>, std::vector<U64>&) {});
+  rb::disarm_all();
+  ASSERT_EQ(rep.lanes_quarantined, 1u);
 
   // Now a stall verdict on a fake clock persists the ring.
   g_fake_now = 2'000'000'000;
@@ -483,7 +488,7 @@ TEST(FlightDump, FailpointQuarantineAndStallAppearInCausalOrder) {
   wcfg.dump_after_polls = 1;
   wcfg.clock = &fake_clock;
   rb::PhaseWatchdog wd(wcfg);
-  wd.add_channel("shard-0");
+  wd.add_channel("think-pipeline");
   g_fake_now += 1'000'000;
   ASSERT_TRUE(wd.poll().dumped);
   const std::string path = wd.last_flight_dump();
@@ -491,23 +496,29 @@ TEST(FlightDump, FailpointQuarantineAndStallAppearInCausalOrder) {
 
   const auto doc = minijson::parse(slurp(path));
   const auto& events = doc.at("events").array();
-  const auto site = static_cast<double>(rb::FailSite::kShardCycle);
-  std::ptrdiff_t fire_idx = -1, quar_idx = -1, report_idx = -1;
+  const auto site = static_cast<double>(rb::FailSite::kThinkThrow);
+  std::ptrdiff_t fire_idx = -1, quar_idx = -1, stall_idx = -1, report_idx = -1;
   for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].at("t_ns").number() < static_cast<double>(t0)) continue;
     const std::string kind = events[i].at("kind").str();
     if (kind == "failpoint_fire" && events[i].at("a").number() == site) {
       if (fire_idx < 0) fire_idx = static_cast<std::ptrdiff_t>(i);
     }
-    if (kind == "quarantine" && quar_idx < 0) {
+    if (kind == "lane_quarantine" && quar_idx < 0) {
       quar_idx = static_cast<std::ptrdiff_t>(i);
+    }
+    if (kind == "watchdog_stall" && stall_idx < 0) {
+      stall_idx = static_cast<std::ptrdiff_t>(i);
     }
     if (kind == "watchdog_report") report_idx = static_cast<std::ptrdiff_t>(i);
   }
   ASSERT_GE(fire_idx, 0) << "fail-point fire missing from flight dump";
-  ASSERT_GE(quar_idx, 0) << "quarantine missing from flight dump";
+  ASSERT_GE(quar_idx, 0) << "lane quarantine missing from flight dump";
+  ASSERT_GE(stall_idx, 0) << "watchdog stall missing from flight dump";
   ASSERT_GE(report_idx, 0) << "watchdog report missing from flight dump";
   EXPECT_LT(fire_idx, quar_idx);
-  EXPECT_LT(quar_idx, report_idx);
+  EXPECT_LT(quar_idx, stall_idx);
+  EXPECT_LT(stall_idx, report_idx);
 }
 
 // ------------------------------------------------------------ publisher
@@ -610,92 +621,6 @@ TEST(Provenance, PopulatedAndSerializable) {
   EXPECT_EQ(doc.at("cores").number(), static_cast<double>(p.cores));
   EXPECT_TRUE(doc.has("telemetry"));
   EXPECT_TRUE(doc.has("failpoints"));
-}
-
-// ---------------------------------------------- sharded heap live gauges
-
-TEST(LiveGauges, ShardedHeapExportsAdvancingPerShardGauges) {
-  ShardedHeap<U64>::Config scfg;
-  scfg.shards = 2;
-  ShardedHeap<U64> q(8, scfg);
-  q.register_gauges("gauge-test");
-
-  auto sample = [&] {
-    std::map<std::string, double> out;
-    for (const auto& g : obs::MetricsRegistry::instance().snapshot().gauges) {
-      std::string key = g.desc.name;
-      for (const auto& [k, v] : g.desc.labels) key += "|" + k + "=" + v;
-      out[key] = g.value;
-    }
-    return out;
-  };
-
-  std::vector<U64> init(256);
-  Xoshiro256 rng(23);
-  for (auto& v : init) v = rng.next_below(1u << 16);
-  q.build(init);
-  const auto s0 = sample();
-  ASSERT_TRUE(s0.count("heap_size|heap=gauge-test"));
-  EXPECT_DOUBLE_EQ(s0.at("heap_size|heap=gauge-test"), 256.0);
-  EXPECT_DOUBLE_EQ(s0.at("active_shards|heap=gauge-test"), 2.0);
-  ASSERT_TRUE(s0.count("shard_size|heap=gauge-test|shard=0"));
-  ASSERT_TRUE(s0.count("shard_size|heap=gauge-test|shard=1"));
-  EXPECT_DOUBLE_EQ(s0.at("shard_size|heap=gauge-test|shard=0") +
-                       s0.at("shard_size|heap=gauge-test|shard=1"),
-                   256.0);
-
-  std::vector<U64> sink;
-  q.cycle({}, 8, sink);  // delete-only cycle shrinks the heap
-  const auto s1 = sample();
-  EXPECT_DOUBLE_EQ(s1.at("heap_size|heap=gauge-test"), 248.0);
-  EXPECT_GT(s1.at("heap_cycles|heap=gauge-test"),
-            s0.at("heap_cycles|heap=gauge-test"));
-
-  // The heap_* gauges and sharded_stats() read the same counters, so they
-  // agree exactly at every cycle boundary: after putbacks and after a
-  // quarantine.
-  DisarmGuard guard;
-  ShardedHeap<U64>::Config tcfg;
-  tcfg.shards = 3;
-  tcfg.rebalance_interval = 4;
-  tcfg.quarantine = true;
-  tcfg.min_hint = false;  // every losing prefix is a putback
-  ShardedHeap<U64> t(8, tcfg);
-  t.register_gauges("gauge-three");
-  auto expect_match = [&](const char* when) {
-    const ShardedStats st = t.sharded_stats();
-    const auto g = sample();
-    auto at = [&](const char* name) {
-      return g.at(std::string(name) + "|heap=gauge-three");
-    };
-    EXPECT_DOUBLE_EQ(at("heap_cycles"), static_cast<double>(st.cycles)) << when;
-    EXPECT_DOUBLE_EQ(at("heap_routed"), static_cast<double>(st.routed)) << when;
-    EXPECT_DOUBLE_EQ(at("heap_putbacks"), static_cast<double>(st.putbacks)) << when;
-    EXPECT_DOUBLE_EQ(at("heap_rebalances"), static_cast<double>(st.rebalances)) << when;
-    EXPECT_DOUBLE_EQ(at("heap_quarantines"), static_cast<double>(st.quarantines)) << when;
-    EXPECT_DOUBLE_EQ(at("heap_hint_skips"), static_cast<double>(st.hint_skips)) << when;
-  };
-  auto run = [&](int cycles) {
-    for (int c = 0; c < cycles; ++c) {
-      std::vector<U64> fresh(6);
-      for (auto& v : fresh) v = rng.next_below(1u << 16);
-      sink.clear();
-      t.cycle(fresh, 4, sink);
-    }
-  };
-  run(40);
-  EXPECT_GT(t.sharded_stats().putbacks, 0u);
-  EXPECT_GT(t.sharded_stats().rebalances, 0u);
-  expect_match("after putbacks");
-
-  if (!rb::kFailpoints) return;  // the quarantine below needs a fail-point
-  rb::arm(rb::FailSite::kShardCycle, rb::FireSpec{2, 0, 1, 0});
-  for (int c = 0; c < 8 && t.sharded_stats().quarantines == 0; ++c) run(1);
-  rb::disarm_all();
-  ASSERT_EQ(t.sharded_stats().quarantines, 1u);
-  expect_match("after a quarantine");
-  run(8);
-  expect_match("after cycling on the survivors");
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Tests for the sharded cycle's refinements and E15's baselines
-// (core/sharded_heap.hpp): the cross-shard min hint's exactness and putback
-// reduction, the timestamp-band DES routing, the flat-combining frontend,
-// and the concurrent differential-registry entries.
+// Tests for the sharded cycle's min hint (core/sharded_heap.hpp), the
+// flat-combining baseline (baselines/flat_combining_pq.hpp), and the
+// concurrent differential-registry entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,11 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "baselines/flat_combining_pq.hpp"
 #include "core/sharded_heap.hpp"
-#include "sim/network.hpp"
-#include "sim/serial_sim.hpp"
-#include "sim/sharded_sim.hpp"
 #include "testing/op_trace.hpp"
+#include "testing/oracle.hpp"
 #include "testing/structures.hpp"
 #include "util/rng.hpp"
 
@@ -23,84 +21,45 @@ namespace {
 using U64 = std::uint64_t;
 using testing::GenConfig;
 using testing::OpTrace;
-
-ShardedHeap<U64>::Config base_cfg(std::size_t shards) {
-  ShardedHeap<U64>::Config c;
-  c.shards = shards;
-  c.rebalance_interval = 16;
-  c.sample_capacity = 256;
-  return c;
-}
+using testing::SortedOracle;
 
 // ------------------------------------------------------------ min hint
 
 TEST(ParallelCycle, MinHintSkipsLosingShardsExactly) {
   // Seed the partition map so shard 0 owns all the small keys, then drain:
-  // shards 1..2 provably lose every tournament and the hint must skip their
-  // pull/putback round-trips — with the deletion stream identical to the
-  // hint-off run, fewer putbacks, and hint_skips counted.
-  auto run = [](bool hint, ShardedStats* stats) {
-    ShardedHeap<U64>::Config cfg = base_cfg(3);
-    cfg.rebalance_interval = 0;  // keep the seeded map
-    cfg.min_hint = hint;
-    ShardedHeap<U64> q(8, cfg);
-    std::vector<U64> seedv;
-    for (U64 v = 0; v < 300; ++v) seedv.push_back(v * 3);
-    q.build(seedv);
-    std::vector<std::vector<U64>> stream;
-    Xoshiro256 rng(5);
-    std::vector<U64> fresh;
-    for (int cycle = 0; cycle < 120; ++cycle) {
-      fresh.clear();
-      for (std::size_t i = rng.next_below(4); i > 0; --i) {
-        fresh.push_back(rng.next_below(1000));
-      }
-      stream.emplace_back();
-      q.cycle(fresh, rng.next_below(9), stream.back());
+  // shards 1..2 provably lose most tournaments, so the hint skips their
+  // pull/putback round-trips. Every cycle's deletions must still equal the
+  // sorted-multiset oracle's, and the skips must be counted.
+  ShardedHeap<U64> q(8, ShardedHeap<U64>::Config{3});
+  SortedOracle oracle;
+  std::vector<U64> seedv, got, want, fresh;
+  for (U64 v = 0; v < 300; ++v) seedv.push_back(v * 3);
+  q.build(seedv);
+  oracle.cycle(seedv, 0, want);
+  Xoshiro256 rng(5);
+  for (int cycle = 0; cycle < 120; ++cycle) {
+    fresh.clear();
+    for (std::size_t i = rng.next_below(4); i > 0; --i) {
+      fresh.push_back(rng.next_below(1000));
     }
-    for (;;) {
-      stream.emplace_back();
-      if (q.cycle({}, 8, stream.back()) == 0) break;
-    }
-    *stats = q.sharded_stats();
-    return stream;
-  };
-
-  ShardedStats with_hint, without;
-  const auto s1 = run(true, &with_hint);
-  const auto s0 = run(false, &without);
-  EXPECT_EQ(s1, s0) << "hint changed the deletion stream";
-  EXPECT_GT(with_hint.hint_skips, 0u);
-  EXPECT_EQ(without.hint_skips, 0u);
-  EXPECT_LE(with_hint.putbacks, without.putbacks);
-  EXPECT_LT(with_hint.putbacks, without.putbacks)
-      << "hint never removed a putback round-trip on this workload";
-}
-
-// ------------------------------------------------------- banded DES routing
-
-TEST(ParallelCycle, BandedRoutingExactOnDes) {
-  const sim::Topology topo = sim::make_torus(8, 8);
-  sim::ModelConfig mc;
-  mc.seed = 21;
-  const sim::Model model(topo, mc);
-  const double end_time = 40.0;
-  const sim::SimResult want = sim::run_serial_sim(model, end_time);
-  ASSERT_GT(want.processed, 0u);
-
-  for (double band : {0.0, 0.5, 4.0}) {  // 0 = auto (lookahead width)
-    sim::ShardedSimConfig cfg;
-    cfg.queue.shards = 3;
-    cfg.node_capacity = 32;
-    cfg.batch = 32;
-    cfg.band_width = band;
-    const sim::ShardedSimResult got = sim::run_sharded_sim(model, end_time, cfg);
-    EXPECT_TRUE(got.sim.same_outcome(want)) << "band=" << band;
-    EXPECT_GT(got.shard.routed, 0u);
-    // Band routing replaces the quantile partitioner; there is no map to
-    // re-estimate, so no rebalances can occur.
-    EXPECT_EQ(got.shard.rebalances, 0u) << "band=" << band;
+    const std::size_t k = rng.next_below(9);
+    got.clear();
+    want.clear();
+    q.cycle(fresh, k, got);
+    oracle.cycle(fresh, k, want);
+    ASSERT_EQ(got, want) << "cycle " << cycle;
   }
+  for (int cycle = 0;; ++cycle) {
+    got.clear();
+    want.clear();
+    const std::size_t nq = q.cycle({}, 8, got);
+    const std::size_t no = oracle.cycle({}, 8, want);
+    ASSERT_EQ(got, want) << "drain cycle " << cycle;
+    if (nq == 0 && no == 0) break;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(q.sharded_stats().hint_skips, 0u)
+      << "the hint never skipped a losing shard on this workload";
 }
 
 // ------------------------------------------------- flat-combining baseline

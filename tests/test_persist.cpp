@@ -266,6 +266,7 @@ TEST(Checkpoint, ShardedRoundTripPreservesPartitionMap) {
   ShardedHeap<U64> q2(8, scfg);
   ps::from_image(q2, img);
   EXPECT_EQ(q2.size(), q.size());
+  EXPECT_EQ(q2.partitioner().splits(), q.partitioner().splits());
   std::string why;
   EXPECT_TRUE(q2.check_invariants(&why)) << why;
   // Exact same future stream.
@@ -277,6 +278,54 @@ TEST(Checkpoint, ShardedRoundTripPreservesPartitionMap) {
     q2.cycle({}, 8, b);
     ASSERT_EQ(a, b);
   }
+}
+
+TEST(Checkpoint, ShardedImageWithRetiredShardRebuildsExactly) {
+  // An image whose active mask retires a shard, as an older build with
+  // shard quarantine could write one: shard 1's run is empty, its items
+  // moved to a survivor, and the map narrowed to the three survivors. It
+  // must load through the flat rebuild with exact contents and an exact
+  // future stream.
+  TempDir dir;
+  ShardedHeap<U64>::Config scfg;
+  scfg.shards = 4;
+  ShardedHeap<U64> q(8, scfg);
+  testing::SortedOracle oracle;
+  std::vector<U64> init, sink;
+  Xoshiro256 rng(41);
+  for (int i = 0; i < 200; ++i) init.push_back(rng.next_below(1u << 20));
+  q.build(init);
+  oracle.cycle(init, 0, sink);
+  run_ops(q, oracle, 41, 30, 8);
+  ASSERT_GT(oracle.size(), 100u);
+  ps::CheckpointImage<U64> img = ps::to_image(q);
+  ASSERT_EQ(img.runs.size(), 4u);
+  ASSERT_EQ(img.active, (std::vector<std::uint8_t>{1, 1, 1, 1}));
+  ASSERT_EQ(img.splits.size(), 3u);
+  std::vector<U64>& survivor = img.runs[2];
+  survivor.insert(survivor.end(), img.runs[1].begin(), img.runs[1].end());
+  std::sort(survivor.begin(), survivor.end());
+  img.runs[1].clear();
+  img.active[1] = 0;
+  img.splits.erase(img.splits.begin() + 1);
+  ps::write_checkpoint(dir.path, 30, img, ps::FsyncPolicy::kNever);
+
+  ps::CheckpointImage<U64> loaded;
+  std::uint64_t seq = 0;
+  const auto ckpts = ps::list_checkpoints(dir.path);
+  ASSERT_EQ(ckpts.size(), 1u);
+  ASSERT_TRUE(ps::load_checkpoint(ckpts[0].second, loaded, seq));
+  EXPECT_EQ(loaded.active, (std::vector<std::uint8_t>{1, 0, 1, 1}));
+
+  ShardedHeap<U64> q2(8, scfg);
+  ps::from_image(q2, loaded);
+  EXPECT_EQ(q2.size(), oracle.size());
+  // The flat rebuild reseeds the map over all four shards.
+  EXPECT_EQ(q2.partitioner().splits().size(), 3u);
+  std::string why;
+  EXPECT_TRUE(q2.check_invariants(&why)) << why;
+  run_ops(q2, oracle, 42, 30, 8);
+  drain_exact(q2, oracle, 8);
 }
 
 TEST(Checkpoint, BitFlippedFrameFailsValidation) {

@@ -1,8 +1,8 @@
-// Tests for the key-range-sharded heap front end (core/sharded_heap.hpp)
-// and its DES consumer (sim/sharded_sim.hpp): partitioner properties, the
-// K=1 bit-for-bit degeneration, the shard-drain edge cases named by the
-// bring-up (empty shards in the merge, boundary duplicates, rebalancing with
-// in-flight pipelines), and outcome-exactness of the sharded simulation.
+// Tests for the key-range-sharded heap front end (core/sharded_heap.hpp):
+// partitioner properties, the K=1 bit-for-bit degeneration, the shard-drain
+// edge cases named by the bring-up (empty shards in the merge, boundary
+// duplicates), and outcome-exactness of the window DES over a sharded queue
+// — the way bench/stack's des_torus drives it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +12,9 @@
 
 #include "core/pipelined_heap.hpp"
 #include "core/sharded_heap.hpp"
-#include "robustness/watchdog.hpp"
 #include "sim/network.hpp"
 #include "sim/serial_sim.hpp"
-#include "sim/sharded_sim.hpp"
+#include "sim/sync_sim.hpp"
 #include "testing/op_trace.hpp"
 #include "testing/oracle.hpp"
 #include "testing/structures.hpp"
@@ -38,7 +37,7 @@ TEST(Partitioner, EveryKeyRoutesToExactlyOneShard) {
     KeyRangePartitioner<U64> part(shards);
     std::vector<U64> sample;
     for (int i = 0; i < 500; ++i) sample.push_back(rng.next_below(1u << 20));
-    part.rebalance(sample);
+    part.set_quantiles(sample);
     ASSERT_EQ(part.splits().size(), shards - 1);
     // route() is a total function into [0, shards): exactly one shard per
     // key, including the extremes of the domain.
@@ -54,7 +53,7 @@ TEST(Partitioner, SplitsCoverDomainAndRouteIsMonotone) {
   KeyRangePartitioner<U64> part(4);
   std::vector<U64> sample;
   for (U64 v = 0; v < 4000; ++v) sample.push_back(v * 7);  // distinct keys
-  part.rebalance(sample);
+  part.set_quantiles(sample);
   ASSERT_EQ(part.splits().size(), 3u);
   EXPECT_TRUE(std::is_sorted(part.splits().begin(), part.splits().end()));
   // The splits partition [min, max] into contiguous shard-owned ranges:
@@ -97,7 +96,7 @@ TEST(ShardedHeap, K1MatchesUnshardedPipelinedBitForBit) {
     gen.seed = seed;
     const OpTrace t = generate_trace(gen);
 
-    ShardedHeap<U64> sharded(gen.r, ShardedHeap<U64>::Config{1, 4, 64});
+    ShardedHeap<U64> sharded(gen.r, ShardedHeap<U64>::Config{1});
     PipelinedParallelHeap<U64> plain(gen.r);
     std::vector<U64> got_s, got_p;
     for (const auto& op : t.ops) {
@@ -126,7 +125,7 @@ TEST(ShardedHeap, EmptyShardsParticipateInMerge) {
   // every split: shards 1..K-1 drain empty while shard 0 stays hot. Empty
   // shards must contribute empty prefixes (not stall or fabricate), the
   // merge width must collapse to 1, and the stream must stay exact.
-  ShardedHeap<U64> q(8, ShardedHeap<U64>::Config{3, 0, 256});
+  ShardedHeap<U64> q(8, ShardedHeap<U64>::Config{3});
   SortedOracle oracle;
   std::vector<U64> got, want, fresh;
 
@@ -158,7 +157,7 @@ TEST(ShardedHeap, DuplicateKeysStraddlingPartitionBoundary) {
   // sides. Every copy routes to the right-of-split shard (deterministic),
   // and the merge's shard-index tie-break must keep the global stream equal
   // to the multiset oracle — no copy lost, duplicated, or reordered.
-  ShardedHeap<U64> q(4, ShardedHeap<U64>::Config{3, 0, 256});
+  ShardedHeap<U64> q(4, ShardedHeap<U64>::Config{3});
   std::vector<U64> seedv;
   for (U64 v = 0; v < 300; v += 2) seedv.push_back(v);  // split lands mid-range
   q.build(seedv);
@@ -194,63 +193,10 @@ TEST(ShardedHeap, DuplicateKeysStraddlingPartitionBoundary) {
   }
 }
 
-TEST(ShardedHeap, RebalanceWhileCycleInFlight) {
-  // Re-estimating the partition map every single cycle means the map moves
-  // while older items — routed under previous maps — are still inside shard
-  // pipelines (in-flight update processes). Shard contents then overlap in
-  // key range, which the merge must tolerate: it never assumes disjointness.
-  ShardedHeap<U64> q(8, ShardedHeap<U64>::Config{4, 1, 128});
-  SortedOracle oracle;
-  Xoshiro256 rng(29);
-  std::vector<U64> got, want, fresh;
-  bool saw_inflight_rebalance = false;
-  std::uint64_t last_rebalances = 0;
-
-  for (int cycle = 0; cycle < 400; ++cycle) {
-    fresh.clear();
-    // Drifting key distribution so successive maps genuinely differ.
-    const U64 base = static_cast<U64>(cycle) * 50;
-    for (std::size_t i = rng.next_below(12); i > 0; --i) {
-      fresh.push_back(base + rng.next_below(2000));
-    }
-    const std::size_t k = rng.next_below(9);
-    got.clear();
-    want.clear();
-    q.cycle(fresh, k, got);
-    oracle.cycle(fresh, k, want);
-    ASSERT_EQ(got, want) << "cycle " << cycle;
-
-    const auto& st = q.sharded_stats();
-    if (st.rebalances > last_rebalances) {
-      last_rebalances = st.rebalances;
-      for (std::size_t s = 0; s < q.num_shards(); ++s) {
-        if (q.shard(s).inflight() > 0) saw_inflight_rebalance = true;
-      }
-    }
-  }
-  EXPECT_GT(q.sharded_stats().rebalances, 0u);
-  EXPECT_TRUE(saw_inflight_rebalance)
-      << "test never hit the rebalance-with-inflight-pipeline condition";
-  std::string why;
-  EXPECT_TRUE(q.check_invariants(&why)) << why;
-
-  got.clear();
-  want.clear();
-  for (;;) {
-    got.clear();
-    want.clear();
-    const std::size_t nq = q.cycle({}, 8, got);
-    const std::size_t no = oracle.cycle({}, 8, want);
-    ASSERT_EQ(got, want);
-    if (nq == 0 && no == 0) break;
-  }
-}
-
 // ------------------------------------------------------------- harness tie
 
 TEST(ShardedHeap, DifferentialHarnessVerifiesSharded) {
-  // The registry entry drives a 3-shard heap (rebalancing every 16 cycles)
-  // through the full differential runner — adversarial modes, invariant
+  // The registry entry drives a 3-shard heap through the full differential runner — adversarial modes, invariant
   // strides, final drain.
   for (std::uint64_t seed : {5u, 23u}) {
     GenConfig gen;
@@ -266,56 +212,10 @@ TEST(ShardedHeap, DifferentialHarnessVerifiesSharded) {
 
 // ------------------------------------------------------------------- DES
 
-std::uint64_t g_fake_now = 0;
-std::uint64_t fake_clock() { return g_fake_now; }
-
-TEST(ShardedHeap, ReleaseAfterCyclesKeepsSurvivorStreamExact) {
-  // A shard retired by a watchdog verdict after it has pulled prefixes must
-  // not bring its last (already delivered or put back) prefix into the next
-  // tournament: only this cycle's slots compete.
-  robustness::PhaseWatchdog::Config wcfg;
-  wcfg.stall_timeout_ns = 1000;
-  wcfg.clock = &fake_clock;
-  g_fake_now = 0;
-  robustness::PhaseWatchdog wd(wcfg);
-  ShardedHeap<U64>::Config cfg;
-  cfg.shards = 3;
-  ShardedHeap<U64> q(8, cfg);
-  q.attach_watchdog(wd, 1);
-  SortedOracle all;
-  std::vector<U64> got, want, items;
-  for (U64 v = 0; v < 96; ++v) items.push_back((v * 53) % 257);
-  q.build(items);
-  all.cycle(std::span<const U64>(items), 0, want);
-  for (U64 c = 0; c < 12; ++c) {
-    const U64 fresh[] = {(c * 97) % 211, (c * 31) % 211, (c * 59) % 211};
-    got.clear();
-    want.clear();
-    q.cycle(std::span<const U64>(fresh, 3), 2, got);
-    all.cycle(std::span<const U64>(fresh, 3), 2, want);
-    ASSERT_EQ(got, want) << "warm-up cycle " << c;
-  }
-  // Shard 0 holds the smallest keys, so it contributed to the last cycle.
-  // Its channel stalls; the next cycle retires it and folds its items into
-  // that cycle's tournament.
-  g_fake_now += 5000;
-  wd.beat(q.watchdog_channel(1));
-  wd.beat(q.watchdog_channel(2));
-  wd.poll();
-  for (int c = 0; c < 60; ++c) {
-    got.clear();
-    want.clear();
-    q.cycle({}, 4, got);
-    all.cycle({}, 4, want);
-    ASSERT_EQ(got, want) << "survivor cycle " << c;
-  }
-  EXPECT_FALSE(q.shard_active(0));
-  EXPECT_EQ(q.sharded_stats().quarantines, 1u);
-  EXPECT_TRUE(q.empty());
-  EXPECT_TRUE(all.empty());
-}
-
 TEST(ShardedSim, MatchesSerialReferenceAcrossShardCounts) {
+  // The conservative window simulation over a ShardedHeap, driven through
+  // run_sync_sim exactly as des_torus drives it: every shard count must
+  // reproduce the serial reference's processed count and fingerprint.
   const sim::Topology topo = sim::make_torus(8, 8);
   sim::ModelConfig mc;
   mc.seed = 5;
@@ -324,19 +224,19 @@ TEST(ShardedSim, MatchesSerialReferenceAcrossShardCounts) {
   const sim::SimResult want = sim::run_serial_sim(model, end_time);
   ASSERT_GT(want.processed, 0u);
 
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    sim::ShardedSimConfig cfg;
-    cfg.queue.shards = shards;
-    cfg.node_capacity = 32;
-    cfg.batch = 32;
-    const sim::ShardedSimResult got = sim::run_sharded_sim(model, end_time, cfg);
-    EXPECT_TRUE(got.sim.same_outcome(want))
-        << shards << " shards: processed " << got.sim.processed << " vs "
+  using EventHeap = ShardedHeap<sim::Event, sim::EventOrder>;
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                             std::size_t{8}}) {
+    EventHeap q(32, EventHeap::Config{shards});
+    const sim::SimResult got = sim::run_sync_sim(q, model, end_time, 32);
+    EXPECT_TRUE(got.same_outcome(want))
+        << shards << " shards: processed " << got.processed << " vs "
         << want.processed;
     if (shards > 1) {
       // The run must actually have exercised the sharded path.
-      EXPECT_GT(got.shard.routed, 0u);
-      EXPECT_GT(got.shard.avg_merge_width(), 0.0);
+      const ShardedStats& st = q.sharded_stats();
+      EXPECT_GT(st.routed, 0u);
+      EXPECT_GT(st.avg_merge_width(), 0.0);
     }
   }
 }

@@ -20,11 +20,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/sharded_heap.hpp"
+#include "core/engine.hpp"
 #include "robustness/fault_matrix.hpp"
 #include "robustness/watchdog.hpp"
 #include "testing/sched_fuzz.hpp"
@@ -55,7 +56,7 @@ void usage(const char* argv0) {
                "                      registered fail-point site is fired inside a\n"
                "                      differential drill (uses --seed/--cycles)\n"
                "  --flightrec-smoke   end-to-end black-box drill: fail-point-induced\n"
-               "                      shard quarantine, then a real watchdog stall\n"
+               "                      think-lane quarantine, then a real watchdog stall\n"
                "                      verdict; exit 0 iff the flight dump was written\n"
                "                      (path printed; honors $PH_FLIGHTREC_DIR)\n",
                argv0);
@@ -80,9 +81,10 @@ std::uint64_t parse_count(const char* flag, const char* text,
 }
 
 /// --flightrec-smoke: drive the whole black-box chain in one process — a
-/// fail-point trips a shard (failpoint_fire + quarantine land in the flight
-/// ring), then an unbeaten watchdog channel crosses a real 1ms stall timeout
-/// and the rung-2 verdict persists the ring. CI parses the printed dump path.
+/// fail-point makes an engine think lane throw and the engine retires the
+/// lane (failpoint_fire + lane_quarantine land in the flight ring), then an
+/// unbeaten watchdog channel crosses a real 1ms stall timeout and the
+/// rung-2 verdict persists the ring. CI parses the printed dump path.
 int run_flightrec_smoke(std::uint64_t seed) {
   namespace rb = ph::robustness;
   if (!rb::kFailpoints) {
@@ -91,22 +93,22 @@ int run_flightrec_smoke(std::uint64_t seed) {
                  "(build with -DPH_FAILPOINTS=ON)\n");
     return 2;
   }
-  ph::ShardedHeap<std::uint64_t>::Config scfg;
-  scfg.shards = 4;
-  scfg.quarantine = true;
-  ph::ShardedHeap<std::uint64_t> q(8, scfg);
-  rb::arm(rb::FailSite::kShardCycle, rb::FireSpec{2, 0, 1, 0});
+  ph::EngineConfig ecfg;
+  ecfg.node_capacity = 8;
+  ecfg.think_threads = 2;
+  ecfg.lane_fault_limit = 1;  // the first throw retires its lane
+  ph::ParallelHeapEngine<std::uint64_t> engine(ecfg);
   ph::Xoshiro256 rng(seed ? seed : 1);
-  std::vector<std::uint64_t> sink;
-  for (int c = 0; c < 8 && q.sharded_stats().quarantines == 0; ++c) {
-    std::vector<std::uint64_t> fresh(24);
-    for (auto& v : fresh) v = rng.next_below(1u << 20);
-    sink.clear();
-    q.cycle(fresh, 8, sink);
-  }
+  std::vector<std::uint64_t> items(64);
+  for (auto& v : items) v = rng.next_below(1u << 20);
+  engine.seed(items);
+  rb::arm(rb::FailSite::kThinkThrow, rb::FireSpec{2, 0, 1, 0});
+  const ph::EngineReport rep = engine.run(
+      [](unsigned, std::span<const std::uint64_t>, std::span<const std::uint64_t>,
+         std::vector<std::uint64_t>&) {});
   rb::disarm_all();
-  if (q.sharded_stats().quarantines == 0) {
-    std::fprintf(stderr, "flightrec-smoke: fail-point never tripped a shard\n");
+  if (rep.lanes_quarantined == 0) {
+    std::fprintf(stderr, "flightrec-smoke: fail-point never retired a think lane\n");
     return 1;
   }
 

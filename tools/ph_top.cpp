@@ -2,12 +2,12 @@
 //
 // Polls a SnapshotPublisher (either the HTTP endpoint a bench exposes with
 // --metrics-port, or the JSON file it writes with --metrics-file) and renders
-// per-shard sizes, cycle/route/putback and svc dispatch/ack *rates* (computed
-// from successive snapshots — the publisher only exports monotone totals:
-// telemetry counters, and the heap_routed / heap_putbacks /
-// svc_delivered_total / svc_acked_total gauges summed over every `heap`
-// label), and key phase latency percentiles. Zero dependencies: raw POSIX
-// sockets for the GET, util/mini_json.hpp for parsing.
+// cycle/fsync and svc dispatch/ack *rates* (computed from successive
+// snapshots — the publisher only exports monotone totals: telemetry
+// counters, and the svc_delivered_total / svc_acked_total gauges summed over
+// every `heap` label), every other gauge's value, and key phase latency
+// percentiles. Zero dependencies: raw POSIX sockets for the GET,
+// util/mini_json.hpp for parsing.
 //
 //   ph_top --port 9137                poll http://127.0.0.1:9137/metrics.json
 //   ph_top --file /tmp/ph.json       poll a --metrics-file target
@@ -102,8 +102,7 @@ double num_or(const ph::minijson::Value& obj, const std::string& key, double dfl
 /// Monotone totals by name: every telemetry counter, plus the gauges in
 /// kSummedGauges summed over their `heap` labels.
 using Totals = std::map<std::string, double>;
-constexpr const char* kSummedGauges[] = {"heap_routed", "heap_putbacks",
-                                         "svc_delivered_total", "svc_acked_total"};
+constexpr const char* kSummedGauges[] = {"svc_delivered_total", "svc_acked_total"};
 
 struct Prev {
   bool valid = false;
@@ -136,9 +135,6 @@ int render(const std::string& body, Prev& prev) try {
     }
   }
 
-  // Per-shard table, assembled from the gauge list ({heap, shard} labels).
-  struct ShardRow { double size = -1, active = -1; };
-  std::map<std::pair<std::string, std::string>, ShardRow> shardrows;
   std::map<std::string, double> scalars;  ///< label-free-ish heap gauges
   std::map<std::string, double> svc;      ///< svc_* gauges (phd only)
   if (doc.is_object() && doc.object().count("gauges") != 0) {
@@ -146,38 +142,22 @@ int render(const std::string& body, Prev& prev) try {
       const std::string name = g.at("name").str();
       const auto& labels = g.at("labels").object();
       const auto heap_it = labels.find("heap");
-      const auto shard_it = labels.find("shard");
       const std::string heap =
           heap_it != labels.end() ? heap_it->second.str() : "";
       const double v = g.at("value").number();
       for (const char* summed : kSummedGauges) {
         if (name == summed) totals[name] += v;
       }
-      if (shard_it != labels.end()) {
-        auto& row = shardrows[{heap, shard_it->second.str()}];
-        if (name == "shard_size") row.size = v;
-        if (name == "shard_active") row.active = v;
-      } else if (name.rfind("svc_", 0) == 0) {
+      if (name.rfind("svc_", 0) == 0) {
         svc[name] = v;  // scheduler-service plane (absent on older servers)
       } else {
         scalars[name + "{" + heap + "}"] = v;
       }
     }
   }
-  std::printf("ph_top  seq=%-6.0f uptime=%8.1fs  cycles/s=%9.1f  routed/s=%11.1f  "
-              "putback/s=%9.1f  fsync/s=%7.1f\n",
+  std::printf("ph_top  seq=%-6.0f uptime=%8.1fs  cycles/s=%9.1f  fsync/s=%7.1f\n",
               seq, t_ns / 1e9, rate(prev, totals, t_ns, "cycles"),
-              rate(prev, totals, t_ns, "heap_routed"),
-              rate(prev, totals, t_ns, "heap_putbacks"),
               rate(prev, totals, t_ns, "wal_fsyncs"));
-  if (!shardrows.empty()) {
-    std::printf("  %-18s %-6s %12s %s\n", "heap", "shard", "size", "active");
-    for (const auto& [key, row] : shardrows) {
-      std::printf("  %-18s %-6s %12.0f %s\n", key.first.c_str(),
-                  key.second.c_str(), row.size,
-                  row.active > 0 ? "yes" : (row.active == 0 ? "QUARANTINED" : "?"));
-    }
-  }
   // Scheduler-service plane: present only against a phd publisher; a server
   // without svc_* gauges simply renders nothing here.
   if (!svc.empty()) {
