@@ -13,10 +13,12 @@
 //
 //   2. Pull. Every shard runs one pipelined cycle, yielding its own
 //      smallest items as a sorted prefix. The min hint (see
-//      compute_pull_budgets()) first predicts every prefix from the shard's
-//      root node and drops the budget of shards that provably contribute
-//      nothing to 0: an insert-only cycle, so their pipelines still advance
-//      but they skip the pull and the putback round-trip.
+//      compute_pull_budgets()) first counts, for each shard, the other
+//      shards' candidates (root node plus routed batch) that rank before
+//      its best candidate; at least k of them means the shard provably
+//      contributes nothing, so its budget drops to 0: an insert-only cycle,
+//      so its pipeline still advances but it skips the pull and the putback
+//      round-trip. No prefix is sorted, merged or copied to decide this.
 //
 //   3. Merge. The global k smallest are selected by a K-way tournament
 //      (merge_k) over the prefixes; ties go to the lowest shard index,
@@ -157,7 +159,6 @@ class ShardedHeap {
     route_buf_.resize(k);
     pulled_.resize(k);
     pull_k_.resize(k);
-    hint_.resize(k);
     runs_.resize(k);
     take_.resize(k);
   }
@@ -173,6 +174,10 @@ class ShardedHeap {
   bool empty() const noexcept { return size() == 0; }
 
   const ShardedStats& sharded_stats() const noexcept { return stats_; }
+  const Shard& shard(std::size_t i) const { return shards_[i]; }
+  /// Per-shard deletion budgets of the last cycle: k, or 0 where the min
+  /// hint skipped the pull.
+  std::span<const std::size_t> pull_budgets() const noexcept { return pull_k_; }
   const KeyRangePartitioner<T, Compare>& partitioner() const noexcept { return part_; }
 
   /// Cycle-boundary snapshot of the whole sharded structure: the partition
@@ -272,7 +277,12 @@ class ShardedHeap {
       obs::flight(obs::FlightKind::kPhase,
                   static_cast<std::uint64_t>(telemetry::Phase::kShardMerge),
                   trace_id);
-      taken = tournament(pulled_, k, &out);
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        runs_[s] = std::span<const T>(pulled_[s]);
+      }
+      std::fill(take_.begin(), take_.end(), std::size_t{0});
+      taken = merge_k(std::span<const std::span<const T>>(runs_), k,
+                      std::span<std::size_t>(take_), &out, cmp_);
     }
 
     // Phase 4: put losing prefix suffixes back where they came from
@@ -325,50 +335,63 @@ class ShardedHeap {
   /// merge(root, sorted(routed batch)) — the paper's delete-correctness
   /// theorem confines the k smallest of (heap ∪ new) to (root ∪ new), and
   /// the root is stable across the odd half-step
-  /// (PipelinedParallelHeap::root_items()) — so the driver can compute each
-  /// prefix without running any pull. Replaying the phase-3 tournament over
-  /// the predictions (same lowest-shard-index tie-break) yields the exact
-  /// per-shard take counts; a shard whose count is zero provably
-  /// contributes nothing this cycle, so its budget drops to 0.
+  /// (PipelinedParallelHeap::root_items()). Phase 3 takes nothing from
+  /// shard s exactly when at least k prefix items of the other shards rank
+  /// before s's best candidate m_s = min(root_s.front(), min of its batch)
+  /// under the tournament's order: keys below m_s, plus keys tied with m_s
+  /// on a lower-indexed shard. Such a shard's budget drops to 0.
   ///
-  /// Exactness: the tournament selects the k smallest candidates under the
-  /// (key, shard index, position) priority; removing candidates that were
-  /// never selected cannot change the selected multiset (each removed item
-  /// ranks strictly after all k winners), so contributing shards take
-  /// exactly what they always did. Tie counts depend only on key multisets,
-  /// which the prediction reproduces even though payload order within equal
-  /// keys may differ from the shard's own merge.
+  /// Exactness: the items of shard j that rank before m_s form a sorted
+  /// prefix of root_j ∪ batch_j, so j's predicted prefix holds min(k, c_j)
+  /// of them, c_j counted over the whole of root_j ∪ batch_j; and
+  /// Σ_j min(k, c_j) ≥ k exactly when Σ_j c_j ≥ k. So counting c_j (a
+  /// binary search of the sorted root plus a scan of the unsorted batch,
+  /// stopping once the total reaches k) skips exactly the shards a replay
+  /// of the tournament over the predicted prefixes would. Removing
+  /// candidates that were never selected cannot change the selected
+  /// multiset, so contributing shards take exactly what they always did.
   void compute_pull_budgets(std::size_t k) {
     std::fill(pull_k_.begin(), pull_k_.end(), k);
     if (k == 0 || shards_.size() < 2) return;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      hint_fresh_.assign(route_buf_[s].begin(), route_buf_[s].end());
-      std::sort(hint_fresh_.begin(), hint_fresh_.end(), cmp_);
-      auto& h = hint_[s];
-      h.clear();
-      merge2(shards_[s].root_items(), std::span<const T>(hint_fresh_), h, cmp_);
-      if (h.size() > k) h.erase(h.begin() + static_cast<std::ptrdiff_t>(k), h.end());
-    }
-    tournament(hint_, k, nullptr);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      // An empty prediction means the shard pulls nothing either way; its
-      // budget stays k.
-      if (take_[s] == 0 && !hint_[s].empty()) {
+      const T* best = best_candidate(s);
+      // A shard without candidates pulls nothing either way; its budget
+      // stays k.
+      if (best != nullptr && ranked_before(s, *best, k) >= k) {
         pull_k_[s] = 0;
         ++stats_.hint_skips;
       }
     }
   }
 
-  /// The K-way tournament (merge_k) over one run per shard. Takes up to k
-  /// items, appending them to *out when out is non-null; take_ holds the
-  /// per-shard counts.
-  std::size_t tournament(const std::vector<std::vector<T>>& src, std::size_t k,
-                         std::vector<T>* out) {
-    for (std::size_t s = 0; s < src.size(); ++s) runs_[s] = std::span<const T>(src[s]);
-    std::fill(take_.begin(), take_.end(), std::size_t{0});
-    return merge_k(std::span<const std::span<const T>>(runs_), k,
-                   std::span<std::size_t>(take_), out, cmp_);
+  /// Shard s's smallest candidate for this cycle's pull (root front or
+  /// routed item), or null when it has neither.
+  const T* best_candidate(std::size_t s) const {
+    const auto root = shards_[s].root_items();
+    const T* best = root.empty() ? nullptr : &root.front();
+    for (const T& v : route_buf_[s]) {
+      if (best == nullptr || cmp_(v, *best)) best = &v;
+    }
+    return best;
+  }
+
+  /// Number of the other shards' candidates that the tournament ranks
+  /// before shard s's best candidate m, counted until it reaches k.
+  std::size_t ranked_before(std::size_t s, const T& m, std::size_t k) const {
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < shards_.size() && n < k; ++j) {
+      if (j == s) continue;
+      // Ties go to the lower shard index: count x <= m below s, x < m above.
+      const bool ties_win = j < s;
+      const auto before = [&](const T& x) { return ties_win ? !cmp_(m, x) : cmp_(x, m); };
+      const auto root = shards_[j].root_items();
+      n += static_cast<std::size_t>(
+          std::partition_point(root.begin(), root.end(), before) - root.begin());
+      for (auto it = route_buf_[j].begin(); it != route_buf_[j].end() && n < k; ++it) {
+        n += before(*it);
+      }
+    }
+    return n;
   }
 
   std::size_t r_;
@@ -381,15 +404,10 @@ class ShardedHeap {
   // Scratch (reused; allocation-free after warm-up).
   std::vector<std::vector<T>> route_buf_, pulled_;
   std::vector<T> sink_;
-  // Tournament entries (one per shard) and their take counts; phase 3 and
-  // the min hint share them.
+  // Phase 3's tournament entries (one per shard) and their take counts.
   std::vector<std::span<const T>> runs_;
   std::vector<std::size_t> take_;
-
-  // Min-hint scratch (compute_pull_budgets).
-  std::vector<std::size_t> pull_k_;   ///< per-shard deletion budget this cycle
-  std::vector<std::vector<T>> hint_;  ///< predicted pulled prefixes
-  std::vector<T> hint_fresh_;
+  std::vector<std::size_t> pull_k_;  ///< per-shard deletion budget this cycle
 };
 
 }  // namespace ph

@@ -253,8 +253,9 @@ void merge2_split(std::span<const T> a, std::span<const T> b, std::size_t keep,
 /// runs[i][taken[i]] and adds what it takes from run i, so callers zero it
 /// for a fresh merge and read per-run take counts from it afterwards. The
 /// items are appended to `*out` when `out` is non-null. A linear head scan,
-/// which is optimal for the small fan-ins used here; allocates nothing
-/// beyond `out`'s growth.
+/// which is optimal for the small fan-ins used here; once a single run
+/// still has items, the rest of what it owes (up to k) is taken in one bulk
+/// copy instead of a scan per item. Allocates nothing beyond `out`'s growth.
 template <typename T, typename Compare>
 std::size_t merge_k(std::span<const std::span<const T>> runs, std::size_t k,
                     std::span<std::size_t> taken, std::vector<T>* out,
@@ -263,12 +264,22 @@ std::size_t merge_k(std::span<const std::span<const T>> runs, std::size_t k,
   const std::size_t none = runs.size();
   std::size_t n = 0;
   for (; n < k; ++n) {
-    std::size_t best = none;
+    std::size_t best = none, live = 0;
     for (std::size_t i = 0; i < runs.size(); ++i) {
       if (taken[i] >= runs[i].size()) continue;
+      ++live;
       if (best == none || cmp(runs[i][taken[i]], runs[best][taken[best]])) best = i;
     }
     if (best == none) break;
+    if (live == 1) {
+      const std::size_t m = std::min(k - n, runs[best].size() - taken[best]);
+      if (out != nullptr) {
+        const auto rest = runs[best].subspan(taken[best], m);
+        out->insert(out->end(), rest.begin(), rest.end());
+      }
+      taken[best] += m;
+      return n + m;
+    }
     if (out != nullptr) out->push_back(runs[best][taken[best]]);
     ++taken[best];
   }

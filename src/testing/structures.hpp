@@ -25,7 +25,6 @@
 
 #include "baselines/binary_heap.hpp"
 #include "baselines/calendar_queue.hpp"
-#include "baselines/flat_combining_pq.hpp"
 #include "baselines/dary_heap.hpp"
 #include "baselines/leftist_heap.hpp"
 #include "baselines/local_heaps.hpp"
@@ -243,50 +242,6 @@ class EngineTeamAdapter {
   ParallelHeapEngine<std::uint64_t> eng_;
 };
 
-/// FlatCombiningPQ under real thread concurrency, same two-phase shape as
-/// MtLocalHeapsAdapter: the team pushes the batch through per-thread
-/// combining slots, barrier, then pops its fair split of k. Every pop is the
-/// true global minimum at its combine-pass linearization point, but which
-/// thread receives which item — and hence the output order — is
-/// schedule-dependent, so this runs under relaxed (conservation) checking.
-/// The barrier between phases makes the *count* exact: nothing is pushed
-/// during the pop phase, so the heap drains monotonically and the batch
-/// totals min(k, size) on every schedule.
-class FlatCombiningMtAdapter {
- public:
-  explicit FlatCombiningMtAdapter(std::size_t /*r*/, unsigned threads = 2)
-      : q_(threads), team_(threads, /*pin=*/false, "stress-fc"),
-        per_thread_(threads) {}
-
-  std::size_t cycle(std::span<const std::uint64_t> fresh, std::size_t k,
-                    std::vector<std::uint64_t>& out) {
-    const unsigned mt = team_.size();
-    team_.run([&](unsigned tid) {
-      for (std::size_t i = tid; i < fresh.size(); i += mt) q_.push(tid, fresh[i]);
-    });
-    team_.run([&](unsigned tid) {
-      auto& mine = per_thread_[tid];
-      mine.clear();
-      for (std::size_t i = tid; i < k; i += mt) {
-        std::uint64_t v = 0;
-        if (!q_.try_pop(tid, v)) break;
-        mine.push_back(v);
-      }
-    });
-    std::size_t n = 0;
-    for (const auto& mine : per_thread_) {
-      out.insert(out.end(), mine.begin(), mine.end());
-      n += mine.size();
-    }
-    return n;
-  }
-
- private:
-  FlatCombiningPQ<std::uint64_t> q_;
-  ThreadTeam team_;
-  std::vector<std::vector<std::uint64_t>> per_thread_;
-};
-
 /// DurableHeap over the pipelined heap, with the recovery path itself inside
 /// the soak loop: every `reopen_every` cycles the adapter CLOSES the durable
 /// heap and re-opens it from disk (checkpoint load + WAL replay), so a long
@@ -372,8 +327,8 @@ inline const std::vector<std::string>& default_structures() {
       "batch_binary_heap",  "batch_dary4_heap",   "batch_skew_heap",
       "batch_pairing_heap", "batch_leftist_heap", "batch_calendar_queue",
       "sharded_heap",       "engine_pipeline",    "engine_team",
-      "local_heaps",        "local_heaps_mt",     "flat_combining_mt",
-      "durable_pipelined",  "ingest_pipelined",   "ingest_sharded_strict"};
+      "local_heaps",        "local_heaps_mt",     "durable_pipelined",
+      "ingest_pipelined",   "ingest_sharded_strict"};
   return names;
 }
 
@@ -475,11 +430,6 @@ inline DiffFailure run_trace(const OpTrace& t) {
   if (s == "local_heaps_mt") {
     opt.relaxed = true;
     MtLocalHeapsAdapter q(t.r);
-    return run_differential(q, t, opt);
-  }
-  if (s == "flat_combining_mt") {
-    opt.relaxed = true;  // exact pops, schedule-dependent output order
-    FlatCombiningMtAdapter q(t.r);
     return run_differential(q, t, opt);
   }
   if (s == "durable_pipelined") {

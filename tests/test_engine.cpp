@@ -1,6 +1,7 @@
 // Tests for the multithreaded ParallelHeapEngine: batch delivery order,
 // determinism across team sizes, overlap plumbing, the maintenance-team
-// parallel path, think-lane quarantine, and the public cycle() surface.
+// parallel path, think-lane quarantine, and the public cycle() surface
+// (directly and through the "engine_team" differential-registry entry).
 #include "core/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +14,9 @@
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
+#include "testing/op_trace.hpp"
 #include "testing/oracle.hpp"
+#include "testing/structures.hpp"
 #include "util/rng.hpp"
 
 namespace ph {
@@ -450,6 +453,21 @@ TEST(Engine, CycleApiMatchesOracleWithMaintenanceTeam) {
   }
   std::string why;
   EXPECT_TRUE(eng.heap().check_invariants(&why)) << why;
+}
+
+TEST(Engine, TeamRegistryEntryPassesDifferential) {
+  // The "engine_team" registry entry rides the full adversarial
+  // differential runner with the engine's own maintenance team, bit-exact.
+  for (std::uint64_t seed : {11u, 47u}) {
+    testing::GenConfig gen;
+    gen.r = 8;
+    gen.cycles = 200;
+    gen.seed = seed;
+    testing::OpTrace t = generate_trace(gen);
+    t.structure = "engine_team";
+    const auto f = testing::run_trace(t);
+    EXPECT_FALSE(f.failed) << "seed " << seed << ": " << f.message;
+  }
 }
 
 TEST(Engine, ReportsPhaseTimes) {

@@ -52,7 +52,10 @@ struct DisarmGuard {
 };
 
 /// Deterministic op i (1-based) as a pure function of (seed, i) — replaying
-/// any prefix never needs heap output.
+/// any prefix never needs heap output. An op inserts 0..2r items (r on
+/// average) and deletes r every third op, else 0..r, so a standing
+/// population builds up (about r/3 items per op) and restarts recover a
+/// populated heap, not an empty one.
 struct Op {
   std::vector<U64> fresh;
   std::size_t k = 0;
@@ -61,7 +64,7 @@ struct Op {
 Op gen_op(U64 seed, std::size_t i, std::size_t r, U64 bound = 1u << 20) {
   Xoshiro256 rng(seed ^ (0xd1342543de82ef95ull * (i + 1)));
   Op op;
-  const std::size_t nfresh = rng.next_below(r + 1);
+  const std::size_t nfresh = rng.next_below(2 * r + 1);
   for (std::size_t j = 0; j < nfresh; ++j) op.fresh.push_back(rng.next_below(bound));
   op.k = (i % 3 == 0) ? r : rng.next_below(r + 1);
   return op;
@@ -634,6 +637,13 @@ TEST(DurableHeap, ShardedEngineRestartsExactly) {
   ps::DurableHeap<SH> q(SH(8, scfg), opts(dir, ps::FsyncPolicy::kNever, 6));
   EXPECT_EQ(q.op_seq(), 40u);
   EXPECT_EQ(q.heap().num_shards(), 4u);
+  // The restart recovers a standing population spread over the shards.
+  EXPECT_EQ(q.size(), oracle.size());
+  EXPECT_GE(q.size(), 4u * 8);
+  const auto snap = q.heap().snapshot();
+  EXPECT_GE(std::count_if(snap.shard_items.begin(), snap.shard_items.end(),
+                          [](const std::vector<U64>& items) { return !items.empty(); }),
+            2);
   run_ops(q, oracle, 32, 15, 8);
   drain_exact(q, oracle, 8);
 }

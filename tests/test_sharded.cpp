@@ -1,17 +1,21 @@
 // Tests for the key-range-sharded heap front end (core/sharded_heap.hpp):
 // partitioner properties, the K=1 bit-for-bit degeneration, the shard-drain
 // edge cases named by the bring-up (empty shards in the merge, boundary
-// duplicates), and outcome-exactness of the window DES over a sharded queue
+// duplicates), the min hint's exactness against a predict-and-replay
+// oracle, and outcome-exactness of the window DES over a sharded queue
 // — the way bench/stack's des_torus drives it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/pipelined_heap.hpp"
 #include "core/sharded_heap.hpp"
+#include "core/sorted_ops.hpp"
 #include "sim/network.hpp"
 #include "sim/serial_sim.hpp"
 #include "sim/sync_sim.hpp"
@@ -191,6 +195,159 @@ TEST(ShardedHeap, DuplicateKeysStraddlingPartitionBoundary) {
     ASSERT_EQ(got, want);
     if (nq == 0 && no == 0) break;
   }
+}
+
+// ---------------------------------------------------------------- min hint
+
+TEST(ShardedHeap, MinHintSkipsLosingShardsExactly) {
+  // Seed the partition map so shard 0 owns all the small keys, then drain:
+  // shards 1..2 provably lose most tournaments, so the hint skips their
+  // pull/putback round-trips. Every cycle's deletions must still equal the
+  // sorted-multiset oracle's, and the skips must be counted.
+  ShardedHeap<U64> q(8, ShardedHeap<U64>::Config{3});
+  SortedOracle oracle;
+  std::vector<U64> seedv, got, want, fresh;
+  for (U64 v = 0; v < 300; ++v) seedv.push_back(v * 3);
+  q.build(seedv);
+  oracle.cycle(seedv, 0, want);
+  Xoshiro256 rng(5);
+  for (int cycle = 0; cycle < 120; ++cycle) {
+    fresh.clear();
+    for (std::size_t i = rng.next_below(4); i > 0; --i) {
+      fresh.push_back(rng.next_below(1000));
+    }
+    const std::size_t k = rng.next_below(9);
+    got.clear();
+    want.clear();
+    q.cycle(fresh, k, got);
+    oracle.cycle(fresh, k, want);
+    ASSERT_EQ(got, want) << "cycle " << cycle;
+  }
+  for (int cycle = 0;; ++cycle) {
+    got.clear();
+    want.clear();
+    const std::size_t nq = q.cycle({}, 8, got);
+    const std::size_t no = oracle.cycle({}, 8, want);
+    ASSERT_EQ(got, want) << "drain cycle " << cycle;
+    if (nq == 0 && no == 0) break;
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(q.sharded_stats().hint_skips, 0u)
+      << "the hint never skipped a losing shard on this workload";
+}
+
+/// The min hint by prediction and replay: each shard's pulled prefix is
+/// predicted as the first k items of merge(root, sorted batch), the
+/// tournament is replayed over the predictions, and every shard whose
+/// prediction is nonempty but takes nothing is skipped. Returns the
+/// per-shard budgets and sets `skips`.
+std::vector<std::size_t> replayed_budgets(const std::vector<std::vector<U64>>& roots,
+                                          std::vector<std::vector<U64>> batches,
+                                          std::size_t k, std::size_t& skips) {
+  const std::size_t shards = roots.size();
+  std::vector<std::size_t> budgets(shards, k);
+  skips = 0;
+  if (k == 0 || shards < 2) return budgets;
+  std::vector<std::vector<U64>> predicted(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    std::sort(batches[s].begin(), batches[s].end());
+    merge2(std::span<const U64>(roots[s]), std::span<const U64>(batches[s]), predicted[s],
+           std::less<U64>{});
+    if (predicted[s].size() > k) predicted[s].resize(k);
+  }
+  std::vector<std::span<const U64>> runs(predicted.begin(), predicted.end());
+  std::vector<std::size_t> take(shards, 0);
+  merge_k<U64>(std::span<const std::span<const U64>>(runs), k,
+               std::span<std::size_t>(take), nullptr, std::less<U64>{});
+  for (std::size_t s = 0; s < shards; ++s) {
+    if (take[s] == 0 && !predicted[s].empty()) {
+      budgets[s] = 0;
+      ++skips;
+    }
+  }
+  return budgets;
+}
+
+TEST(ShardedHeap, MinHintCountingMatchesPredictAndReplay) {
+  // Random mid-pipeline states: the hint's counting test must set every
+  // shard's budget, and count every skip, exactly as predicting the
+  // prefixes and replaying the tournament does. Keys and splits share a
+  // 24-value domain, so keys equal to a split, empty shards and empty
+  // routed batches are all common. Routing alone never puts equal keys on
+  // two shards, but a restore under a different map does, so every other
+  // state places its contents on random shards to force cross-shard ties.
+  constexpr std::size_t r = 8;
+  constexpr U64 kDomain = 24;
+  const std::size_t ks[] = {0, 1, r / 2, r};
+  Xoshiro256 rng(61);
+  std::vector<U64> fresh, got, want, sink;
+  std::size_t skipped = 0;
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{3}, std::size_t{4},
+                                   std::size_t{8}}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const auto draw = [&](std::size_t n) {
+        fresh.clear();
+        for (std::size_t i = 0; i < n; ++i) fresh.push_back(rng.next_below(kDomain));
+      };
+      ShardedHeap<U64>::Snapshot snap;
+      snap.splits.resize(shards - 1);
+      for (U64& v : snap.splits) v = rng.next_below(kDomain);
+      std::sort(snap.splits.begin(), snap.splits.end());
+      snap.seeded = true;
+      snap.shard_items.resize(shards);
+      KeyRangePartitioner<U64> part(shards);
+      part.set_splits(snap.splits);
+      for (std::size_t i = rng.next_below(6 * r); i > 0; --i) {
+        const U64 v = rng.next_below(kDomain);
+        const std::size_t at = trial % 2 == 0 ? part.route(v) : rng.next_below(shards);
+        snap.shard_items[at].push_back(v);
+      }
+      for (auto& items : snap.shard_items) {
+        if (rng.next_below(4) == 0) items.clear();
+      }
+      ShardedHeap<U64> q(r, ShardedHeap<U64>::Config{shards});
+      q.restore(snap);
+      SortedOracle oracle;
+      for (const auto& items : snap.shard_items) oracle.cycle(items, 0, sink);
+
+      // Warm-up cycles leave update processes parked mid-pipeline.
+      for (std::size_t w = rng.next_below(4); w > 0; --w) {
+        draw(rng.next_below(2 * r));
+        const std::size_t k = rng.next_below(r + 1);
+        got.clear();
+        want.clear();
+        q.cycle(fresh, k, got);
+        oracle.cycle(fresh, k, want);
+        ASSERT_EQ(got, want);
+      }
+
+      draw(rng.next_below(4) == 0 ? 0 : rng.next_below(2 * r + 1));
+      const std::size_t k = ks[trial % 4];
+      std::vector<std::vector<U64>> roots(shards), batches(shards);
+      for (std::size_t s = 0; s < shards; ++s) {
+        const auto root = q.shard(s).root_items();
+        roots[s].assign(root.begin(), root.end());
+      }
+      for (const U64 v : fresh) batches[q.partitioner().route(v)].push_back(v);
+      std::size_t want_skips = 0;
+      const std::vector<std::size_t> want_budgets =
+          replayed_budgets(roots, batches, k, want_skips);
+
+      const std::uint64_t skips_before = q.sharded_stats().hint_skips;
+      got.clear();
+      want.clear();
+      q.cycle(fresh, k, got);
+      oracle.cycle(fresh, k, want);
+      ASSERT_EQ(got, want) << shards << " shards, trial " << trial;
+      const auto budgets = q.pull_budgets();
+      EXPECT_EQ(std::vector<std::size_t>(budgets.begin(), budgets.end()), want_budgets)
+          << shards << " shards, trial " << trial << ", k " << k;
+      EXPECT_EQ(q.sharded_stats().hint_skips - skips_before, want_skips)
+          << shards << " shards, trial " << trial << ", k " << k;
+      skipped += want_skips;
+    }
+  }
+  EXPECT_GT(skipped, 0u) << "no state exercised a skip";
 }
 
 // ------------------------------------------------------------- harness tie

@@ -328,6 +328,42 @@ TEST(SortedOps, MergeKSingleAndEmptyRuns) {
   EXPECT_EQ(merge_all({}, taken, out), 0u);
 }
 
+TEST(SortedOps, MergeKCopiesTheLastLiveRunInOneBlock) {
+  // Once a single run still has items, merge_k takes what it owes in one
+  // copy: from a nonzero cursor, cut at k, to the run's end when k is
+  // larger, and counting only when out is null.
+  const std::vector<int> r1{1, 2}, r2{0, 3, 4, 5, 6, 7, 8}, r3;
+  const std::vector<std::span<const int>> runs{r1, r2, r3};
+  const std::span<const std::span<const int>> in(runs);
+
+  // r1's cursor is at its end, so r2 (resuming at index 2) is the only
+  // live run; k = 3 is less than its remaining 5.
+  std::vector<std::size_t> taken{2, 2, 0};
+  std::vector<int> out{-1};
+  EXPECT_EQ(merge_k(in, 3, std::span<std::size_t>(taken), &out, Less{}), 3u);
+  EXPECT_EQ(out, (std::vector<int>{-1, 4, 5, 6}));
+  EXPECT_EQ(taken, (std::vector<std::size_t>{2, 5, 0}));
+  EXPECT_EQ(merge_k<int>(in, 10, std::span<std::size_t>(taken), nullptr, Less{}), 2u);
+  EXPECT_EQ(taken, (std::vector<std::size_t>{2, 7, 0}));
+  EXPECT_EQ(merge_k<int>(in, 10, std::span<std::size_t>(taken), nullptr, Less{}), 0u);
+
+  // Item by item while r1 and r2 interleave, then one copy of r2 cut at k.
+  for (const std::size_t k : {std::size_t{0}, std::size_t{3}, std::size_t{6},
+                              std::size_t{9}, std::size_t{20}}) {
+    const std::vector<int> all{0, 1, 2, 3, 4, 5, 6, 7, 8};
+    const std::size_t want_n = std::min(k, all.size());
+    taken.assign(3, 0);
+    out.clear();
+    EXPECT_EQ(merge_k(in, k, std::span<std::size_t>(taken), &out, Less{}), want_n);
+    const auto cut = all.begin() + static_cast<std::ptrdiff_t>(want_n);
+    EXPECT_EQ(out, std::vector<int>(all.begin(), cut));
+    std::vector<std::size_t> counted(3, 0);
+    EXPECT_EQ(merge_k<int>(in, k, std::span<std::size_t>(counted), nullptr, Less{}),
+              want_n);
+    EXPECT_EQ(counted, taken) << "k " << k;
+  }
+}
+
 TEST(SortedOps, MergeKTiesGoToLowestRunIndex) {
   // Tie-heavy runs of tagged items (key, run): the tournament must equal a
   // stable sort of the runs' concatenation, cut at k, with per-run take
