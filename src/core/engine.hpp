@@ -53,14 +53,19 @@ struct EngineConfig {
   /// the run (0 = never retire). A retiring lane's batch share is requeued
   /// like any failed lane's, so heap-multiset conservation is exact; the
   /// last alive lane is never retired. Each retirement is recorded in the
-  /// flight ring (kLaneQuarantine) and counted by telemetry
-  /// kLaneQuarantines / EngineReport::lanes_quarantined.
+  /// flight ring (kLaneQuarantine) and counted per run by
+  /// EngineReport::lanes_quarantined and process-wide by the telemetry
+  /// kLaneQuarantines counter.
   std::size_t lane_fault_limit = 0;
 };
 
 struct EngineReport {
   std::uint64_t cycles = 0;
   std::uint64_t items_processed = 0;  ///< items handed to the think phase
+  /// Items whose think succeeded. A faulted lane's share is requeued and
+  /// handed out again, so items_processed counts it once per delivery;
+  /// this counts it once, when a think on it succeeds.
+  std::uint64_t items_thought = 0;
   double seconds = 0;                 ///< wall time inside run()
   double maint_seconds = 0;           ///< driver time in pipeline half-steps
   double think_stall_seconds = 0;     ///< driver time waiting on the think team
@@ -202,10 +207,6 @@ class ParallelHeapEngine {
           robustness::fire_fault(robustness::FailSite::kThinkThrow);
           think(tid, std::span<const T>(*in_[tid]), std::span<const T>(batch_out_),
                 *out_[tid]);
-          // Counted only on success: a faulting lane's share is requeued and
-          // re-dealt, so counting at delivery would tally the same items once
-          // per retry and kThinkItems would drift past items_processed.
-          telemetry::count(telemetry::Counter::kThinkItems, in_[tid]->size());
         } catch (const robustness::InjectedFailure&) {
           out_[tid]->clear();
           lane_failed_[tid] = 2;  // injected: counts as a verified recovery
@@ -241,7 +242,6 @@ class ParallelHeapEngine {
         if (lane_dead_[tid] != 0) continue;
         if (lane_failed_[tid] != 0) {
           ++rep.think_faults;
-          telemetry::count(telemetry::Counter::kThinkFaults);
           new_items_.insert(new_items_.end(), in_[tid]->begin(), in_[tid]->end());
           if (lane_failed_[tid] == 2) {
             robustness::note_recovery(robustness::FailSite::kThinkThrow);
@@ -267,6 +267,7 @@ class ParallelHeapEngine {
         // shrink the batch below the lane count. Only a *successful think on
         // actual work* clears the streak.
         if (!in_[tid]->empty()) lane_streak_[tid] = 0;
+        rep.items_thought += in_[tid]->size();
         new_items_.insert(new_items_.end(), out_[tid]->begin(), out_[tid]->end());
       }
 

@@ -35,8 +35,8 @@
 // level 2 or deeper, so a child without committed children still has no
 // stored children when its re-service would run — and that re-service
 // would return at once. The skip therefore changes no repair and no
-// HeapStats counter; procs_spawned/procs_serviced (and the kProcsSpawned/
-// kProcsServiced telemetry counters) simply no longer count these no-ops.
+// HeapStats counter; PipelineStats::procs_spawned/procs_serviced simply no
+// longer count these no-ops.
 //
 // Substitute fetch under pipelining. A shrinking heap must refill the root
 // from its logical tail, but the tail slots may belong to deliveries still
@@ -201,7 +201,6 @@ class PipelinedParallelHeap {
   template <typename Runner>
   void advance_with(std::size_t parity, Runner&& runner) {
     ++pstats_.half_steps;
-    telemetry::count(telemetry::Counter::kHalfSteps);
     ibatch_.clear();
     dbatch_.clear();
     for (std::size_t lvl = parity; lvl < procs_.size(); lvl += 2) collect(lvl);
@@ -464,7 +463,6 @@ class PipelinedParallelHeap {
   void note_parked() {
     ++inflight_;
     ++pstats_.procs_spawned;
-    telemetry::count(telemetry::Counter::kProcsSpawned);
     pstats_.max_inflight = std::max<std::uint64_t>(pstats_.max_inflight, inflight_);
   }
 
@@ -550,7 +548,6 @@ class PipelinedParallelHeap {
     pstats_.task_groups += ngroups;
     pstats_.max_groups = std::max<std::uint64_t>(pstats_.max_groups, ngroups);
     pstats_.procs_serviced += nd + ni;
-    telemetry::count(telemetry::Counter::kProcsServiced, nd + ni);
 
     std::function<void(std::size_t, ServiceCtx&)> fn = [this](std::size_t g,
                                                               ServiceCtx& ctx) {
@@ -686,8 +683,6 @@ class PipelinedParallelHeap {
   std::size_t root_work(std::span<const T> new_items, std::size_t k,
                         std::vector<T>& out) {
     telemetry::SpanScope span(telemetry::Phase::kRootWork);
-    telemetry::count(telemetry::Counter::kCycles);
-    telemetry::count(telemetry::Counter::kItemsInserted, new_items.size());
     // Allocation-failure site at cycle entry: fires before any heap state is
     // touched, modeling the root-work scratch buffers failing to grow.
     robustness::fire_oom(robustness::FailSite::kRootAlloc);
@@ -699,7 +694,6 @@ class PipelinedParallelHeap {
       out.insert(out.end(), new_buf_.begin(),
                  new_buf_.begin() + static_cast<std::ptrdiff_t>(take));
       stats_.items_deleted += take;
-      telemetry::count(telemetry::Counter::kItemsDeleted, take);
       if (take < new_buf_.size()) {
         spawn_inserts(std::span<const T>(new_buf_).subspan(take));
       }
@@ -715,7 +709,6 @@ class PipelinedParallelHeap {
     out.insert(out.end(), merged_.begin(),
                merged_.begin() + static_cast<std::ptrdiff_t>(take));
     stats_.items_deleted += take;
-    telemetry::count(telemetry::Counter::kItemsDeleted, take);
 
     const std::size_t rest = merged_.size() - take;
     const std::size_t new_total = size_ + new_buf_.size() - take;
@@ -809,7 +802,6 @@ class PipelinedParallelHeap {
                              victim->carried.end());
         victim->carried.resize(victim->carried.size() - s);
         pstats_.steals += s;
-        telemetry::count(telemetry::Counter::kSteals, s);
         // An emptied process stays parked and retires as a no-op.
       } else {
         // No in-flight delivery owns slots here, so the tail node's

@@ -184,7 +184,6 @@ void write_checkpoint(const std::string& dir, std::uint64_t seq,
                          " failed: " + std::strerror(errno));
     }
     if (policy != FsyncPolicy::kNever) fsync_dir(dir);
-    telemetry::count(telemetry::Counter::kCkptBytes, bytes);
     obs::flight(obs::FlightKind::kCkptPublish, seq, bytes);
   } catch (...) {
     f.close();

@@ -244,12 +244,17 @@ class DurableHeap {
     std::atomic<std::uint64_t> replayed{0};
     std::atomic<std::uint64_t> checkpoints{0};
     std::atomic<std::uint64_t> recovering{0};  ///< 1 while recover() runs
+    /// Bytes this instance wrote to WAL segments, header frames included.
+    /// A segment later pruned, or truncated by a rotation at the same op
+    /// sequence (checkpoint_on_open right after recovery), still counts.
+    std::atomic<std::uint64_t> wal_bytes{0};
   };
 
   const Live& live() const noexcept { return *live_; }
 
   /// Publishes durability gauges (op sequence, replay progress, checkpoint
-  /// count) in the process-wide MetricsRegistry under the `heap` label.
+  /// count, WAL bytes) in the process-wide MetricsRegistry under the `heap`
+  /// label.
   void register_gauges(const std::string& heap = "durable") {
     gauges_.clear();
     static constexpr obs::GaugeField<Live> kFields[] = {
@@ -257,6 +262,8 @@ class DurableHeap {
         {"durable_replayed", "WAL records applied by the current/last recovery.", &Live::replayed},
         {"durable_checkpoints", "Checkpoints published by this instance.", &Live::checkpoints},
         {"durable_recovering", "1 while a recovery pass is running.", &Live::recovering},
+        {"durable_wal_bytes", "Bytes written to WAL segments, headers included.",
+         &Live::wal_bytes},
     };
     gauges_.add_fields(live_.get(), {{"heap", heap}}, kFields);
   }
@@ -282,6 +289,7 @@ class DurableHeap {
 
   void finish_op() {
     set_op_seq(op_seq() + 1);
+    publish_wal_bytes();
     ++ops_since_ckpt_;
     if (opt_.checkpoint_interval != 0 &&
         ops_since_ckpt_ >= opt_.checkpoint_interval) {
@@ -294,11 +302,20 @@ class DurableHeap {
     live_->op_seq.store(seq, std::memory_order_relaxed);
   }
 
+  /// durable_wal_bytes' one write site: the closed segments' bytes plus the
+  /// open segment's offset. A record un-logged by a failed op never reaches
+  /// finish_op, so the gauge never counts it.
+  void publish_wal_bytes() noexcept {
+    live_->wal_bytes.store(closed_wal_bytes_ + wal_->offset(), std::memory_order_relaxed);
+  }
+
   void rotate_wal() {
+    if (wal_) closed_wal_bytes_ += wal_->offset();
     wal_.reset();  // close the old segment before the new one takes over
     const std::uint64_t seq = op_seq();
     wal_ = std::make_unique<WalWriter<T>>(opt_.dir + "/" + wal_filename(seq), seq,
                                           opt_.fsync);
+    publish_wal_bytes();
   }
 
   /// Deletes checkpoints beyond the retention window and WAL segments that
@@ -463,7 +480,6 @@ class DurableHeap {
     // mutated, so a crash anywhere in recovery replays identically.
     rotate_wal();
     if (opt_.checkpoint_on_open) checkpoint_now();
-    telemetry::count(telemetry::Counter::kRecoveries);
     live_->recovering.store(0, std::memory_order_relaxed);
     obs::flight(obs::FlightKind::kRecoveryDone, expected,
                 live_->replayed.load(std::memory_order_relaxed));
@@ -491,6 +507,7 @@ class DurableHeap {
   std::unique_ptr<WalWriter<T>> wal_;
   std::size_t ops_since_ckpt_ = 0;
   std::uint64_t pre_off_ = 0;
+  std::uint64_t closed_wal_bytes_ = 0;  ///< bytes of segments rotated away
   // RecoveryInfo's fields other than `replayed` (which lives in Live).
   bool ckpt_loaded_ = false;
   bool wal_torn_ = false;

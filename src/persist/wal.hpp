@@ -78,7 +78,6 @@ class WalWriter {
     std::vector<std::uint8_t> frame;
     append_frame(frame, payload);
     file_.write_all(frame.data(), frame.size());
-    telemetry::count(telemetry::Counter::kWalBytes, frame.size());
     obs::flight(obs::FlightKind::kWalRotate, start_seq);
     if (policy_ == FsyncPolicy::kEveryRecord) sync();
   }
@@ -124,16 +123,14 @@ class WalWriter {
       file_.truncate_to(pre);
       throw;
     }
-    telemetry::count(telemetry::Counter::kWalAppends);
-    telemetry::count(telemetry::Counter::kWalBytes, frame.size());
   }
 
   void sync() {
     // Fsync latency is the durability tax every kEveryRecord append pays —
-    // first-class phase so dashboards see its distribution, not just counts.
+    // first-class phase so dashboards see its distribution; the phase's
+    // count is the fsync count.
     telemetry::SpanScope span(telemetry::Phase::kWalFsync);
     file_.sync();
-    telemetry::count(telemetry::Counter::kWalFsyncs);
   }
 
   /// Un-logs everything past `off` — DurableHeap's repair path for a record

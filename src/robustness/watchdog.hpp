@@ -10,9 +10,12 @@
 // timeout and escalates:
 //
 //   rung 1  every poll that finds a stalled channel bumps the telemetry
-//           kWatchdogStalls counter (cheap, machine-readable, soaks watch it)
+//           kWatchdogStalls counter (cheap and machine-readable: every
+//           metrics scrape exports it, ph_watchdog_stalls_total; no script
+//           or CI gate reads it)
 //   rung 2  after `dump_after_polls` consecutive stalled polls, render the
-//           channel table and merged counters as one report block and hand
+//           channel table and the nonzero counters and phase counts
+//           (MetricsSnapshot::nonzero_text) as one report block and hand
 //           it to the report sink (stderr by default; pluggable via
 //           set_report_sink), once per episode — and persist the flight
 //           recorder ring to a timestamped file (the black-box dump)
@@ -236,15 +239,8 @@ class PhaseWatchdog {
       report += line;
     }
     if (telemetry::kEnabled) {
-      const telemetry::MetricsSnapshot snap = telemetry::Registry::instance().collect();
-      report += "ph: watchdog: merged counters:\n";
-      for (std::size_t c = 0; c < telemetry::kNumCounters; ++c) {
-        if (snap.counters[c] == 0) continue;
-        std::snprintf(line, sizeof(line), "ph:   %-18s %llu\n",
-                      telemetry::counter_name(static_cast<telemetry::Counter>(c)),
-                      static_cast<unsigned long long>(snap.counters[c]));
-        report += line;
-      }
+      report += "ph: watchdog: nonzero counters and phase counts:\n";
+      report += telemetry::Registry::instance().collect().nonzero_text();
     }
     if (sink_) {
       sink_(report);

@@ -10,20 +10,15 @@ namespace ph::telemetry {
 
 namespace {
 
-// PH_ASSERT flush hook: a failed assertion dumps the merged counter table
-// and the full Chrome-format trace rings (last ~8k spans per thread) to
-// stderr before aborting, so a sanitizer/CI failure carries the run's
-// recent history instead of one line. collect() is safe while writers run;
+// PH_ASSERT flush hook: a failed assertion dumps the post-mortem table
+// (MetricsSnapshot::nonzero_text) and the full Chrome-format trace rings
+// (last ~8k spans per thread) to stderr before aborting, so a sanitizer/CI
+// failure carries the run's recent history instead of one line. collect() is safe while writers run;
 // the trace rings may race with still-running owners, but we are already
 // aborting — a torn span in the post-mortem beats no post-mortem.
 void flush_telemetry_on_assert() {
   std::fprintf(stderr, "ph: telemetry at assertion failure:\n");
-  const MetricsSnapshot snap = Registry::instance().collect();
-  for (std::size_t c = 0; c < kNumCounters; ++c) {
-    if (snap.counters[c] == 0) continue;
-    std::fprintf(stderr, "ph:   %-18s %llu\n", counter_name(static_cast<Counter>(c)),
-                 static_cast<unsigned long long>(snap.counters[c]));
-  }
+  std::fputs(Registry::instance().collect().nonzero_text().c_str(), stderr);
   std::fprintf(stderr, "ph: trace ring (chrome trace_event JSON):\n");
   write_chrome_trace(std::cerr);
   std::cerr << std::endl;
@@ -63,21 +58,7 @@ const char* phase_name(Phase p) noexcept {
 
 const char* counter_name(Counter c) noexcept {
   switch (c) {
-    case Counter::kCycles: return "cycles";
-    case Counter::kItemsInserted: return "items_inserted";
-    case Counter::kItemsDeleted: return "items_deleted";
-    case Counter::kProcsSpawned: return "procs_spawned";
-    case Counter::kProcsServiced: return "procs_serviced";
-    case Counter::kSteals: return "steals";
-    case Counter::kThinkItems: return "think_items";
-    case Counter::kHalfSteps: return "half_steps";
     case Counter::kWatchdogStalls: return "watchdog_stalls";
-    case Counter::kThinkFaults: return "think_faults";
-    case Counter::kCkptBytes: return "ckpt_bytes";
-    case Counter::kWalAppends: return "wal_appends";
-    case Counter::kWalBytes: return "wal_bytes";
-    case Counter::kWalFsyncs: return "wal_fsyncs";
-    case Counter::kRecoveries: return "recoveries";
     case Counter::kLaneQuarantines: return "lane_quarantines";
     case Counter::kIngestStaged: return "ingest_staged";
     case Counter::kIngestRuns: return "ingest_runs";
@@ -189,6 +170,24 @@ void MetricsSnapshot::write_json(JsonWriter& w) const {
 
   w.kv("dropped_spans", dropped_spans);
   w.end_object();
+}
+
+std::string MetricsSnapshot::nonzero_text() const {
+  std::string out;
+  char line[96];
+  auto row = [&](const char* kind, const char* name, std::uint64_t v) {
+    if (v == 0) return;
+    std::snprintf(line, sizeof(line), "ph:   %-7s %-18s %llu\n", kind, name,
+                  static_cast<unsigned long long>(v));
+    out += line;
+  };
+  for (std::size_t c = 0; c < kNumCounters; ++c) {
+    row("counter", counter_name(static_cast<Counter>(c)), counters[c]);
+  }
+  for (std::size_t p = 0; p < kNumPhases; ++p) {
+    row("phase", phase_name(static_cast<Phase>(p)), phases[p].count());
+  }
+  return out;
 }
 
 }  // namespace ph::telemetry

@@ -6,9 +6,10 @@
 // aligned slot of relaxed-atomic counters, per-phase latency histograms, and
 // a private trace ring. Writers never share a line; readers (collect(),
 // write_chrome_trace()) merge every slot on demand without stopping the
-// writers. Counters here are process-wide; a per-instance quantity (one
-// DurableHeap's replayed records, say) belongs in that instance's gauges
-// instead.
+// writers. Counters here are process-wide and count only what nothing else
+// counts: a per-instance quantity (one DurableHeap's WAL bytes, say) belongs
+// in that instance's stats or gauges, and an event that a phase span
+// brackets is counted by that phase's histogram.
 #pragma once
 
 #include <array>
@@ -53,30 +54,17 @@ enum class Phase : unsigned {
 inline constexpr std::size_t kNumPhases = static_cast<std::size_t>(Phase::kCount);
 const char* phase_name(Phase p) noexcept;
 
-/// Monotone event counters, merged across threads at report time.
+/// Monotone event counters, merged across threads at report time. Cycles
+/// are root_work's phase count; WAL records and fsyncs are wal_append's and
+/// wal_fsync's.
 enum class Counter : unsigned {
-  kCycles = 0,
-  kItemsInserted,
-  kItemsDeleted,
-  kProcsSpawned,
-  kProcsServiced,
-  kSteals,
-  kThinkItems,       ///< items successfully thought (requeued shares recount
-                     ///< only when re-thought, never at delivery)
-  kHalfSteps,
-  kWatchdogStalls,   ///< watchdog polls that found a stalled channel
-  kThinkFaults,      ///< engine think-callbacks that threw (lane recovered)
-  kCkptBytes,        ///< bytes written into published checkpoint files
-  kWalAppends,       ///< WAL records appended
-  kWalBytes,         ///< bytes appended to WAL segments (frames incl. headers)
-  kWalFsyncs,        ///< fsync(2) calls issued by the WAL writer
-  kRecoveries,       ///< completed recovery passes (DurableHeap opens)
-  kLaneQuarantines,  ///< engine think lanes retired after repeated failures
+  kWatchdogStalls = 0,  ///< watchdog polls that found a stalled channel
+  kLaneQuarantines,     ///< engine think lanes retired after repeated failures
   // The two ingest counters stay process-wide because bench_stack reads
   // them from phd's metrics file (ingest.items_per_run); every other ingest
   // total is per instance, in IngestStats and the ingest_* gauges.
-  kIngestStaged,     ///< items staged into producer buffers (ingest tier)
-  kIngestRuns,       ///< sorted runs coalesced out of the staging buffers
+  kIngestStaged,        ///< items staged into producer buffers (ingest tier)
+  kIngestRuns,          ///< sorted runs coalesced out of the staging buffers
   kCount
 };
 inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kCount);
@@ -94,9 +82,6 @@ struct alignas(kCacheLine) ThreadSlot {
 
   void add(Counter c, std::uint64_t delta) noexcept {
     counters[static_cast<std::size_t>(c)].fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t get(Counter c) const noexcept {
-    return counters[static_cast<std::size_t>(c)].load(std::memory_order_relaxed);
   }
   void record(Phase p, std::uint64_t ns) noexcept {
     latency[static_cast<std::size_t>(p)].record(ns);
@@ -126,6 +111,11 @@ struct MetricsSnapshot {
   /// Emits the snapshot as one JSON object (counters, per-phase latency
   /// percentiles, per-thread counter breakdown).
   void write_json(JsonWriter& w) const;
+
+  /// The post-mortem table: one "ph:   " line per nonzero counter and per
+  /// phase with a nonzero count (so a report still says how many cycles
+  /// and fsyncs ran). Shared by the assert-flush hook and the watchdog.
+  std::string nonzero_text() const;
 };
 
 /// Process-wide slot registry. Threads register lazily on first use; slots

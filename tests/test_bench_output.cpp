@@ -66,13 +66,13 @@ TEST_F(BenchOutput, MetricsJsonHasPhasePercentilesAndMergedCounters) {
   ASSERT_EQ(run_status_, 0);
   const auto doc = minijson::parse(slurp(json_path_));
 
-  // Merged counters present for every registered counter name.
-  const auto& counters = doc.at("telemetry").at("counters").object();
-  for (const char* name : {"cycles", "items_inserted", "items_deleted",
-                           "procs_spawned", "procs_serviced", "steals",
-                           "think_items", "half_steps"}) {
-    ASSERT_TRUE(counters.count(name)) << name;
+  // The counters object holds exactly the registered counter names.
+  std::set<std::string> counter_names;
+  for (const auto& [name, v] : doc.at("telemetry").at("counters").object()) {
+    counter_names.insert(name);
   }
+  EXPECT_EQ(counter_names, (std::set<std::string>{"watchdog_stalls", "lane_quarantines",
+                                                  "ingest_staged", "ingest_runs"}));
 
   // Per-phase latency summaries with percentile fields.
   const auto& phases = doc.at("telemetry").at("phases").object();
@@ -97,8 +97,7 @@ TEST_F(BenchOutput, MetricsJsonHasPhasePercentilesAndMergedCounters) {
 
 #if PH_TELEMETRY_ENABLED
   // With telemetry compiled in, the engine benchmark must have recorded real
-  // cycles and nonzero root-work/think latencies.
-  EXPECT_GT(doc.at("telemetry").at("counters").at("cycles").number(), 0.0);
+  // cycles (root_work's count) and nonzero root-work/think latencies.
   EXPECT_GT(phases.at("root_work").at("count").number(), 0.0);
   EXPECT_GT(phases.at("root_work").at("p99_ns").number(), 0.0);
   EXPECT_GE(phases.at("root_work").at("p99_ns").number(),

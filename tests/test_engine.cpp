@@ -311,36 +311,32 @@ TEST(Engine, EmptyShareDoesNotResetFaultStreakOfFlappingLane) {
 }
 
 TEST(Engine, ThinkItemsCountsSuccessfulThinksOnly) {
-  // Regression for the double-count: kThinkItems used to be tallied at
+  // Regression for the double-count: items thought used to be tallied at
   // share DELIVERY, so a faulted lane's requeued items were counted once
-  // per retry and the counter drifted past items-actually-thought. It must
+  // per retry and the count drifted past items-actually-thought. It must
   // equal the number of items that passed through a SUCCESSFUL think.
-  if (!telemetry::kEnabled) GTEST_SKIP() << "built without PH_TELEMETRY";
-  const std::uint64_t before = telemetry::Registry::instance().collect().get(
-      telemetry::Counter::kThinkItems);
-
   EngineConfig cfg;
   cfg.node_capacity = 2;
   cfg.think_threads = 2;
   cfg.lane_fault_limit = 3;
   Engine eng(cfg);
   eng.seed(std::vector<std::uint64_t>{10, 20, 30});
-  eng.run([&](unsigned tid, std::span<const std::uint64_t> mine,
-              std::span<const std::uint64_t>, std::vector<std::uint64_t>& out) {
-    if (tid == 1 && !mine.empty()) throw std::runtime_error("flapping");
-    for (std::uint64_t v : mine) {
-      if (v == 30) {
-        out.push_back(40);
-        out.push_back(50);
-      }
-    }
-  });
+  const EngineReport rep = eng.run(
+      [&](unsigned tid, std::span<const std::uint64_t> mine,
+          std::span<const std::uint64_t>, std::vector<std::uint64_t>& out) {
+        if (tid == 1 && !mine.empty()) throw std::runtime_error("flapping");
+        for (std::uint64_t v : mine) {
+          if (v == 30) {
+            out.push_back(40);
+            out.push_back(50);
+          }
+        }
+      });
 
-  const std::uint64_t after = telemetry::Registry::instance().collect().get(
-      telemetry::Counter::kThinkItems);
   // Lane 0 successfully thinks exactly {10,20,30,40,50}; lane 1's faulted
   // shares (20, 30, 50 at delivery) must NOT be counted.
-  EXPECT_EQ(after - before, 5u);
+  EXPECT_EQ(rep.items_thought, 5u);
+  EXPECT_EQ(rep.items_processed, 8u);
 }
 
 TEST(Engine, ThinkTeamRunMatchesOracleAcrossTeamSizes) {

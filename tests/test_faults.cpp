@@ -411,7 +411,7 @@ TEST(AssertFlushDeathTest, AssertFailureFlushesTelemetryBeforeAbort) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   EXPECT_DEATH(
       {
-        telemetry::count(telemetry::Counter::kCycles, 123);
+        telemetry::count(telemetry::Counter::kWatchdogStalls, 123);
         PH_ASSERT_MSG(false, "fault-test induced failure");
       },
       "telemetry at assertion failure");

@@ -438,6 +438,11 @@ TEST(Watchdog, ReportSinkReceivesBlockAndFlightDumpIsWritten) {
   std::vector<std::string> reports;
   wd.set_report_sink([&](const std::string& r) { reports.push_back(r); });
 
+  // One cycle before the stall: the report's phase counts must show it.
+  PipelinedParallelHeap<U64> heap(4);
+  std::vector<U64> out;
+  heap.cycle(std::vector<U64>{3, 1, 2}, 2, out);
+
   wd.beat(ch);
   g_fake_now += 1'000'000;  // well past the 100ns timeout
   EXPECT_EQ(wd.poll().stalled, 1u);
@@ -445,6 +450,8 @@ TEST(Watchdog, ReportSinkReceivesBlockAndFlightDumpIsWritten) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_NE(reports[0].find("channel table"), std::string::npos);
   EXPECT_NE(reports[0].find("merge-loop"), std::string::npos);
+  EXPECT_EQ(reports[0].find("root_work") != std::string::npos, telemetry::kEnabled);
+  EXPECT_EQ(reports[0].find("watchdog_stalls") != std::string::npos, telemetry::kEnabled);
   EXPECT_EQ(wd.reports(), 1u);
 
   const std::string dump_path = wd.last_flight_dump();

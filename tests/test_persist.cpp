@@ -17,6 +17,7 @@
 #include "core/engine.hpp"
 #include "core/pipelined_heap.hpp"
 #include "core/sharded_heap.hpp"
+#include "obs/metrics_registry.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/format.hpp"
 #include "persist/recovery.hpp"
@@ -26,6 +27,7 @@
 #include "sim/network.hpp"
 #include "sim/serial_sim.hpp"
 #include "sim/sync_sim.hpp"
+#include "telemetry/telemetry.hpp"
 #include "testing/oracle.hpp"
 #include "util/rng.hpp"
 
@@ -621,6 +623,64 @@ TEST(DurableHeap, RetentionPrunesOldCheckpointsAndSegments) {
     EXPECT_GE(sseq, ckpts.front().first) << spath;
   }
   drain_exact(q, oracle, 8);
+}
+
+// The wal_append and wal_fsync phase counts are the WAL's record and fsync
+// counts: under kEveryRecord each record appended is one append span and
+// one fsync span.
+TEST(DurableHeap, WalPhaseCountsEqualRecordsAppended) {
+  TempDir dir;
+  auto q = make_dh(dir, 8, opts(dir, ps::FsyncPolicy::kEveryRecord));
+  testing::SortedOracle oracle;
+  auto& reg = telemetry::Registry::instance();
+  const telemetry::MetricsSnapshot before = reg.collect();
+  run_ops(q, oracle, 9, 30, 8);
+  const telemetry::MetricsSnapshot after = reg.collect();
+  auto delta = [&](telemetry::Phase p) {
+    return after.phase(p).count() - before.phase(p).count();
+  };
+  const U64 want = telemetry::kEnabled ? 30 : 0;
+  EXPECT_EQ(q.op_seq(), 30u);
+  EXPECT_EQ(delta(telemetry::Phase::kWalAppend), want);
+  EXPECT_EQ(delta(telemetry::Phase::kWalFsync), want);
+}
+
+U64 wal_segment_bytes(const std::string& dir) {
+  U64 sum = 0;
+  for (const auto& [sseq, spath] : ps::list_wal_segments(dir)) sum += fs::file_size(spath);
+  return sum;
+}
+
+double gauge_value(const std::string& name, const std::string& heap) {
+  for (const obs::GaugeSample& g : obs::MetricsRegistry::instance().snapshot().gauges) {
+    if (g.desc.name == name && g.desc.labels.size() == 1 &&
+        g.desc.labels[0].second == heap) {
+      return g.value;
+    }
+  }
+  ADD_FAILURE() << "no gauge " << name << "{heap=" << heap << "}";
+  return -1;
+}
+
+// durable_wal_bytes counts every byte written to WAL segments, header
+// frames included, across a rotation whose prune deletes the first segment.
+TEST(DurableHeap, WalBytesGaugeEqualsSegmentFileSizes) {
+  TempDir dir;
+  ps::DurableOptions d = opts(dir, ps::FsyncPolicy::kEveryRecord);
+  d.checkpoint_on_open = false;
+  PipelinedDH q(PipelinedParallelHeap<U64>(8), d);
+  q.register_gauges("wal-bytes-test");
+  testing::SortedOracle oracle;
+  run_ops(q, oracle, 13, 20, 8);
+  const U64 first = wal_segment_bytes(dir.path);
+  EXPECT_EQ(q.live().wal_bytes.load(), first);
+  ASSERT_TRUE(q.checkpoint_now());
+  ASSERT_EQ(ps::list_wal_segments(dir.path).size(), 1u);  // the first is pruned
+  EXPECT_EQ(q.live().wal_bytes.load(), first + wal_segment_bytes(dir.path));
+  run_ops(q, oracle, 14, 10, 8);
+  EXPECT_EQ(q.live().wal_bytes.load(), first + wal_segment_bytes(dir.path));
+  EXPECT_EQ(gauge_value("durable_wal_bytes", "wal-bytes-test"),
+            static_cast<double>(q.live().wal_bytes.load()));
 }
 
 TEST(DurableHeap, ShardedEngineRestartsExactly) {

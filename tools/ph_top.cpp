@@ -3,11 +3,12 @@
 // Polls a SnapshotPublisher (either the HTTP endpoint a bench exposes with
 // --metrics-port, or the JSON file it writes with --metrics-file) and renders
 // cycle/fsync and svc dispatch/ack *rates* (computed from successive
-// snapshots — the publisher only exports monotone totals: telemetry
-// counters, and the svc_delivered_total / svc_acked_total gauges summed over
-// every `heap` label), every other gauge's value, and key phase latency
-// percentiles. Zero dependencies: raw POSIX sockets for the GET,
-// util/mini_json.hpp for parsing.
+// snapshots — the publisher only exports monotone totals: the root_work and
+// wal_fsync phase counts, which count cycles and fsyncs, and the
+// svc_delivered_total / svc_acked_total gauges summed over every `heap`
+// label), every other gauge's value, and key phase latency percentiles.
+// Zero dependencies: raw POSIX sockets for the GET, util/mini_json.hpp for
+// parsing.
 //
 //   ph_top --port 9137                poll http://127.0.0.1:9137/metrics.json
 //   ph_top --file /tmp/ph.json       poll a --metrics-file target
@@ -99,7 +100,7 @@ double num_or(const ph::minijson::Value& obj, const std::string& key, double dfl
   return it->second.number();
 }
 
-/// Monotone totals by name: every telemetry counter, plus the gauges in
+/// Monotone totals by name: every phase's span count, plus the gauges in
 /// kSummedGauges summed over their `heap` labels.
 using Totals = std::map<std::string, double>;
 constexpr const char* kSummedGauges[] = {"svc_delivered_total", "svc_acked_total"};
@@ -128,11 +129,10 @@ int render(const std::string& body, Prev& prev) try {
   const double seq = num_or(doc, "seq", 0);
   const double t_ns = num_or(doc, "t_ns", 0);
   const auto& telem = doc.at("telemetry");
+  const bool has_phases = telem.is_object() && telem.object().count("phases") != 0;
   Totals totals;
-  if (telem.at("counters").is_object()) {
-    for (const auto& [k, v] : telem.at("counters").object()) {
-      if (v.is_number()) totals[k] = v.number();
-    }
+  if (has_phases) {
+    for (const auto& [k, v] : telem.at("phases").object()) totals[k] = num_or(v, "count", 0);
   }
 
   std::map<std::string, double> scalars;  ///< label-free-ish heap gauges
@@ -156,8 +156,8 @@ int render(const std::string& body, Prev& prev) try {
     }
   }
   std::printf("ph_top  seq=%-6.0f uptime=%8.1fs  cycles/s=%9.1f  fsync/s=%7.1f\n",
-              seq, t_ns / 1e9, rate(prev, totals, t_ns, "cycles"),
-              rate(prev, totals, t_ns, "wal_fsyncs"));
+              seq, t_ns / 1e9, rate(prev, totals, t_ns, "root_work"),
+              rate(prev, totals, t_ns, "wal_fsync"));
   // Scheduler-service plane: present only against a phd publisher; a server
   // without svc_* gauges simply renders nothing here.
   if (!svc.empty()) {
@@ -179,7 +179,7 @@ int render(const std::string& body, Prev& prev) try {
   }
 
   // Key phase latencies (present when the publisher's build has telemetry).
-  if (telem.is_object() && telem.object().count("phases") != 0) {
+  if (has_phases) {
     const auto& phases = telem.at("phases").object();
     for (const char* ph_name :
          {"shard_route", "shard_merge", "wal_fsync", "root_work"}) {
