@@ -60,7 +60,6 @@ SvcConfig base_cfg(const std::string& dir) {
   SvcConfig cfg;
   cfg.dir = dir;
   cfg.node_capacity = 64;
-  cfg.producers = 4;
   cfg.clock = &fake_clock;
   return cfg;
 }

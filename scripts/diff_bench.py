@@ -20,11 +20,11 @@ new file lacks is reported as REMOVED (gated like a change when it is a
 per-op work scalar). --fail-over PCT turns any scalar whose |delta|
 exceeds PCT percent into a nonzero exit (counters whose
 baseline is 0 are reported as "new" and never fail). Telemetry *counters*
-get the same threshold. Only four remain (watchdog stalls, lane
-quarantines, ingest staged items and runs); work counts are bench scalars
-read from HeapStats/PipelineStats. Against a trajectory file recorded
-while the counters still repeated those (cycles, items, procs, WAL
-appends), the dropped counters show as counter.* REMOVED rows.
+get the same threshold. Only two remain (ingest staged items and runs);
+work counts are bench scalars read from HeapStats/PipelineStats. Against a
+trajectory file recorded while the counters still repeated those (cycles,
+items, procs, WAL appends, watchdog stalls, lane quarantines), the dropped
+counters show as counter.* REMOVED rows.
 """
 
 import argparse

@@ -54,8 +54,7 @@ struct EngineConfig {
   /// like any failed lane's, so heap-multiset conservation is exact; the
   /// last alive lane is never retired. Each retirement is recorded in the
   /// flight ring (kLaneQuarantine) and counted per run by
-  /// EngineReport::lanes_quarantined and process-wide by the telemetry
-  /// kLaneQuarantines counter.
+  /// EngineReport::lanes_quarantined.
   std::size_t lane_fault_limit = 0;
 };
 
@@ -256,7 +255,6 @@ class ParallelHeapEngine {
             lane_dead_[tid] = 1;
             --alive;
             ++rep.lanes_quarantined;
-            telemetry::count(telemetry::Counter::kLaneQuarantines);
             obs::flight(obs::FlightKind::kLaneQuarantine, tid, lane_streak_[tid]);
           }
           continue;

@@ -559,7 +559,6 @@ inline FaultSiteResult svc_site_drill(const FaultMatrixConfig& cfg,
   svc::SvcConfig sc;
   sc.dir = dir.path;
   sc.node_capacity = 8;
-  sc.producers = 2;
   sc.clock = &svc_fake_clock;
   svc::SchedulerCore core(sc);
   arm(site, spec);
@@ -620,7 +619,7 @@ inline FaultSiteResult svc_site_drill(const FaultMatrixConfig& cfg,
       if (++it->second > 1) return fail("job delivered twice");
     }
   }
-  if (core.backlog() != 0) return fail("drain left jobs in the tier");
+  if (core.backlog() != 0) return fail("drain left jobs in the backlog");
   if (!core.check_invariants(&why)) return fail("post-drain invariants: " + why);
   const svc::SvcStats st = core.stats();
   if (st.acked != st.delivered + st.cancelled) {

@@ -9,12 +9,13 @@
 // monitor thread — compares every channel's last beat against a stall
 // timeout and escalates:
 //
-//   rung 1  every poll that finds a stalled channel bumps the telemetry
-//           kWatchdogStalls counter (cheap and machine-readable: every
-//           metrics scrape exports it, ph_watchdog_stalls_total; no script
-//           or CI gate reads it)
+//   rung 1  every poll that finds a stalled channel bumps the instance's
+//           stall count (stalls(); the engine copies it into
+//           EngineReport::watchdog_stalls) and records a kWatchdogStall
+//           flight event
 //   rung 2  after `dump_after_polls` consecutive stalled polls, render the
-//           channel table and the nonzero counters and phase counts
+//           stall count, the channel table and the nonzero counters and
+//           phase counts
 //           (MetricsSnapshot::nonzero_text) as one report block and hand
 //           it to the report sink (stderr by default; pluggable via
 //           set_report_sink), once per episode — and persist the flight
@@ -140,7 +141,6 @@ class PhaseWatchdog {
       const std::uint32_t consec =
           ch.consecutive.fetch_add(1, std::memory_order_relaxed) + 1;
       stalls_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::count(telemetry::Counter::kWatchdogStalls);
       obs::flight(obs::FlightKind::kWatchdogStall, ci, consec);
       if (consec >= cfg_.dump_after_polls && !ch.episode_dumped) {
         ch.episode_dumped = true;
@@ -228,7 +228,10 @@ class PhaseWatchdog {
   /// stderr writers can't shred the table).
   void dump_report(std::uint64_t t) const {
     char line[256];
-    std::string report = "ph: watchdog: stall detected; channel table:\n";
+    std::snprintf(line, sizeof(line),
+                  "ph: watchdog: stall detected (watchdog_stalls %llu); channel table:\n",
+                  static_cast<unsigned long long>(stalls()));
+    std::string report = line;
     for (const auto& chp : channels_) {
       const std::uint64_t beat_t = chp->last_beat.load(std::memory_order_acquire);
       const std::uint64_t age = t >= beat_t ? t - beat_t : 0;

@@ -1,10 +1,11 @@
 // SchedulerCore: the multi-tenant event-scheduler engine behind phd
 // (DESIGN.md §15). Composes the tree's existing layers —
 //
-//   IngestTier< DurableHeap< PipelinedParallelHeap<Job> > >
+//   DurableHeap< PipelinedParallelHeap<Job> >
 //
-// staging-buffered enqueue, WAL-first durability, the paper's pipelined
-// batch cycle — and adds the service semantics on top:
+// WAL-first durability over the paper's pipelined batch cycle, fed one
+// sorted batch of staged ops per commit — and adds the service semantics on
+// top:
 // weighted fair admission, deficit-round-robin dispatch, durable cancel,
 // and an exactly-once delivery protocol whose ONLY durable artifact is the
 // WAL the heap already writes.
@@ -60,8 +61,8 @@
 // service-wide total is one atomic in Live, bumped where its tenant row or
 // transaction is written, and both stats() and the svc_* gauges read it.
 //
-// Threading: stage()-bearing schedule()/cancel() are safe from any thread;
-// commit()/poll_due()/stats are driver-only, like every cycle() in the tree.
+// Threading: every mutator is driver-only, like every cycle() in the tree;
+// phd calls them all from its one event loop. Scrapers read only Live.
 #pragma once
 
 #include <time.h>
@@ -78,7 +79,6 @@
 #include <vector>
 
 #include "core/pipelined_heap.hpp"
-#include "ingest/ingest_tier.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics_registry.hpp"
 #include "persist/recovery.hpp"
@@ -93,10 +93,13 @@ namespace ph::svc {
 struct SvcConfig {
   std::string dir;                    ///< durable directory (WAL home)
   std::size_t node_capacity = 128;
-  std::size_t producers = 4;          ///< ingest staging slots (tenant-hashed)
+  /// Not a knob: phd stages every op in one buffer. The staging slot count
+  /// of bench/stack's replay rung, which reads it from here until that rung
+  /// goes (ROADMAP item 1).
+  static constexpr std::size_t producers = 4;
   persist::FsyncPolicy fsync = persist::FsyncPolicy::kNever;
 
-  // Backpressure: above `overload_watermark` jobs in the tier, schedules are
+  // Backpressure: above `overload_watermark` jobs in the backlog, schedules are
   // token-gated per tenant; at `max_backlog` everything sheds (the OOM wall).
   std::size_t max_backlog = 1u << 20;
   std::size_t overload_watermark = 1u << 14;
@@ -148,12 +151,9 @@ struct SvcStats {
 class SchedulerCore {
  public:
   using Inner = persist::DurableHeap<PipelinedParallelHeap<Job, JobLess>>;
-  using Tier = ingest::IngestTier<Inner, Job, JobLess>;
 
   explicit SchedulerCore(SvcConfig cfg)
-      : cfg_(std::move(cfg)),
-        tenants_(cfg_.weight),
-        tier_(make_inner(), ingest::IngestConfig{cfg_.producers}, JobLess{}) {
+      : cfg_(std::move(cfg)), tenants_(cfg_.weight), heap_(make_inner()) {
     recovering_ = false;
     if (durable().recovery_info().checkpoint_loaded) {
       // A checkpoint would have let replay start mid-history, which the
@@ -184,8 +184,6 @@ class SchedulerCore {
 
   /// Stages one job. kOk means "will be durable + acked at the next
   /// commit()/poll_due()" — callers must not acknowledge before then.
-  /// Thread-safe (stage() is), though admission accounting is exact only
-  /// from the driver thread; phd calls everything from its event loop.
   Admit schedule(std::uint32_t tenant, std::uint64_t delay_ns, std::uint64_t id,
                  std::uint64_t payload0, std::uint64_t payload1,
                  std::uint64_t* deadline_out = nullptr) {
@@ -196,11 +194,11 @@ class SchedulerCore {
       return Admit::kTransient;  // nothing staged; clean refusal
     }
     const std::uint64_t now = now_ns();
-    const std::size_t backlog = tier_.size();
-    if (backlog >= cfg_.max_backlog) return shed(tenant, backlog);
-    if (backlog >= cfg_.overload_watermark &&
+    const std::size_t depth = backlog();
+    if (depth >= cfg_.max_backlog) return shed(tenant, depth);
+    if (depth >= cfg_.overload_watermark &&
         !tenants_.try_take_token(tenant, now, cfg_.admit_rate, cfg_.burst)) {
-      return shed(tenant, backlog);
+      return shed(tenant, depth);
     }
     if (overloaded_) {
       overloaded_ = false;
@@ -216,7 +214,7 @@ class SchedulerCore {
     j.tenant = tenant;
     j.payload0 = payload0;
     j.payload1 = payload1;
-    tier_.stage(tenant, j);
+    staged_.push_back(j);
     if (deadline_out != nullptr) *deadline_out = j.deadline_ns;
     return Admit::kOk;
   }
@@ -231,38 +229,33 @@ class SchedulerCore {
       robustness::note_recovery(f.site);
       return Admit::kTransient;
     }
-    if (tier_.size() >= cfg_.max_backlog) return shed(tenant, tier_.size());
+    if (backlog() >= cfg_.max_backlog) return shed(tenant, backlog());
     Job marker;
     marker.deadline_ns = deadline_ns;
     marker.id = id;
     marker.tenant = tenant;
     marker.flags = kCancelFlag;
-    tier_.stage(tenant, marker);
+    staged_.push_back(marker);
     return Admit::kOk;
   }
 
-  /// Group commit: admits everything staged as ONE logged record (one WAL
-  /// append, one fsync under kEveryRecord) and returns the admitted count.
-  /// The server acks every outstanding schedule/cancel after this returns
-  /// with the staging fully drained.
+  /// Group commit: admits everything staged, sorted by JobLess, as the
+  /// fresh items of ONE logged record (one WAL append, one fsync under
+  /// kEveryRecord) and returns the admitted count. The server acks every
+  /// outstanding schedule/cancel after this returns. A throwing append
+  /// leaves the staging intact for the next commit.
   std::size_t commit() {
-    if (tier_.live().staged_depth.load(std::memory_order_relaxed) == 0) {
-      return 0;  // nothing staged: don't write an empty record per tick
-    }
+    if (staged_.empty()) return 0;  // don't write an empty record per tick
     telemetry::SpanScope span(telemetry::Phase::kSvcCommit);
     PH_ASSERT_MSG(pending_delivery_.empty(), "svc: commit inside a poll txn");
+    std::sort(staged_.begin(), staged_.end(), JobLess{});
     admitted_in_record_ = 0;
     sink_.clear();
-    tier_.cycle({}, 0, sink_);
+    heap_.cycle(std::span<const Job>(staged_), 0, sink_);
+    staged_.clear();
     obs::bump(live_.commits);
     refresh_live();
     return admitted_in_record_;
-  }
-
-  /// True when no staged op is awaiting its admission record — the server's
-  /// signal that every outstanding ack is now durable.
-  bool staged_fully_admitted() const noexcept {
-    return tier_.live().staged_depth.load(std::memory_order_relaxed) == 0;
   }
 
   // ------------------------------------------------------------ dispatch side
@@ -278,7 +271,7 @@ class SchedulerCore {
     obs::bump(live_.polls);
 
     commit();  // staged jobs may be due right now
-    if (max == 0 || tier_.size() == 0 || next_due_lb_ > now) {
+    if (max == 0 || heap_.size() == 0 || next_due_lb_ > now) {
       refresh_live();
       return PollStatus::kOk;  // provably nothing due: skip the pop churn
     }
@@ -303,7 +296,7 @@ class SchedulerCore {
     while (popped < budget) {
       const std::size_t k = std::min({budget - popped, chunk, cfg_.node_capacity});
       sink_.clear();
-      const std::size_t got = tier_.cycle({}, k, sink_);
+      const std::size_t got = heap_.cycle({}, k, sink_);
       popped += got;
       due_popped += static_cast<std::size_t>(
           std::partition_point(sink_.begin(), sink_.end(),
@@ -347,9 +340,7 @@ class SchedulerCore {
   /// Graceful drain: make every staged op durable. The heap's remaining
   /// content IS the durable state — nothing else to flush.
   void drain() {
-    obs::flight(obs::FlightKind::kSvcDrain,
-                tier_.live().staged_depth.load(std::memory_order_relaxed),
-                tier_.size());
+    obs::flight(obs::FlightKind::kSvcDrain, staged_.size(), heap_.size());
     commit();
     live_.draining.store(1, std::memory_order_relaxed);
   }
@@ -364,11 +355,11 @@ class SchedulerCore {
            static_cast<std::uint64_t>(ts.tv_nsec);
   }
 
-  std::size_t backlog() const noexcept { return tier_.size(); }
+  /// Jobs anywhere in the service: queued in the heap or staged.
+  std::size_t backlog() const noexcept { return heap_.size() + staged_.size(); }
   const SvcConfig& config() const noexcept { return cfg_; }
-  Tier& tier() noexcept { return tier_; }
-  Inner& durable() noexcept { return tier_.inner(); }
-  const Inner& durable() const noexcept { return tier_.inner(); }
+  Inner& durable() noexcept { return heap_; }
+  const Inner& durable() const noexcept { return heap_; }
   TenantTable& tenants() noexcept { return tenants_; }
   std::vector<TenantStatRow> stat_rows() const { return tenants_.stat_rows(); }
 
@@ -383,13 +374,12 @@ class SchedulerCore {
                     get(lv.recovered_inflight)};
   }
 
-  /// Ledger + tier invariants. Exact only at quiescent points with the
-  /// staging drained (the ledger counts durable ops; staged ones are in
-  /// flight). The conservation law: every acked job is delivered, cancelled,
-  /// or still in the heap — and the heap's size agrees item for item.
+  /// Ledger + heap invariants, at quiescent points. The conservation law:
+  /// every acked job is delivered, cancelled, or still in the heap — and
+  /// the heap's size agrees item for item. Staged ops are in neither the
+  /// ledger nor the heap until their commit.
   bool check_invariants(std::string* why = nullptr) {
-    if (!tier_.check_invariants(why)) return false;
-    if (!staged_fully_admitted()) return true;  // mid-flight: size not exact
+    if (!heap_.check_invariants(why)) return false;
     std::uint64_t queued_jobs = 0, unmatched = 0;
     for (const auto& [key, n] : tombstones_) {
       (void)key;
@@ -406,13 +396,13 @@ class SchedulerCore {
         cancel_reqs - cancelled - unmatched - pruned_tombstones_;
     const std::uint64_t expect = queued_jobs + markers_alive +
                                  static_cast<std::uint64_t>(pending_delivery_.size());
-    if (expect != tier_.size()) {
+    if (expect != heap_.size()) {
       if (why != nullptr) {
         *why = "svc ledger conservation broken: queued " +
                std::to_string(queued_jobs) + " + live markers " +
                std::to_string(markers_alive) + " + pending " +
-               std::to_string(pending_delivery_.size()) + " != tier size " +
-               std::to_string(tier_.size());
+               std::to_string(pending_delivery_.size()) + " != heap size " +
+               std::to_string(heap_.size());
       }
       return false;
     }
@@ -424,7 +414,7 @@ class SchedulerCore {
   /// bumped as each event happens.
   struct Live {
     std::atomic<std::uint64_t> tenants{0};
-    std::atomic<std::uint64_t> queue_depth{0};   ///< jobs anywhere in the tier
+    std::atomic<std::uint64_t> queue_depth{0};   ///< backlog(): queued + staged
     std::atomic<std::uint64_t> pending{0};       ///< popped, uncommitted
     std::atomic<std::uint64_t> tombstones{0};
     std::atomic<std::uint64_t> overloaded{0};    ///< 1 while shedding
@@ -437,15 +427,14 @@ class SchedulerCore {
   const Live& live() const noexcept { return live_; }
 
   /// Publishes the svc_* gauges ph_top renders (tenants, queue depth, shed,
-  /// delivered/acked totals) under the `heap` label, along with the ingest_*
-  /// and durable_* gauges of the layers below.
+  /// delivered/acked totals) under the `heap` label, along with the
+  /// durable_* gauges of the heap below.
   void register_gauges(const std::string& heap = "svc") {
     gauges_.clear();
-    tier_.register_gauges(heap);
-    durable().register_gauges(heap);
+    heap_.register_gauges(heap);
     static constexpr obs::GaugeField<Live> kFields[] = {
         {"svc_tenants", "Tenants seen by the scheduler service.", &Live::tenants},
-        {"svc_queue_depth", "Jobs anywhere in the service tier (staged+queued).", &Live::queue_depth},
+        {"svc_queue_depth", "Jobs anywhere in the service (staged+queued).", &Live::queue_depth},
         {"svc_pending_delivery", "Jobs popped but not yet committed to a poller.", &Live::pending},
         {"svc_tombstones", "Unmatched cancel tombstones held.", &Live::tombstones},
         {"svc_overloaded", "1 while admission is shedding.", &Live::overloaded},
@@ -673,20 +662,20 @@ class SchedulerCore {
     for (Job& j : requeue_) j.flags |= kRequeuedFlag;
     if (pending_delivery_.empty() && requeue_.empty()) return;  // all annihilated
     sink_.clear();
-    tier_.cycle(std::span<const Job>(requeue_), 0, sink_);
+    heap_.cycle(std::span<const Job>(requeue_), 0, sink_);
     PH_ASSERT_MSG(pending_delivery_.empty(), "svc: CLOSE left pending jobs");
     requeue_.clear();
   }
 
   void refresh_live() noexcept {
     live_.tenants.store(tenants_.size(), std::memory_order_relaxed);
-    live_.queue_depth.store(tier_.size(), std::memory_order_relaxed);
+    live_.queue_depth.store(backlog(), std::memory_order_relaxed);
     live_.pending.store(pending_delivery_.size(), std::memory_order_relaxed);
     live_.tombstones.store(tombstones_.size(), std::memory_order_relaxed);
   }
 
   SvcConfig cfg_;
-  // Ledger state MUST precede tier_: the observer fires during tier_'s
+  // Ledger state MUST precede heap_: the observer fires during heap_'s
   // construction (recovery replay) and touches these members.
   struct DueQueue {
     std::vector<Job> jobs;
@@ -702,7 +691,8 @@ class SchedulerCore {
   std::vector<std::pair<TombKey, std::uint32_t>> returns_;  ///< take_pending input
   std::map<std::uint32_t, DueQueue> due_by_tenant_;
   std::vector<Job> sink_;
-  bool recovering_ = true;   ///< true while tier_ construction replays
+  std::vector<Job> staged_;  ///< schedules/cancels awaiting the next commit
+  bool recovering_ = true;   ///< true while heap_ construction replays
   bool overloaded_ = false;
   std::uint32_t drr_cursor_ = std::numeric_limits<std::uint32_t>::max();
   std::uint64_t next_due_lb_ = 0;  ///< 0 = unknown: must pop
@@ -710,7 +700,7 @@ class SchedulerCore {
   std::size_t admitted_in_record_ = 0;
   Live live_;
   obs::GaugeSet gauges_;
-  Tier tier_;
+  Inner heap_;
 };
 
 }  // namespace ph::svc

@@ -2,9 +2,8 @@
 // (DESIGN.md §15).
 //
 // One thread, poll(2), nonblocking fds — the same stance as the metrics
-// publisher. Concurrency lives where the library already earns it (the
-// staging slots); the protocol edge stays serial so every WAL record, ack,
-// and ledger transition has one total order.
+// publisher. The protocol edge and the core stay serial, so every WAL
+// record, ack, and ledger transition has one total order.
 //
 // Request handling per loop iteration:
 //
@@ -409,11 +408,9 @@ class Server {
     persist::append_frame(c.out, std::span<const std::uint8_t>(enc_scratch_));
   }
 
-  /// After a commit with the staging fully drained, every parked ack's
-  /// admission record is on disk (per fsync policy): release them in order.
+  /// After a commit, every parked ack's admission record is on disk (per
+  /// fsync policy): release them in order.
   void flush_parked_acks() {
-    if (!core_.staged_fully_admitted()) return;  // injected flush fault: the
-                                                 // restaged ops commit later
     const std::uint64_t now = core_.now_ns();
     const std::uint64_t seq = core_.durable().op_seq();
     for (auto& c : conns_) {
@@ -496,7 +493,6 @@ class Server {
   }
 
   bool all_flushed() const {
-    if (!core_.staged_fully_admitted()) return false;
     for (const auto& c : conns_) {
       if (c->fd >= 0 && (!c->outbuf_empty() || !c->parked.empty())) return false;
     }

@@ -58,8 +58,6 @@ const char* phase_name(Phase p) noexcept {
 
 const char* counter_name(Counter c) noexcept {
   switch (c) {
-    case Counter::kWatchdogStalls: return "watchdog_stalls";
-    case Counter::kLaneQuarantines: return "lane_quarantines";
     case Counter::kIngestStaged: return "ingest_staged";
     case Counter::kIngestRuns: return "ingest_runs";
     case Counter::kCount: break;

@@ -58,12 +58,10 @@ const char* phase_name(Phase p) noexcept;
 /// are root_work's phase count; WAL records and fsyncs are wal_append's and
 /// wal_fsync's.
 enum class Counter : unsigned {
-  kWatchdogStalls = 0,  ///< watchdog polls that found a stalled channel
-  kLaneQuarantines,     ///< engine think lanes retired after repeated failures
   // The two ingest counters stay process-wide because bench_stack reads
   // them from phd's metrics file (ingest.items_per_run); every other ingest
   // total is per instance, in IngestStats and the ingest_* gauges.
-  kIngestStaged,        ///< items staged into producer buffers (ingest tier)
+  kIngestStaged = 0,    ///< items staged into producer buffers (ingest tier)
   kIngestRuns,          ///< sorted runs coalesced out of the staging buffers
   kCount
 };

@@ -31,10 +31,6 @@ inline void count(Counter c, std::uint64_t delta = 1) noexcept {
   Registry::instance().local().add(c, delta);
 }
 
-inline void record_latency(Phase p, std::uint64_t ns) noexcept {
-  Registry::instance().local().record(p, ns);
-}
-
 inline void name_thread(std::string_view name) {
   Registry::instance().set_thread_name(name);
 }
@@ -135,7 +131,6 @@ class SpanScope {
 inline constexpr bool kEnabled = false;
 
 inline void count(Counter, std::uint64_t = 1) noexcept {}
-inline void record_latency(Phase, std::uint64_t) noexcept {}
 inline void name_thread(std::string_view) noexcept {}
 
 inline std::uint64_t new_trace_id() noexcept { return 0; }

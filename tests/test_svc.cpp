@@ -2,7 +2,8 @@
 // exactness against a client-side oracle under a fake clock, durable cancel
 // annihilation, DRR fair-share dispatch, backpressure, the pop-until-not-due
 // rule (bounded requeues, due hint after a poll ending on a marker or
-// victim, delivered sequence vs a due-set + DRR oracle), WAL-replay ledger
+// victim, delivered sequence vs a due-set + DRR oracle), each admission
+// record being the JobLess-sorted staged batch, WAL-replay ledger
 // recovery (including kills between a poll's POP and CLOSE records and
 // between two POP chunks — the unterminated-transaction path), opening a
 // WAL written through the old 4-shard layout, stats()/gauge agreement, and
@@ -17,6 +18,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/sharded_heap.hpp"
@@ -60,7 +63,6 @@ SvcConfig small_cfg(const std::string& dir) {
   SvcConfig cfg;
   cfg.dir = dir;
   cfg.node_capacity = 8;
-  cfg.producers = 2;
   cfg.clock = &fake_clock;
   return cfg;
 }
@@ -198,7 +200,7 @@ TEST(SchedulerCore, SchedulesCommitAndDeliverInDeadlineOrder) {
   EXPECT_EQ(core.schedule(1, 10'000'000, 101, 7, 9, &deadline), Admit::kOk);
   EXPECT_EQ(core.schedule(2, 20'000'000, 102, 0, 0, &deadline), Admit::kOk);
   EXPECT_GT(core.commit(), 0u);
-  EXPECT_TRUE(core.staged_fully_admitted());
+  EXPECT_EQ(core.durable().size(), 3u);  // every staged op admitted
   EXPECT_EQ(core.backlog(), 3u);
 
   std::vector<Job> due;
@@ -868,6 +870,125 @@ void run_history(SchedulerCore& core, std::uint64_t seed, std::uint64_t ops) {
     }
   }
   core.commit();
+}
+
+TEST(SchedulerCore, AdmissionRecordIsTheSortedStagedBatch) {
+  // commit() logs everything staged since the previous commit as the fresh
+  // items of one record, sorted by JobLess. Twelve tenants, batches of 1..64
+  // schedules and cancels, polls between some commits; the WAL is read back
+  // record by record, then reopened.
+  Dir dir("ph-svc-admit-batch");
+  constexpr std::uint32_t kTenants = 12;
+  std::uint64_t rng = 0x5eed;
+  auto rnd = [&rng]() {
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    return rng >> 17;
+  };
+  auto full_less = [](const Job& a, const Job& b) {
+    return std::tie(a.deadline_ns, a.tenant, a.id, a.flags, a.payload0, a.payload1) <
+           std::tie(b.deadline_ns, b.tenant, b.id, b.flags, b.payload0, b.payload1);
+  };
+  std::vector<std::vector<Job>> batches;  // each commit's staged ops, in order
+  std::vector<Job> scheduled;             // cancel targets
+  std::vector<svc::TenantStatRow> rows;
+  svc::SvcStats stats;
+  {
+    SchedulerCore core(small_cfg(dir.path));
+    std::vector<Job> due;
+    std::uint64_t id = 0;
+    for (int c = 0; c < 60; ++c) {
+      std::vector<Job> batch;
+      const std::size_t n = 1 + rnd() % 64;
+      for (std::size_t i = 0; i < n; ++i) {
+        Job j;
+        if (!scheduled.empty() && rnd() % 4 == 0) {
+          const Job& victim = scheduled[rnd() % scheduled.size()];
+          ASSERT_EQ(core.cancel(victim.tenant, victim.deadline_ns, victim.id), Admit::kOk);
+          j = victim;
+          j.flags = svc::kCancelFlag;
+          j.payload0 = j.payload1 = 0;
+        } else {
+          j.tenant = static_cast<std::uint32_t>(rnd() % kTenants);
+          j.id = ++id;
+          j.payload0 = rnd();
+          j.payload1 = rnd();
+          // A coarse delay grid, so deadlines tie across tenants and ids.
+          ASSERT_EQ(core.schedule(j.tenant, (rnd() % 16) * 1'000'000, j.id, j.payload0,
+                                  j.payload1, &j.deadline_ns),
+                    Admit::kOk);
+          scheduled.push_back(j);
+        }
+        batch.push_back(j);
+      }
+      EXPECT_EQ(core.backlog(), core.durable().size() + n);
+      ASSERT_EQ(core.commit(), n) << "commit " << c;
+      batches.push_back(std::move(batch));
+      if (c % 3 == 2) {  // nothing staged: the poll writes only POP/CLOSE
+        advance_ms(5);
+        due.clear();
+        core.poll_due(24, due);
+      }
+    }
+    std::string why;
+    EXPECT_TRUE(core.check_invariants(&why)) << why;
+    rows = core.stat_rows();
+    stats = core.stats();
+    EXPECT_GT(stats.delivered, 0u);
+    EXPECT_GT(stats.cancelled, 0u);
+    EXPECT_GT(stats.requeued, 0u);
+  }
+
+  // Admission records are the k == 0 records whose items are not requeues
+  // (a CLOSE record carries only requeued jobs, or nothing).
+  std::size_t b = 0;
+  for (const auto& r : wal_records(dir.path)) {
+    if (r.k != 0 || r.items.empty()) continue;
+    const bool requeues = (r.items.front().flags & svc::kRequeuedFlag) != 0;
+    for (const Job& j : r.items) {
+      ASSERT_EQ((j.flags & svc::kRequeuedFlag) != 0, requeues) << "mixed record";
+    }
+    if (requeues) continue;
+    ASSERT_LT(b, batches.size()) << "more admission records than commits";
+    EXPECT_TRUE(std::is_sorted(r.items.begin(), r.items.end(), svc::JobLess{}))
+        << "admission record " << b;
+    std::vector<Job> got = r.items, want = batches[b];
+    std::sort(got.begin(), got.end(), full_less);
+    std::sort(want.begin(), want.end(), full_less);
+    ASSERT_EQ(got.size(), want.size()) << "admission record " << b;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_FALSE(full_less(got[i], want[i]) || full_less(want[i], got[i]))
+          << "admission record " << b << " item " << i;
+    }
+    ++b;
+  }
+  EXPECT_EQ(b, batches.size());
+
+  // The reopened ledger: every row and every WAL-derived total identical;
+  // the per-boot counts (polls, commits, aborts) start over at zero.
+  SchedulerCore core(small_cfg(dir.path));
+  const auto after = core.stat_rows();
+  ASSERT_EQ(after.size(), rows.size());
+  EXPECT_EQ(after.size(), kTenants);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(after[i].tenant, rows[i].tenant);
+    EXPECT_EQ(after[i].acked, rows[i].acked) << "tenant " << rows[i].tenant;
+    EXPECT_EQ(after[i].cancel_reqs, rows[i].cancel_reqs);
+    EXPECT_EQ(after[i].delivered, rows[i].delivered);
+    EXPECT_EQ(after[i].cancelled, rows[i].cancelled);
+    EXPECT_EQ(after[i].requeued, rows[i].requeued);
+    EXPECT_EQ(after[i].shed, rows[i].shed);
+  }
+  const svc::SvcStats st = core.stats();
+  EXPECT_EQ(st.acked, stats.acked);
+  EXPECT_EQ(st.cancel_reqs, stats.cancel_reqs);
+  EXPECT_EQ(st.delivered, stats.delivered);
+  EXPECT_EQ(st.cancelled, stats.cancelled);
+  EXPECT_EQ(st.requeued, stats.requeued);
+  EXPECT_EQ(st.shed, stats.shed);
+  EXPECT_EQ(st.recovered_inflight, stats.recovered_inflight);
+  EXPECT_EQ(st.polls + st.commits + st.aborted_polls, 0u);
+  std::string why;
+  EXPECT_TRUE(core.check_invariants(&why)) << why;
 }
 
 TEST(SchedulerCore, OpensAWalWrittenThroughTheFourShardLayout) {

@@ -246,13 +246,13 @@ TEST(MetricsSnapshot, JsonRoundTrips) {
   Registry& reg = Registry::instance();
   reg.reset();
   ThreadSlot& slot = reg.local();
-  slot.add(Counter::kWatchdogStalls, 3);
+  slot.add(Counter::kIngestStaged, 3);
   for (std::uint64_t v : {100u, 200u, 300u, 400u}) slot.record(Phase::kRootWork, v);
   std::ostringstream os;
   JsonWriter w(os);
   reg.collect().write_json(w);
   const auto doc = minijson::parse(os.str());
-  EXPECT_EQ(doc.at("counters").at("watchdog_stalls").number(), 3.0);
+  EXPECT_EQ(doc.at("counters").at("ingest_staged").number(), 3.0);
   const auto& root = doc.at("phases").at("root_work");
   EXPECT_EQ(root.at("count").number(), 4.0);
   EXPECT_EQ(root.at("min_ns").number(), 100.0);

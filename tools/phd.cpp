@@ -1,18 +1,19 @@
 // phd — the parallel-heap scheduler daemon (DESIGN.md §15).
 //
 // A long-running service: framed Schedule/Cancel/PollDue/Stats requests over
-// localhost TCP, executed against DurableHeap<PipelinedParallelHeap<Job>>
-// with the ingestion tier on the enqueue path. Multi-tenant fair admission, DRR
-// dispatch, group-commit acks, WAL-replay recovery. Drive it with ph_loadgen;
-// watch it with ph_top against --metrics-port.
+// localhost TCP, executed against DurableHeap<PipelinedParallelHeap<Job>>:
+// each group commit admits the loop's staged ops as one sorted batch.
+// Multi-tenant fair admission, DRR dispatch, group-commit acks, WAL-replay
+// recovery. Drive it with ph_loadgen; watch it with ph_top against
+// --metrics-port.
 //
 //   phd --dir /tmp/phd-state --port 9230                the quick start
 //   phd --dir d --port 0                                ephemeral port (printed)
 //   phd --dir d --port 9230 --metrics-port 9231         + /metrics, /healthz
 //   phd --dir d --port 9230 --fsync every               ack = on disk, always
 //
-// SIGTERM/SIGINT drain gracefully (flush staging, final commit, answer every
-// outstanding ack, exit 0). kill -9 is the recovery drill: restart with the
+// SIGTERM/SIGINT drain gracefully (final commit of the staged ops, answer
+// every outstanding ack, exit 0). kill -9 is the recovery drill: restart with the
 // same --dir and the WAL replays the full ledger bit-exactly.
 #include <csignal>
 #include <cstdint>
