@@ -10,9 +10,12 @@
 // the binary emits cycle_scaling_{ns,items_merged,items_written}_per_op_n<n>
 // _<heap> (heap = sync or pipelined): wall time per op and the HeapStats
 // work counters per op over exactly the timed ops, so every row averages
-// the same op count. The pipelined heap also emits
-// cycle_scaling_procs_per_op_n<n>_pipelined: update processes serviced
-// (PipelineStats::procs_serviced) per timed op, a report-only figure.
+// the same op count. Both also emit cycle_scaling_forward_refills_per_op
+// _n<n>_<heap>: delete-update refills that rewrote a child from its slot
+// base (HeapStats::forward_refills) per timed op. The pipelined heap also
+// emits cycle_scaling_procs_per_op_n<n>_pipelined: update processes
+// serviced (PipelineStats::procs_serviced) per timed op. Both are
+// report-only figures.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -65,10 +68,13 @@ void steady_hold(benchmark::State& state, const char* heap_name) {
   state.counters["items_merged_per_op"] = merged;
   state.counters["items_written_per_op"] = written;
   state.counters["nodes_touched_per_op"] = static_cast<double>(st.nodes_touched) / ops;
+  const double forward = static_cast<double>(st.forward_refills) / ops;
+  state.counters["forward_refills_per_op"] = forward;
   const std::string tail = "_n" + std::to_string(n) + "_" + heap_name;
   ph::bench::json_metric("cycle_scaling_ns_per_op" + tail, ns);
   ph::bench::json_metric("cycle_scaling_items_merged_per_op" + tail, merged);
   ph::bench::json_metric("cycle_scaling_items_written_per_op" + tail, written);
+  ph::bench::json_metric("cycle_scaling_forward_refills_per_op" + tail, forward);
   if constexpr (requires { heap.pipeline_stats(); }) {
     const double procs = static_cast<double>(heap.pipeline_stats().procs_serviced) / ops;
     state.counters["procs_per_op"] = procs;

@@ -14,7 +14,10 @@
 //    event at any thread count);
 //  * the parallel heap delivers the same global-queue semantics with O(r)
 //    critical path per batch and no per-item lock.
+// Each row's wall time per event is also emitted as the json scalar
+// des_torus_ns_per_event_<scheduler>[_t<threads>].
 #include <cstdint>
+#include <string>
 #include <thread>
 
 #include "baselines/binary_heap.hpp"
@@ -44,7 +47,13 @@ int main(int argc, char** argv) {
   const Model model(topo, mc);
   const double horizon = 12.0;
 
+  auto ns_per_event = [](const std::string& name, const SimResult& r) {
+    json_metric("des_torus_ns_per_event_" + name,
+                r.seconds * 1e9 / static_cast<double>(r.processed));
+  };
+
   const SimResult serial = run_serial_sim(model, horizon);
+  ns_per_event("serial", serial);
   columns("scheduler,threads,events,ev_per_s,violations,deferred,lock_acq,exact");
   row("serial,1,%llu,%.0f,0,0,0,1",
       static_cast<unsigned long long>(serial.processed),
@@ -60,6 +69,7 @@ int main(int argc, char** argv) {
         static_cast<double>(r.processed) / r.seconds,
         static_cast<unsigned long long>(r.violations),
         r.same_outcome(serial) ? 1 : 0);
+    ns_per_event("local_queues_t" + std::to_string(t), r);
   }
 
   {
@@ -71,6 +81,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.deferred),
         static_cast<unsigned long long>(gq.lock_acquisitions()),
         r.same_outcome(serial) ? 1 : 0);
+    ns_per_event("locked_heap", r);
   }
 
   for (unsigned t : {1u, 2u, 4u, 8u}) {
@@ -83,6 +94,7 @@ int main(int argc, char** argv) {
         static_cast<double>(r.sim.processed) / r.sim.seconds,
         static_cast<unsigned long long>(r.sim.deferred),
         r.sim.same_outcome(serial) ? 1 : 0);
+    ns_per_event("parheap_t" + std::to_string(t), r.sim);
   }
 
   note("host has %u hardware CPU(s); wall rates cannot scale here — the "

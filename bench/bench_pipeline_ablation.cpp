@@ -7,7 +7,10 @@
 // half-step (critical path O(r)), spreading the rest across later cycles.
 // We report per-cycle wall time and the work counters at growing n: the
 // synchronous per-cycle cost grows with log n, the pipelined one stays flat.
+// Per n the binary emits the json scalars pipeline_ablation_{sync,pipe}
+// _{us,items_merged}_per_cycle_n<n>.
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -53,12 +56,19 @@ int main(int argc, char** argv) {
 
     const auto& ss = sync.stats();
     const auto& sp = pipe.stats();
-    row("%zu,%.2f,%.2f,%.0f,%.0f,%llu", n,
-        sync_secs / static_cast<double>(ss.cycles) * 1e6,
-        pipe_secs / static_cast<double>(sp.cycles) * 1e6,
-        static_cast<double>(ss.items_merged) / static_cast<double>(ss.cycles),
-        static_cast<double>(sp.items_merged) / static_cast<double>(sp.cycles),
+    const double sync_us = sync_secs / static_cast<double>(ss.cycles) * 1e6;
+    const double pipe_us = pipe_secs / static_cast<double>(sp.cycles) * 1e6;
+    const double sync_merged =
+        static_cast<double>(ss.items_merged) / static_cast<double>(ss.cycles);
+    const double pipe_merged =
+        static_cast<double>(sp.items_merged) / static_cast<double>(sp.cycles);
+    row("%zu,%.2f,%.2f,%.0f,%.0f,%llu", n, sync_us, pipe_us, sync_merged, pipe_merged,
         static_cast<unsigned long long>(pipe.pipeline_stats().max_inflight));
+    const std::string tail = "_per_cycle_n" + std::to_string(n);
+    json_metric("pipeline_ablation_sync_us" + tail, sync_us);
+    json_metric("pipeline_ablation_pipe_us" + tail, pipe_us);
+    json_metric("pipeline_ablation_sync_items_merged" + tail, sync_merged);
+    json_metric("pipeline_ablation_pipe_items_merged" + tail, pipe_merged);
   }
   note("in a threaded engine the pipelined half-steps also overlap the think "
        "phase, which the synchronous variant cannot do at all");

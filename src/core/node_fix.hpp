@@ -40,6 +40,7 @@ template <typename T>
 struct FixScratch {
   std::vector<T> kid_prefix, dirty;
   std::size_t written = 0;  ///< items stored into v and the children, summed over calls
+  std::size_t forward_refills = 0;  ///< child refills that took refill()'s forward path
 
   /// Room for a discovery against a node of nv items.
   T* prefix_for(std::size_t nv) {
@@ -83,6 +84,8 @@ std::size_t exchange(std::span<T> sv, std::size_t t, std::span<NodeSlot<T>> chil
     if (k == 0) continue;
     NodeSlot<T>& kid = children[c];
     s.written += refill(kid, std::span<const T>(s.dirty.data() + offset, k), cmp);
+    // With k > 0 only the forward path leaves the head at the slot base.
+    s.forward_refills += kid.head == 0;
     moved += kid.count;
     violates[c] = grandmins[c] != nullptr && cmp(*grandmins[c], kid.items().back());
     offset += k;

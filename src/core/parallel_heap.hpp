@@ -70,6 +70,9 @@ struct HeapStats {
   /// Items stored into node slots by maintenance: merges, copies and
   /// compactions that write the arena (scratch runs and bulk loads excluded).
   std::uint64_t items_written = 0;
+  /// Delete-update refills that rewrote a child from its slot base: the
+  /// child had no room behind its items (node_arena.hpp, refill()).
+  std::uint64_t forward_refills = 0;
   std::uint64_t delete_procs = 0;      ///< delete-update node services
   std::uint64_t insert_procs = 0;      ///< insert-update node services
   std::uint64_t substitutes = 0;       ///< items pulled from the tail to refill
@@ -140,7 +143,7 @@ class ParallelHeap {
   void insert_batch(std::span<const T> items) {
     if (items.empty()) return;
     sort_buf_.assign(items.begin(), items.end());
-    std::sort(sort_buf_.begin(), sort_buf_.end(), cmp_);
+    sort_batch(sort_buf_, merged_, 2 * r_, cmp_);
     insert_sorted_chunks(sort_buf_);
     stats_.items_inserted += items.size();
   }
@@ -167,7 +170,9 @@ class ParallelHeap {
     ++stats_.cycles;
     stats_.items_inserted += new_items.size();
     new_buf_.assign(new_items.begin(), new_items.end());
-    std::sort(new_buf_.begin(), new_buf_.end(), cmp_);
+    // The same batch sort as the pipelined heap's root work; merged_ is its
+    // scratch until the root merge below.
+    sort_batch(new_buf_, merged_, 2 * r_, cmp_);
 
     const std::size_t span_items_before = stats_.items_merged;
 
@@ -463,6 +468,7 @@ class ParallelHeap {
       ++stats_.nodes_touched;
       stats_.items_merged += moved;
       stats_.items_written += std::exchange(fix_.written, 0);
+      stats_.forward_refills += std::exchange(fix_.forward_refills, 0);
     }
     stats_.span_levels += deepest - level_of(v0);
   }

@@ -582,6 +582,7 @@ class PipelinedParallelHeap {
     stats_.nodes_touched += ctx.stats_.nodes_touched;
     stats_.items_merged += ctx.stats_.items_merged;
     stats_.items_written += ctx.stats_.items_written;
+    stats_.forward_refills += ctx.stats_.forward_refills;
     stats_.proc_splits += ctx.stats_.proc_splits;
     ctx.stats_ = HeapStats{};
   }
@@ -634,6 +635,7 @@ class PipelinedParallelHeap {
     ++c.stats_.nodes_touched;
     c.stats_.items_merged += out.items_moved;
     c.stats_.items_written += std::exchange(c.fix_.written, 0);
+    c.stats_.forward_refills += std::exchange(c.fix_.forward_refills, 0);
   }
 
   /// One node-local insert-update step: merge the carried set at p.node,
@@ -687,7 +689,9 @@ class PipelinedParallelHeap {
     // touched, modeling the root-work scratch buffers failing to grow.
     robustness::fire_oom(robustness::FailSite::kRootAlloc);
     new_buf_.assign(new_items.begin(), new_items.end());
-    std::sort(new_buf_.begin(), new_buf_.end(), cmp_);
+    // merged_ is free until the root merge below, which grows it to
+    // |root| + |batch| anyway: the sort's scratch costs no memory.
+    sort_batch(new_buf_, merged_, 2 * r_, cmp_);
 
     if (size_ == 0) {
       const std::size_t take = std::min(k, new_buf_.size());

@@ -13,6 +13,10 @@
 // exponential-then-binary search and copied whole (TimSort's rule). A merge
 // then costs about its interleavings plus one block copy; fully interleaved
 // runs rarely reach the threshold and keep item-by-item cost.
+//
+// The one sort, sort_run, orders each cycle's batch of new items before it
+// meets the root. Random keys interleave everywhere, so it does not gallop:
+// its compares feed selects, not branches (see its comment).
 #pragma once
 
 #include <algorithm>
@@ -20,6 +24,7 @@
 #include <cstddef>
 #include <iterator>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -176,6 +181,135 @@ std::size_t merge_back_into(std::span<T> buf, std::size_t na, std::span<const T>
   // buf[0, i) is already in place; only b's remainder is left to write.
   std::copy(b.data(), b.data() + j, buf.data());
   return na + b.size() - i;
+}
+
+namespace detail {
+
+/// Puts b before a iff b sorts strictly before a: a select, not a branch,
+/// and equal items keep their order.
+template <typename T, typename Compare>
+void order2(T& a, T& b, Compare cmp) {
+  const bool swap = cmp(b, a);
+  T lo = swap ? b : a;
+  T hi = swap ? a : b;
+  a = std::move(lo);
+  b = std::move(hi);
+}
+
+/// Sorts a[0, n), n <= 4, with a fixed network of adjacent exchanges
+/// (odd-even transposition). Only neighbours are exchanged, so equal items
+/// never pass each other: the network is stable.
+template <typename T, typename Compare>
+void sort_small(T* a, std::size_t n, Compare cmp) {
+  PH_DEBUG_ASSERT(n <= 4);
+  if (n == 4) {
+    order2(a[0], a[1], cmp);
+    order2(a[2], a[3], cmp);
+    order2(a[1], a[2], cmp);
+    order2(a[0], a[1], cmp);
+    order2(a[2], a[3], cmp);
+    order2(a[1], a[2], cmp);
+  } else if (n == 3) {
+    order2(a[0], a[1], cmp);
+    order2(a[1], a[2], cmp);
+    order2(a[0], a[1], cmp);
+  } else if (n == 2) {
+    order2(a[0], a[1], cmp);
+  }
+}
+
+/// Quadsort's parity merge: writes the stable merge of the adjacent sorted
+/// runs src[0, h) and src[h, n), h = n / 2, to dst[0, n) (no overlap). A
+/// front chain emits the ⌈n/2⌉ smallest items, ties to the left run, while
+/// a back chain emits the ⌊n/2⌋ largest, ties to the right run; every step
+/// is a select, with no bounds check. Before its last step a chain has
+/// emitted fewer items than either run holds, so both its cursors are in
+/// their runs. The one exception is the front chain for odd n: it may have
+/// used up the left run, whose cursor then sits at src + h, where the right
+/// cursor still points, so the select returns that item. Hence the
+/// precondition that the runs be adjacent and split exactly at n / 2.
+template <typename T, typename Compare>
+void parity_merge(const T* src, std::size_t n, T* dst, Compare cmp) {
+  PH_DEBUG_ASSERT(n >= 2);
+  const std::size_t h = n / 2;
+  const T* l = src;           // front cursors
+  const T* r = src + h;
+  const T* lb = src + h - 1;  // back cursors
+  const T* rb = src + n - 1;
+  T* out = dst;
+  T* out_b = dst + n - 1;
+  auto front = [&] {
+    const bool left = !cmp(*r, *l);
+    *out++ = left ? *l : *r;
+    l += left;
+    r += !left;
+  };
+  auto back = [&] {
+    const bool left = cmp(*rb, *lb);
+    *out_b-- = left ? *lb : *rb;
+    lb -= left;
+    rb -= !left;
+  };
+  if (n & 1) front();
+  for (std::size_t s = 1; s < h; ++s) {
+    front();
+    back();
+  }
+  *out = !cmp(*r, *l) ? *l : *r;
+  *out_b = cmp(*rb, *lb) ? *lb : *rb;
+}
+
+/// Merge sort of a[0, n) whose result lands in a (to_t false) or in t
+/// (to_t true); the other buffer holds the halves. Each level writes the
+/// buffer the level above reads, so nothing is copied back.
+template <typename T, typename Compare>
+void sort_pingpong(T* a, T* t, std::size_t n, bool to_t, Compare cmp) {
+  if (n <= 4) {
+    sort_small(a, n, cmp);
+    if (to_t) std::copy(a, a + n, t);
+    return;
+  }
+  const std::size_t h = n / 2;
+  sort_pingpong(a, t, h, !to_t, cmp);
+  sort_pingpong(a + h, t + h, n - h, !to_t, cmp);
+  if (to_t) {
+    parity_merge(a, n, t, cmp);
+  } else {
+    parity_merge(t, n, a, cmp);
+  }
+}
+
+}  // namespace detail
+
+/// Stable sort of `a`, using `scratch` (at least |a| items; its contents are
+/// clobbered). An already sorted `a` costs one is_sorted_run pass. Otherwise
+/// a top-down merge sort: halves of ⌊n/2⌋ and ⌈n/2⌉ items, a stable
+/// four-item network at the leaves, and parity_merge at every level, whose
+/// compares pick items by select instead of by branch. std::sort's branches
+/// mispredict on random keys; this kernel's control flow does not depend
+/// on them.
+/// For a total order the result equals std::sort's.
+template <typename T, typename Compare>
+void sort_run(std::span<T> a, std::span<T> scratch, Compare cmp) {
+  PH_ASSERT(scratch.size() >= a.size());
+  if (is_sorted_run(std::span<const T>(a), cmp)) return;
+  detail::sort_pingpong(a.data(), scratch.data(), a.size(), false, cmp);
+}
+
+/// Sorts a cycle's batch of new items. Up to `limit` items go through
+/// sort_run, with `scratch` grown to the batch (a heap passes its root-merge
+/// buffer, which the merge then grows to |root| + |batch| anyway, and
+/// limit = 2r). A longer batch is a bulk load and sorts in place with
+/// std::sort, so it needs no batch-sized scratch.
+template <typename T, typename Compare>
+void sort_batch(std::vector<T>& batch, std::vector<T>& scratch, std::size_t limit,
+                Compare cmp) {
+  if (batch.size() > limit) {
+    std::sort(batch.begin(), batch.end(), cmp);
+    return;
+  }
+  if (scratch.size() < batch.size()) scratch.resize(batch.size());
+  sort_run(std::span<T>(batch), std::span<T>(scratch), cmp);
 }
 
 /// Stable two-way merge of sorted runs `a` and `b`, appended to `out`.

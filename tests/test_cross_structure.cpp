@@ -118,8 +118,10 @@ TEST(CrossStructure, ParallelHeapsAgreeOnArbitraryStream) {
 
 // The merge kernels and the node layout may change what a repair costs,
 // never what it does: a fixed hold pins the stream and every work counter.
-// items_written is the one layout-dependent counter (the items maintenance
-// stores into node slots); it is pinned too, so a layout change shows here.
+// items_written and forward_refills are the layout-dependent counters (the
+// items maintenance stores into node slots, and the child refills that found
+// no room behind their items); they are pinned too, so a layout change shows
+// here.
 template <typename Q>
 HeapStats fixed_hold_stats(Q& q, std::uint64_t& stream_hash) {
   constexpr std::size_t kN = 1 << 14;
@@ -147,6 +149,7 @@ HeapStats fixed_hold_stats(Q& q, std::uint64_t& stream_hash) {
 TEST(CrossStructure, FixedHoldWorkCountersAreExact) {
   struct Want {
     std::uint64_t items_merged, nodes_touched, proc_splits, substitutes, items_written;
+    std::uint64_t forward_refills;
   };
   static constexpr std::uint64_t kStreamHash = 15512687821801573030ull;
   auto check = [](auto& q, Want w, const char* name) {
@@ -158,18 +161,19 @@ TEST(CrossStructure, FixedHoldWorkCountersAreExact) {
     EXPECT_EQ(st.proc_splits, w.proc_splits) << name;
     EXPECT_EQ(st.substitutes, w.substitutes) << name;
     EXPECT_EQ(st.items_written, w.items_written) << name;
+    EXPECT_EQ(st.forward_refills, w.forward_refills) << name;
   };
   PipelinedParallelHeap<std::uint64_t> pipe(512);
-  check(pipe, {1148928, 828, 588, 512, 576765}, "pipelined");
+  check(pipe, {1148928, 828, 588, 512, 576765, 690}, "pipelined");
   // Only delete-updates at nodes with committed children are parked, and
   // this hold spawns no insert-updates, so every serviced process is a
   // delete-update that reached a node with children.
   EXPECT_EQ(pipe.pipeline_stats().procs_serviced, 866u);
   EXPECT_EQ(pipe.pipeline_stats().procs_serviced, pipe.stats().delete_procs);
   ParallelHeap<std::uint64_t> par2(512);
-  check(par2, {1181184, 850, 607, 512, 590360}, "parallel d=2");
+  check(par2, {1181184, 850, 607, 512, 590360, 708}, "parallel d=2");
   ParallelHeap<std::uint64_t> par4(512, std::less<std::uint64_t>{}, 4);
-  check(par4, {864256, 433, 315, 512, 451428}, "parallel d=4");
+  check(par4, {864256, 433, 315, 512, 451428, 489}, "parallel d=4");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/parallel_heap.hpp"
@@ -269,6 +270,47 @@ TEST(PipelinedHeap, GrowthUnderRefilledNodes) {
       ASSERT_EQ(pipe.sorted_contents(), oracle.contents());
     }
   }
+}
+
+TEST(PipelinedHeap, RootWorkBatchSizesMatchOracle) {
+  // Root work sorts each batch with sort_run up to 2r items and with
+  // std::sort above (core/sorted_ops.hpp, sort_batch). Cover both sides of
+  // that line, the empty and one-item batches, an already sorted batch (the
+  // one-pass path) and a 65,536-item bulk insert into an empty heap; the
+  // synchronous heap sorts the same way, so it must agree too.
+  constexpr std::size_t kR = 512;
+  Pipelined pipe(kR);
+  Reference ref(kR);
+  testing::SortedOracle oracle;
+  Xoshiro256 rng(3030);
+  std::vector<std::uint64_t> fresh, got, want, ref_got;
+  auto cycle = [&](std::size_t n, std::size_t k, bool sorted, const char* what) {
+    fresh.clear();
+    for (std::size_t i = 0; i < n; ++i) fresh.push_back(rng.next_below(1u << 12));
+    if (sorted) std::sort(fresh.begin(), fresh.end());
+    got.clear();
+    want.clear();
+    ref_got.clear();
+    pipe.step(fresh, k, got);
+    oracle.cycle(fresh, k, want);
+    ref.cycle(fresh, k, ref_got);
+    ASSERT_EQ(got, want) << what << " n=" << n << " k=" << k;
+    ASSERT_EQ(ref_got, want) << what << " n=" << n << " k=" << k;
+    std::string why;
+    ASSERT_TRUE(pipe.verify_invariants(&why)) << what << ": " << why;
+  };
+  cycle(65536, kR, false, "bulk insert into an empty heap");
+  for (int round = 0; round < 4; ++round) {
+    const std::size_t k = rng.next_below(kR + 1);
+    cycle(0, k, false, "empty batch");
+    cycle(1, k, false, "one item");
+    cycle(2 * kR, k, false, "2r items (sort_run)");
+    cycle(2 * kR + 1, k, false, "2r + 1 items (std::sort)");
+    cycle(2 * kR, k, true, "sorted batch");
+  }
+  std::string why;
+  ASSERT_TRUE(pipe.check_invariants(&why)) << why;
+  ASSERT_EQ(pipe.sorted_contents(), oracle.contents());
 }
 
 TEST(PipelinedHeap, LongRandomSoak) {

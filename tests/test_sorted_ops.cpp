@@ -411,5 +411,69 @@ TEST(SortedOps, MergeKTiesGoToLowestRunIndex) {
   }
 }
 
+
+// sort_run against std::stable_sort: every n up to 1100, so every split
+// shape of the parity merge's halves and, for r = 512, the batch sizes
+// r - 1 .. r + 1 and 2r - 1 .. 2r + 1 around root work's sort_batch limit;
+// on sorted, reversed, organ-pipe and random inputs, over key domains from
+// one value to 2000. Items carry their input position, so equal keys that
+// change order fail the comparison.
+template <typename Item, typename Less, typename Make>
+void check_sort_run_against_stable_sort(Make make, const char* type) {
+  Xoshiro256 rng(53);
+  std::vector<Item> items, want, scratch;
+  for (const std::uint64_t domain : {1u, 2u, 5u, 2000u}) {
+    for (const std::string shape : {"sorted", "reversed", "organ_pipe", "random"}) {
+      for (std::size_t n = 0; n <= 1100; ++n) {
+        items.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+          std::uint64_t key = rng.next_below(domain);
+          if (shape == "sorted") key = i * domain / (n + 1);
+          if (shape == "reversed") key = (n - i) * domain / (n + 1);
+          if (shape == "organ_pipe") key = std::min(i, n - i) * domain / (n + 1);
+          items.push_back(make(key, i, rng));
+        }
+        want = items;
+        std::stable_sort(want.begin(), want.end(), Less{});
+        scratch.assign(n, make(domain, n, rng));
+        sort_run(std::span<Item>(items), std::span<Item>(scratch), Less{});
+        ASSERT_TRUE(items == want) << type << " " << shape << " domain " << domain << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(SortedOps, SortRunMatchesStableSort) {
+  // (key, input position), ordered by key only.
+  using Keyed = std::pair<std::uint64_t, std::size_t>;
+  struct KeyLess {
+    bool operator()(const Keyed& a, const Keyed& b) const { return a.first < b.first; }
+  };
+  check_sort_run_against_stable_sort<Keyed, KeyLess>(
+      [](std::uint64_t key, std::size_t i, Xoshiro256&) { return Keyed{key, i}; }, "keyed");
+
+  // 24 bytes shaped like sim::Event: ordered by (ts, tag), with the input
+  // position in a field the order ignores.
+  struct EventLike {
+    double ts;
+    std::uint32_t lp, pos;
+    std::uint64_t tag;
+    bool operator==(const EventLike&) const = default;
+  };
+  static_assert(sizeof(EventLike) == 24);
+  struct EventLess {
+    bool operator()(const EventLike& a, const EventLike& b) const {
+      if (a.ts != b.ts) return a.ts < b.ts;
+      return a.tag < b.tag;
+    }
+  };
+  check_sort_run_against_stable_sort<EventLike, EventLess>(
+      [](std::uint64_t key, std::size_t i, Xoshiro256& rng) {
+        return EventLike{static_cast<double>(key / 2), 7, static_cast<std::uint32_t>(i),
+                         key % 2 + rng.next_below(2)};
+      },
+      "event");
+}
+
 }  // namespace
 }  // namespace ph
