@@ -171,8 +171,9 @@ class NodeArena {
 
   /// Bulk load: node 0 gets the r smallest of `items`, node 1 the next r,
   /// and so on (a valid parallel-heap layout, every node but the last
-  /// full). Sorts in place in the buffer and then spreads the nodes to
-  /// their slots back to front, so it allocates nothing beyond the arena.
+  /// full). Sorts in place in the buffer (sort_in_place) and then spreads
+  /// the nodes to their slots back to front, so it allocates nothing beyond
+  /// the arena.
   template <typename Compare>
   void build(std::span<const T> items, Compare cmp) {
     const std::size_t n = items.size();
@@ -180,7 +181,7 @@ class NodeArena {
     meta_.assign(m, Meta{});
     buf_.resize(m * stride_);
     std::copy(items.begin(), items.end(), buf_.begin());
-    std::sort(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n), cmp);
+    sort_in_place(std::span<T>(buf_.data(), n), cmp);
     for (std::size_t i = m; i-- > 0;) {
       const std::size_t cnt = std::min(r_, n - i * r_);
       meta_[i].count = cnt;

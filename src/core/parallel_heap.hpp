@@ -295,7 +295,7 @@ class ParallelHeap {
       const auto s = arena_.span(i);
       all.insert(all.end(), s.begin(), s.end());
     }
-    std::sort(all.begin(), all.end(), cmp_);
+    sort_in_place(std::span<T>(all), cmp_);
     return all;
   }
 

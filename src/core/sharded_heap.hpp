@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "core/pipelined_heap.hpp"
+#include "core/sorted_ops.hpp"
 #include "obs/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/assert.hpp"
@@ -122,8 +123,7 @@ class KeyRangePartitioner {
   void set_quantiles(std::span<const T> sample) {
     if (shards_ == 1 || sample.empty()) return;
     std::vector<T> sorted(sample.begin(), sample.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [this](const T& a, const T& b) { return cmp_(a, b); });
+    sort_in_place(std::span<T>(sorted), cmp_);
     splits_.clear();
     splits_.reserve(shards_ - 1);
     for (std::size_t i = 1; i < shards_; ++i) {
@@ -318,7 +318,7 @@ class ShardedHeap {
       const std::vector<T> part = s.sorted_contents();
       all.insert(all.end(), part.begin(), part.end());
     }
-    std::sort(all.begin(), all.end(), cmp_);
+    sort_in_place(std::span<T>(all), cmp_);
     return all;
   }
 

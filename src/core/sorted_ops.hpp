@@ -14,14 +14,19 @@
 // then costs about its interleavings plus one block copy; fully interleaved
 // runs rarely reach the threshold and keep item-by-item cost.
 //
-// The one sort, sort_run, orders each cycle's batch of new items before it
+// Two sorts. sort_run orders each cycle's batch of new items before it
 // meets the root. Random keys interleave everywhere, so it does not gallop:
-// its compares feed selects, not branches (see its comment).
+// its compares feed selects, not branches (see its comment). sort_in_place
+// orders a bulk load (build, restore, a batch over 2r) without a batch-sized
+// scratch: a quicksort whose partition also turns compares into data, not
+// branches.
 #pragma once
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <span>
 #include <utility>
@@ -296,16 +301,248 @@ void sort_run(std::span<T> a, std::span<T> scratch, Compare cmp) {
   detail::sort_pingpong(a.data(), scratch.data(), a.size(), false, cmp);
 }
 
+namespace detail {
+
+/// Ranges of at most this many items are insertion-sorted.
+inline constexpr std::size_t kQuicksortSmall = 24;
+/// Above this many items the pivot is Tukey's ninther, not a median of 3.
+inline constexpr std::size_t kQuicksortNinther = 128;
+/// Items scanned per offset block of the block partition (offsets fit a byte).
+inline constexpr std::size_t kQuicksortBlock = 64;
+
+/// Insertion sort of a[0, n). Unguarded (`guarded` false), the caller
+/// promises that a[-1] exists and sorts no later than any item of a[0, n),
+/// so the shift loop needs no bounds check.
+template <typename T, typename Compare>
+void insertion_sort(T* a, std::size_t n, bool guarded, Compare cmp) {
+  for (std::size_t i = 1; i < n; ++i) {
+    if (!cmp(a[i], a[i - 1])) continue;
+    T x = std::move(a[i]);
+    T* hole = a + i;
+    do {
+      *hole = std::move(hole[-1]);
+      --hole;
+    } while ((!guarded || hole != a) && cmp(x, hole[-1]));
+    *hole = std::move(x);
+  }
+}
+
+/// Orders a <= b <= c with three selects.
+template <typename T, typename Compare>
+void sort3(T& a, T& b, T& c, Compare cmp) {
+  order2(a, b, cmp);
+  order2(b, c, cmp);
+  order2(a, b, cmp);
+}
+
+/// Moves a pivot to a[0], n > kQuicksortSmall: the median of the first,
+/// middle and last items, or for n > kQuicksortNinther the median of three
+/// such medians. Either way some item of a[1, n) sorts no earlier than the
+/// pivot and, unless the pivot is a minimum, some item sorts before it.
+template <typename T, typename Compare>
+void choose_pivot(T* a, std::size_t n, Compare cmp) {
+  const std::size_t h = n / 2;
+  if (n > kQuicksortNinther) {
+    sort3(a[0], a[h], a[n - 1], cmp);
+    sort3(a[1], a[h - 1], a[n - 2], cmp);
+    sort3(a[2], a[h + 1], a[n - 3], cmp);
+    sort3(a[h - 1], a[h], a[h + 1], cmp);
+    std::swap(a[0], a[h]);
+  } else {
+    sort3(a[h], a[0], a[n - 1], cmp);
+  }
+}
+
+/// Exchanges the num misplaced items named by the offset blocks: the i-th
+/// left offset (from `left`) with the i-th right one (back from `right`).
+/// With blocks of unequal fill the exchanges form one cycle of moves, a
+/// third of the writes of swaps; equal fills keep plain swaps, which a
+/// descending input needs to stay linear.
+template <typename T>
+void swap_offsets(T* left, T* right, const std::uint8_t* off_l, const std::uint8_t* off_r,
+                  std::size_t num, bool use_swaps) {
+  if (use_swaps) {
+    for (std::size_t i = 0; i < num; ++i) std::swap(left[off_l[i]], *(right - off_r[i]));
+    return;
+  }
+  if (num == 0) return;
+  T* l = left + off_l[0];
+  T* r = right - off_r[0];
+  T tmp = std::move(*l);
+  *l = std::move(*r);
+  for (std::size_t i = 1; i < num; ++i) {
+    l = left + off_l[i];
+    *r = std::move(*l);
+    r = right - off_r[i];
+    *l = std::move(*r);
+  }
+  *r = std::move(tmp);
+}
+
+/// BlockQuicksort's partition (Edelkamp & Weiß) around the pivot at a[0]:
+/// afterwards a[0, p) sorts before the pivot, a[p] is the pivot and
+/// a[p + 1, n) sorts no earlier. Each side scans a block of up to 64 items
+/// and records, as a byte offset, every item on the wrong side: the compare
+/// only adds to a count, so its outcome steers no branch. The recorded
+/// items are then exchanged pairwise. Returns p and whether the range was
+/// already partitioned (the first misplaced pair crossed).
+template <typename T, typename Compare>
+std::pair<std::size_t, bool> partition_block(T* a, std::size_t n, Compare cmp) {
+  const T pivot = a[0];
+  T* first = a;
+  T* last = a + n;
+  // choose_pivot left an item >= pivot to the right, so this scan stops.
+  while (cmp(*++first, pivot)) {
+  }
+  // Only if a[1] already failed may no item < pivot lie to the left.
+  if (first - 1 == a) {
+    while (first < last && !cmp(*--last, pivot)) {
+    }
+  } else {
+    while (!cmp(*--last, pivot)) {
+    }
+  }
+  const bool already = first >= last;
+  if (!already) {
+    std::swap(*first, *last);
+    ++first;
+    alignas(64) std::uint8_t off_l[kQuicksortBlock];
+    alignas(64) std::uint8_t off_r[kQuicksortBlock];
+    T* base_l = first;  // offsets in off_l count from here
+    T* base_r = last;   // ... and in off_r back from here
+    std::size_t num_l = 0, num_r = 0, start_l = 0, start_r = 0;
+    while (first < last) {
+      // Refill whichever block is used up; split the unknown middle when
+      // both are, so neither scan passes the other.
+      const auto unknown = static_cast<std::size_t>(last - first);
+      const std::size_t split_l = num_l == 0 ? (num_r == 0 ? unknown / 2 : unknown) : 0;
+      const std::size_t split_r = num_r == 0 ? unknown - split_l : 0;
+      const std::size_t scan_l = std::min(split_l, kQuicksortBlock);
+      for (std::size_t i = 0; i < scan_l; ++i) {
+        off_l[num_l] = static_cast<std::uint8_t>(i);
+        num_l += !cmp(*first, pivot);
+        ++first;
+      }
+      const std::size_t scan_r = std::min(split_r, kQuicksortBlock);
+      for (std::size_t i = 1; i <= scan_r; ++i) {
+        off_r[num_r] = static_cast<std::uint8_t>(i);
+        num_r += cmp(*--last, pivot);
+      }
+      const std::size_t num = std::min(num_l, num_r);
+      swap_offsets(base_l, base_r, off_l + start_l, off_r + start_r, num, num_l == num_r);
+      num_l -= num;
+      num_r -= num;
+      start_l += num;
+      start_r += num;
+      if (num_l == 0) {
+        start_l = 0;
+        base_l = first;
+      }
+      if (num_r == 0) {
+        start_r = 0;
+        base_r = last;
+      }
+    }
+    // At most one block still holds misplaced items; move them to the
+    // boundary, farthest offset first.
+    while (num_l > 0) std::swap(base_l[off_l[start_l + --num_l]], *--last);
+    if (last < first) first = last;
+    while (num_r > 0) std::swap(*(base_r - off_r[start_r + --num_r]), *first++);
+  }
+  T* const pos = first - 1;
+  a[0] = std::move(*pos);
+  *pos = pivot;
+  return {static_cast<std::size_t>(pos - a), already};
+}
+
+/// pdqsort's partition for a pivot equal to a[-1], the pivot of an
+/// enclosing partition (so no item of a[0, n) sorts before it): items equal
+/// to the pivot go left, larger ones right. Returns the pivot's final index
+/// p; a[0, p] are all equal and need no further sorting.
+template <typename T, typename Compare>
+std::size_t partition_equal(T* a, std::size_t n, Compare cmp) {
+  const T pivot = a[0];
+  T* first = a;
+  T* last = a + n;
+  // choose_pivot left an item <= pivot in a[1, n), so this scan stops.
+  while (cmp(pivot, *--last)) {
+  }
+  if (last + 1 == a + n) {
+    while (first < last && !cmp(pivot, *++first)) {
+    }
+  } else {
+    while (!cmp(pivot, *++first)) {
+    }
+  }
+  while (first < last) {
+    std::swap(*first, *last);
+    while (cmp(pivot, *--last)) {
+    }
+    while (!cmp(pivot, *++first)) {
+    }
+  }
+  a[0] = std::move(*last);
+  *last = pivot;
+  return static_cast<std::size_t>(last - a);
+}
+
+/// Quicksort of a[0, n) with `depth` partition levels left before heapsort
+/// takes over. `leftmost` is false when a[-1] is an enclosing pivot, which
+/// bounds the range from below: it guards the insertion sort, and a pivot
+/// equal to it selects the equal-key partition.
+template <typename T, typename Compare>
+void quicksort(T* a, std::size_t n, std::size_t depth, bool leftmost, Compare cmp) {
+  while (n > kQuicksortSmall) {
+    if (depth == 0) {
+      std::make_heap(a, a + n, cmp);
+      std::sort_heap(a, a + n, cmp);
+      return;
+    }
+    --depth;
+    choose_pivot(a, n, cmp);
+    if (!leftmost && !cmp(a[-1], a[0])) {
+      const std::size_t p = partition_equal(a, n, cmp) + 1;
+      a += p;
+      n -= p;
+      continue;
+    }
+    const std::size_t p = partition_block(a, n, cmp).first;
+    quicksort(a, p, depth, leftmost, cmp);
+    a += p + 1;
+    n -= p + 1;
+    leftmost = false;
+  }
+  insertion_sort(a, n, leftmost, cmp);
+}
+
+}  // namespace detail
+
+/// Sorts `a` in place, unstably, allocating nothing: for bulk loads, where
+/// sort_run's |a|-item scratch would cost memory. An already sorted `a`
+/// costs one is_sorted_run pass. Otherwise a quicksort: BlockQuicksort's
+/// branch-free block partition (Edelkamp & Weiß, arXiv:1604.06697) around a
+/// median-of-3 or ninther pivot, with three parts of pdqsort (Peters,
+/// arXiv:2106.05123): the partition that gathers keys equal to an enclosing
+/// pivot, so runs of equal keys cost linear time; insertion sort at most
+/// kQuicksortSmall items; and heapsort past 2·log2(n) partition levels, so
+/// no input costs more than O(n log n).
+template <typename T, typename Compare>
+void sort_in_place(std::span<T> a, Compare cmp) {
+  if (is_sorted_run(std::span<const T>(a), cmp)) return;
+  const auto depth = 2 * static_cast<std::size_t>(std::bit_width(a.size()));
+  detail::quicksort(a.data(), a.size(), depth, true, cmp);
+}
+
 /// Sorts a cycle's batch of new items. Up to `limit` items go through
 /// sort_run, with `scratch` grown to the batch (a heap passes its root-merge
 /// buffer, which the merge then grows to |root| + |batch| anyway, and
-/// limit = 2r). A longer batch is a bulk load and sorts in place with
-/// std::sort, so it needs no batch-sized scratch.
+/// limit = 2r). A longer batch is a bulk load and goes through
+/// sort_in_place, so it needs no batch-sized scratch.
 template <typename T, typename Compare>
 void sort_batch(std::vector<T>& batch, std::vector<T>& scratch, std::size_t limit,
                 Compare cmp) {
   if (batch.size() > limit) {
-    std::sort(batch.begin(), batch.end(), cmp);
+    sort_in_place(std::span<T>(batch), cmp);
     return;
   }
   if (scratch.size() < batch.size()) scratch.resize(batch.size());

@@ -63,10 +63,46 @@ TEST(NodeArena, BuildLaysOutSortedNodesInPlace) {
         const auto s = arena.span(i);
         got.insert(got.end(), s.begin(), s.end());
       }
-      // std::sort is not stable, so compare keys; the layout is the sorted
-      // order cut into r-item nodes.
+      // The bulk-load sort is not stable, so compare keys; the layout is the
+      // sorted order cut into r-item nodes.
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t k = 0; k < n; ++k) EXPECT_EQ(got[k].key, want[k].key) << k;
+    }
+  }
+}
+
+TEST(NodeArena, BuildKeepsEveryItemWhenTheLastNodeIsPartial) {
+  // Sizes past sort_in_place's insertion-sort range, none a multiple of r,
+  // on duplicate-heavy and distinct keys: every node is sorted, each node's
+  // items sort no later than the next node's, the last node holds n mod r,
+  // and the tags show every input item is there exactly once.
+  Xoshiro256 rng(7);
+  for (const std::size_t r : {3u, 512u}) {
+    for (const std::size_t n : {r * 40 + 1, r * 129 - 1, std::size_t{(1u << 16) + 1}}) {
+      if (n % r == 0) continue;
+      for (const std::uint64_t domain : {std::uint64_t{5}, std::uint64_t{1} << 40}) {
+        std::uint32_t tag = 0;
+        std::vector<Item> items(n);
+        for (auto& x : items) x = {rng.next_below(domain), tag++};
+        NodeArena<Item> arena(r);
+        arena.build(std::span<const Item>(items), kLess);
+        const std::size_t m = n / r + 1;
+        ASSERT_EQ(arena.nodes(), m) << "r=" << r << " n=" << n;
+        EXPECT_EQ(arena.count(m - 1), n % r);
+        std::vector<bool> seen(n, false);
+        for (std::size_t i = 0; i < m; ++i) {
+          const auto s = arena.span(i);
+          EXPECT_TRUE(std::is_sorted(s.begin(), s.end(), kLess)) << "node " << i;
+          if (i + 1 < m) {
+            EXPECT_FALSE(kLess(arena.span(i + 1).front(), s.back())) << "node " << i;
+          }
+          for (const Item& x : s) {
+            ASSERT_FALSE(seen[x.tag]) << "tag " << x.tag;
+            seen[x.tag] = true;
+          }
+        }
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), true), static_cast<std::ptrdiff_t>(n));
+      }
     }
   }
 }
