@@ -16,6 +16,13 @@ set -euo pipefail
 
 PR="${1:?usage: collect_bench.sh <pr-number> [build-dir]}"
 BUILD="${2:-build}"
+# The merge step stores int(PR); check it before any bench runs.
+case "$PR" in
+  '' | *[!0-9]*)
+    echo "collect_bench: <pr-number> must be a non-negative integer, got '$PR'" >&2
+    exit 2
+    ;;
+esac
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BENCH_DIR="$ROOT/$BUILD/bench"
 if [ ! -d "$BENCH_DIR" ]; then

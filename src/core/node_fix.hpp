@@ -13,12 +13,14 @@
 //   the displaced t items of v ("fills") return to the children by count —
 //        tL to L and tR to R, matching the prefixes taken. Any
 //        count-preserving assignment is correct (every fill follows every
-//        kept item); to minimize how far violations cascade, the child whose
-//        own children start later receives the larger fills.
+//        kept item). The binary kernel hands them out by child index, L
+//        the lower slice; the d-ary kernel ranks the children by the
+//        grandchild minima the caller supplies, so that the child whose own
+//        children start later receives the larger fills.
 //
 // The caller decides how to continue: the result reports, per child, whether
-// it received fills and whether its new content still violates against the
-// grandchildren threshold the caller supplied.
+// it received fills (and, for the d-ary kernel, whether its new content
+// still violates against the grandchild minimum supplied).
 #pragma once
 
 #include <algorithm>
@@ -53,8 +55,6 @@ template <typename T>
 struct FixOutcome {
   std::size_t taken_l = 0;      ///< items pulled up from L (== fills returned)
   std::size_t taken_r = 0;      ///< items pulled up from R
-  bool l_violates = false;      ///< L's new max exceeds the supplied threshold
-  bool r_violates = false;
   std::size_t items_moved = 0;  ///< total items written (work accounting)
 };
 
@@ -65,13 +65,11 @@ namespace detail {
 /// v's t largest as the fills, merges the kid prefix into v's kept part from
 /// the back, then refills each child in `order` with the next taken[c]
 /// fills (refill(): the child drops its taken prefix and merges the fills
-/// in). Sets violates[c] for each refilled child; returns items moved.
+/// in). Returns items moved.
 template <typename T, typename Compare>
 std::size_t exchange(std::span<T> sv, std::size_t t, std::span<NodeSlot<T>> children,
                      std::span<const std::size_t> order,
-                     std::span<const std::size_t> taken,
-                     std::span<const T* const> grandmins, std::span<bool> violates,
-                     FixScratch<T>& s, Compare cmp) {
+                     std::span<const std::size_t> taken, FixScratch<T>& s, Compare cmp) {
   const std::size_t nv = sv.size();
   s.dirty.assign(sv.begin() + static_cast<std::ptrdiff_t>(nv - t), sv.end());
   s.written +=
@@ -87,7 +85,6 @@ std::size_t exchange(std::span<T> sv, std::size_t t, std::span<NodeSlot<T>> chil
     // With k > 0 only the forward path leaves the head at the slot base.
     s.forward_refills += kid.head == 0;
     moved += kid.count;
-    violates[c] = grandmins[c] != nullptr && cmp(*grandmins[c], kid.items().back());
     offset += k;
   }
   PH_ASSERT(offset == t);
@@ -97,15 +94,12 @@ std::size_t exchange(std::span<T> sv, std::size_t t, std::span<NodeSlot<T>> chil
 }  // namespace detail
 
 /// Repairs v against its children in place; the child slots `l`/`r` are
-/// refilled in place (a child's head may move — the caller commits it). `gl`/`gr`
-/// are the minima of L's and R's own children (nullptr when none) — used
-/// both to route the larger fills to the more tolerant child and to report
-/// whether each child now violates one level further down. Preconditions:
-/// all runs sorted; the caller has already established that a violation
-/// exists.
+/// refilled in place (a child's head may move — the caller commits it). L
+/// takes the lower slice of the fills, R the upper. Preconditions: all runs
+/// sorted; the caller has already established that a violation exists.
 template <typename T, typename Compare>
-FixOutcome<T> fix_node(std::span<T> sv, NodeSlot<T>& l, NodeSlot<T>& r, const T* gl,
-                       const T* gr, FixScratch<T>& s, Compare cmp) {
+FixOutcome<T> fix_node(std::span<T> sv, NodeSlot<T>& l, NodeSlot<T>& r, FixScratch<T>& s,
+                       Compare cmp) {
   const std::size_t nv = sv.size();
   const std::span<const T> sl = l.items();
   const std::span<const T> sr = r.items();
@@ -141,26 +135,14 @@ FixOutcome<T> fix_node(std::span<T> sv, NodeSlot<T>& l, NodeSlot<T>& r, const T*
   out.taken_r = ir;
   if (t == 0) return out;
 
-  // Route the larger fills to the child whose grandchildren start later,
-  // ranking exactly as fix_node_multi does: ascending grandmin, none last,
-  // ties to the lower index. The first child in `order` takes the lower
-  // slice of the fills, so L takes the larger one only when R ranks first.
-  const bool larger_to_left = gr != nullptr && (gl == nullptr || cmp(*gr, *gl));
   std::array<NodeSlot<T>, 2> kids{l, r};
-  const std::array<std::size_t, 2> order =
-      larger_to_left ? std::array<std::size_t, 2>{1, 0} : std::array<std::size_t, 2>{0, 1};
+  constexpr std::array<std::size_t, 2> kByIndex{0, 1};
   const std::array<std::size_t, 2> taken{il, ir};
-  const std::array<const T*, 2> gms{gl, gr};
-  std::array<bool, 2> viol{false, false};
   out.items_moved = detail::exchange(sv, t, std::span<NodeSlot<T>>(kids),
-                                     std::span<const std::size_t>(order),
-                                     std::span<const std::size_t>(taken),
-                                     std::span<const T* const>(gms), std::span<bool>(viol),
-                                     s, cmp);
+                                     std::span<const std::size_t>(kByIndex),
+                                     std::span<const std::size_t>(taken), s, cmp);
   l = kids[0];
   r = kids[1];
-  out.l_violates = viol[0];
-  out.r_violates = viol[1];
   return out;
 }
 
@@ -219,9 +201,14 @@ std::size_t fix_node_multi(std::span<T> sv, std::span<NodeSlot<T>> children,
                      if (grandmins[b] == nullptr) return true;
                      return cmp(*grandmins[a], *grandmins[b]);
                    });
-  return detail::exchange(sv, t, children, std::span<const std::size_t>(order.data(), d),
-                          std::span<const std::size_t>(taken_out.data(), d), grandmins,
-                          violates_out, s, cmp);
+  const std::size_t moved =
+      detail::exchange(sv, t, children, std::span<const std::size_t>(order.data(), d),
+                       std::span<const std::size_t>(taken_out.data(), d), s, cmp);
+  for (std::size_t c = 0; c < d; ++c) {
+    violates_out[c] = taken_out[c] > 0 && grandmins[c] != nullptr &&
+                      cmp(*grandmins[c], children[c].items().back());
+  }
+  return moved;
 }
 
 }  // namespace ph

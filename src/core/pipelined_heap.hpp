@@ -436,16 +436,15 @@ class PipelinedParallelHeap {
     return static_cast<std::size_t>(std::bit_width(i + 1)) - 1;
   }
 
-  /// Smallest item among node i's children (nullptr if i has none).
-  /// NOT noexcept: calls the user comparator, which may throw.
-  const T* grandchild_min(std::size_t i) const {
-    const T* best = nullptr;
-    for (std::size_t c = 2 * i + 1; c <= 2 * i + 2; ++c) {
-      const auto s = arena_.span(c);
-      if (s.empty()) continue;
-      if (best == nullptr || cmp_(s.front(), *best)) best = &s.front();
+  /// The kSkipReservice fault's stale check: whether a currently stored
+  /// child of node c sorts before c's largest item.
+  bool stale_violates(std::size_t c) const {
+    const auto sc = arena_.span(c);
+    for (std::size_t g = 2 * c + 1; g <= 2 * c + 2; ++g) {
+      const auto sg = arena_.span(g);
+      if (!sg.empty() && cmp_(sg.front(), sc.back())) return true;
     }
-    return best;
+    return false;
   }
 
   /// Whether a re-service of node c could find anything to repair (see the
@@ -523,40 +522,14 @@ class PipelinedParallelHeap {
     const std::size_t ngroups = groups_.size();
     groups_.push_back(Group{0, nd, ni});
 
-    // Snapshot the grandchild minima each delete group will consult BEFORE
-    // the parallel phase. A same-parity group two levels down rewrites those
-    // nodes concurrently, so reading them live from inside a worker is a
-    // data race (caught by the schedule-perturbed TSan run) and makes fill
-    // routing timing-dependent. The snapshot pins every group to the
-    // half-step's start state — the synchronous-step semantics the paper's
-    // correctness argument assumes. Within a group the snapshot stays exact:
-    // a delete at v writes only v and its children, never its grandchildren.
-    gsnap_.assign(ngroups, GrandSnap{});
-    for (std::size_t g = 0; g < ngroups; ++g) {
-      if (groups_[g].d == groups_[g + 1].d) continue;  // no delete-update here
-      const std::size_t v = groups_[g].node;
-      GrandSnap& gs = gsnap_[g];
-      if (const T* m = grandchild_min(2 * v + 1)) {
-        gs.lmin = *m;
-        gs.has_l = true;
-      }
-      if (const T* m = grandchild_min(2 * v + 2)) {
-        gs.rmin = *m;
-        gs.has_r = true;
-      }
-    }
     pstats_.task_groups += ngroups;
     pstats_.max_groups = std::max<std::uint64_t>(pstats_.max_groups, ngroups);
     pstats_.procs_serviced += nd + ni;
 
     std::function<void(std::size_t, ServiceCtx&)> fn = [this](std::size_t g,
                                                               ServiceCtx& ctx) {
-      const GrandSnap& gs = gsnap_[g];
       const Group& grp = groups_[g];
-      for (std::size_t d = grp.d; d < groups_[g + 1].d; ++d) {
-        service_delete(grp.node, ctx, gs.has_l ? &gs.lmin : nullptr,
-                       gs.has_r ? &gs.rmin : nullptr);
-      }
+      for (std::size_t d = grp.d; d < groups_[g + 1].d; ++d) service_delete(grp.node, ctx);
       for (std::size_t i = grp.i; i < groups_[g + 1].i; ++i) {
         service_insert(std::move(ibatch_[i]), ctx);
       }
@@ -590,11 +563,11 @@ class PipelinedParallelHeap {
  private:
   /// One node-local delete-update: repairs `v` against its children, pushes
   /// displaced dirty items down, spawns continuations at the children that
-  /// received dirty items and have committed children of their own.
-  /// `gl`/`gr` are the grandchild minima snapshotted by run_batch before the
-  /// parallel phase (nullptr when the child has no children) — never read
-  /// live here, see the snapshot comment above.
-  void service_delete(std::size_t v, ServiceCtx& c, const T* gl, const T* gr) {
+  /// received dirty items and have committed children of their own. The
+  /// repair reads and writes only v and its children, never a grandchild,
+  /// which a same-parity group two levels down may be rewriting
+  /// concurrently.
+  void service_delete(std::size_t v, ServiceCtx& c) {
     const std::size_t l = 2 * v + 1;
     const std::size_t rc = 2 * v + 2;
     const auto sv = arena_.span(v);
@@ -614,7 +587,7 @@ class PipelinedParallelHeap {
     // what makes the pipeline sound. A child without committed children is
     // skipped: its re-service would find no stored children and return at
     // once (has_committed_child).
-    const FixOutcome<T> out = fix_node(sv, sl, sr, gl, gr, c.fix_, cmp_);
+    const FixOutcome<T> out = fix_node(sv, sl, sr, c.fix_, cmp_);
     if (out.taken_l > 0) arena_.commit(l, sl);
     if (out.taken_r > 0) arena_.commit(rc, sr);
     // kSkipReservice re-introduces the documented delete-update revert-note
@@ -623,12 +596,14 @@ class PipelinedParallelHeap {
     // pipelining — the check can't see in-flight processes below. This is a
     // wrong-answer fault: nothing throws, the harness must DETECT the bad
     // stream (armed with {nth=1, period=1, max_fires=0} it reproduces the
-    // old always-on inject_fault_for_testing behavior).
+    // old always-on inject_fault_for_testing behavior). The check reads the
+    // grandchildren live, so it runs only when the fault fires, on the
+    // serial structure that arms it.
     const bool skip_clean = robustness::fire(robustness::FailSite::kSkipReservice);
-    if (out.taken_l > 0 && has_committed_child(l) && !(skip_clean && !out.l_violates)) {
+    if (out.taken_l > 0 && has_committed_child(l) && !(skip_clean && !stale_violates(l))) {
       c.spawned_dels_.push_back(l);
     }
-    if (out.taken_r > 0 && has_committed_child(rc) && !(skip_clean && !out.r_violates)) {
+    if (out.taken_r > 0 && has_committed_child(rc) && !(skip_clean && !stale_violates(rc))) {
       c.spawned_dels_.push_back(rc);
     }
     if (out.taken_l > 0 && out.taken_r > 0) ++c.stats_.proc_splits;
@@ -841,13 +816,6 @@ class PipelinedParallelHeap {
   PipelineStats pstats_;
   ServiceCtx ctx_;  // context for the serial service paths
 
-  // Per-group grandchild-minima snapshot, taken serially at the top of
-  // run_batch (see the comment there).
-  struct GrandSnap {
-    T lmin{}, rmin{};
-    bool has_l = false, has_r = false;
-  };
-
   // One node's processes in a half-step: dbatch_[d, next.d) and
   // ibatch_[i, next.i); groups_ ends with a sentinel.
   struct Group {
@@ -859,7 +827,6 @@ class PipelinedParallelHeap {
   std::vector<ProcT> ibatch_;
   std::vector<std::size_t> dbatch_;
   std::vector<Group> groups_;
-  std::vector<GrandSnap> gsnap_;
   std::vector<std::vector<T>> pieces_;
   std::vector<std::span<const T>> runs_;
   std::vector<std::size_t> run_taken_;

@@ -164,11 +164,13 @@ TEST(CrossStructure, FixedHoldWorkCountersAreExact) {
     EXPECT_EQ(st.forward_refills, w.forward_refills) << name;
   };
   PipelinedParallelHeap<std::uint64_t> pipe(512);
-  check(pipe, {1148928, 828, 588, 512, 576765, 690}, "pipelined");
+  // The pipelined heap hands a repair's fills out by child index; the
+  // synchronous heap ranks the children by grandchild minimum.
+  check(pipe, {1089536, 791, 546, 512, 583934, 660}, "pipelined");
   // Only delete-updates at nodes with committed children are parked, and
   // this hold spawns no insert-updates, so every serviced process is a
   // delete-update that reached a node with children.
-  EXPECT_EQ(pipe.pipeline_stats().procs_serviced, 866u);
+  EXPECT_EQ(pipe.pipeline_stats().procs_serviced, 828u);
   EXPECT_EQ(pipe.pipeline_stats().procs_serviced, pipe.stats().delete_procs);
   ParallelHeap<std::uint64_t> par2(512);
   check(par2, {1181184, 850, 607, 512, 590360, 708}, "parallel d=2");

@@ -249,14 +249,10 @@ void random_fix_sequence(std::size_t r, std::size_t d, std::uint64_t seed) {
     }
     std::size_t moved_a = 0, moved_r = 0;
     if (d == 2 && step % 2 == 0) {
-      const auto out_a = fix_node(arena.span(0), slots[0], slots[1], gms[0], gms[1],
-                                  s_arena, kLess);
-      const auto out_r = fix_node(std::span<Item>(ref[0]), plain[0], plain[1], gms[0],
-                                  gms[1], s_ref, kLess);
+      const auto out_a = fix_node(arena.span(0), slots[0], slots[1], s_arena, kLess);
+      const auto out_r = fix_node(std::span<Item>(ref[0]), plain[0], plain[1], s_ref, kLess);
       taken_a = {out_a.taken_l, out_a.taken_r};
       taken_r = {out_r.taken_l, out_r.taken_r};
-      viol_a = {out_a.l_violates, out_a.r_violates};
-      viol_r = {out_r.l_violates, out_r.r_violates};
       moved_a = out_a.items_moved;
       moved_r = out_r.items_moved;
     } else {

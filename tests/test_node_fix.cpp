@@ -1,8 +1,8 @@
 // Property tests for the node-repair kernels (node_fix.hpp) against a
 // brute-force reference: the repaired parent must hold exactly the nv
 // smallest of parent ∪ children, per-child counts must be preserved, the
-// overall multiset must be conserved, and the residual-violation flags must
-// be exact.
+// overall multiset must be conserved, and the d-ary kernel's
+// residual-violation flags must be exact.
 #include "core/node_fix.hpp"
 
 #include <gtest/gtest.h>
@@ -20,15 +20,14 @@ namespace ph {
 namespace {
 
 using Less = std::less<std::uint64_t>;
-constexpr const std::uint64_t* kNoGrand = nullptr;
 
 /// fix_node on plain runs: each child is a slot without headroom, so its
 /// refill takes the forward path and leaves it packed at offset 0.
 template <typename T, typename Compare>
-FixOutcome<T> fix_runs(std::span<T> v, std::span<T> l, std::span<T> r, const T* gl,
-                       const T* gr, FixScratch<T>& s, Compare cmp) {
+FixOutcome<T> fix_runs(std::span<T> v, std::span<T> l, std::span<T> r, FixScratch<T>& s,
+                       Compare cmp) {
   NodeSlot<T> ls(l), rs(r);
-  const FixOutcome<T> out = fix_node(v, ls, rs, gl, gr, s, cmp);
+  const FixOutcome<T> out = fix_node(v, ls, rs, s, cmp);
   EXPECT_EQ(ls.head + rs.head, 0u);
   return out;
 }
@@ -45,7 +44,7 @@ TEST(FixNode, SimpleExchange) {
   std::vector<std::uint64_t> v{10, 20}, l{1, 30}, r{5, 40};
   FixScratch<std::uint64_t> s;
   const auto out = fix_runs(std::span<std::uint64_t>(v), std::span<std::uint64_t>(l),
-                            std::span<std::uint64_t>(r), kNoGrand, kNoGrand, s, Less{});
+                            std::span<std::uint64_t>(r), s, Less{});
   // Smallest 2 of {10,20,1,30,5,40} = {1,5}.
   EXPECT_EQ(v, (std::vector<std::uint64_t>{1, 5}));
   EXPECT_EQ(out.taken_l + out.taken_r, 2u);
@@ -60,7 +59,7 @@ TEST(FixNode, NoExchangeWhenOrdered) {
   std::vector<std::uint64_t> v{1, 2}, l{3, 4}, r{5, 6};
   FixScratch<std::uint64_t> s;
   const auto out = fix_runs(std::span<std::uint64_t>(v), std::span<std::uint64_t>(l),
-                            std::span<std::uint64_t>(r), kNoGrand, kNoGrand, s, Less{});
+                            std::span<std::uint64_t>(r), s, Less{});
   EXPECT_EQ(out.taken_l, 0u);
   EXPECT_EQ(out.taken_r, 0u);
   EXPECT_EQ(v, (std::vector<std::uint64_t>{1, 2}));
@@ -84,7 +83,7 @@ TEST(FixNode, RandomizedAgainstBruteForce) {
     const std::size_t nl = l.size(), nr = r.size();
     const auto out =
         fix_runs(std::span<std::uint64_t>(v), std::span<std::uint64_t>(l),
-                 std::span<std::uint64_t>(r), kNoGrand, kNoGrand, s, Less{});
+                 std::span<std::uint64_t>(r), s, Less{});
 
     // Parent: exactly the nv smallest of the union.
     EXPECT_TRUE(std::equal(v.begin(), v.end(), all.begin())) << "iter " << iter;
@@ -113,7 +112,9 @@ TEST(FixNode, RandomizedAgainstBruteForce) {
   }
 }
 
-TEST(FixNode, ViolationFlagsExact) {
+TEST(FixNodeMulti, ViolationFlagsExact) {
+  // A child that received fills violates iff its grandchild minimum sorts
+  // before its new largest item; a child without fills reports none.
   Xoshiro256 rng(73);
   FixScratch<std::uint64_t> s;
   for (int iter = 0; iter < 300; ++iter) {
@@ -122,22 +123,25 @@ TEST(FixNode, ViolationFlagsExact) {
     auto r = sorted_random(rng, 1 + rng.next_below(6), 50);
     const std::uint64_t gl = rng.next_below(50);
     const std::uint64_t gr = rng.next_below(50);
-    const auto out = fix_runs(std::span<std::uint64_t>(v), std::span<std::uint64_t>(l),
-                              std::span<std::uint64_t>(r), &gl, &gr, s, Less{});
-    if (out.taken_l > 0) {
-      EXPECT_EQ(out.l_violates, gl < l.back()) << "iter " << iter;
-    }
-    if (out.taken_r > 0) {
-      EXPECT_EQ(out.r_violates, gr < r.back()) << "iter " << iter;
-    }
+    std::array<NodeSlot<std::uint64_t>, 2> kids{std::span<std::uint64_t>(l),
+                                                std::span<std::uint64_t>(r)};
+    const std::array<const std::uint64_t*, 2> gms{&gl, &gr};
+    std::array<std::size_t, 2> taken{};
+    std::array<bool, 2> viol{};
+    fix_node_multi(std::span<std::uint64_t>(v), std::span<NodeSlot<std::uint64_t>>(kids),
+                   std::span<const std::uint64_t* const>(gms), std::span<std::size_t>(taken),
+                   std::span<bool>(viol), s, Less{});
+    EXPECT_EQ(viol[0], taken[0] > 0 && gl < l.back()) << "iter " << iter;
+    EXPECT_EQ(viol[1], taken[1] > 0 && gr < r.back()) << "iter " << iter;
   }
 }
 
 TEST(FixNodeMulti, MatchesBinaryKernel) {
-  // With d = 2 the multi kernel must be the binary kernel exactly: same
-  // parent, same children element for element (so the same fill routing),
-  // same flags and work count — for every grandmin case: both present,
-  // either or both absent, and equal (ties go to the lower index).
+  // The binary kernel gives L the lower slice of the fills. With d = 2 the
+  // multi kernel does the same whenever its grandmin ranking keeps L first
+  // (both absent, only L's present, or L's no later than R's: ties go to
+  // the lower index), and then the two must agree exactly: same parent,
+  // same children element for element, same taken counts and work count.
   Xoshiro256 rng(79);
   FixScratch<std::uint64_t> s1, s2;
   for (int iter = 0; iter < 600; ++iter) {
@@ -149,12 +153,12 @@ TEST(FixNodeMulti, MatchesBinaryKernel) {
     auto l2 = l1;
     auto r2 = r1;
     const std::uint64_t g0 = 30 + rng.next_below(40);
-    const std::uint64_t g1 = rng.next_below(4) == 0 ? g0 : 30 + rng.next_below(40);
-    std::array<const std::uint64_t*, 2> gms{rng.next_below(3) == 0 ? nullptr : &g0,
-                                            rng.next_below(3) == 0 ? nullptr : &g1};
+    const std::uint64_t g1 = rng.next_below(4) == 0 ? g0 : g0 + rng.next_below(40);
+    std::array<const std::uint64_t*, 2> gms{nullptr, nullptr};
+    if (rng.next_below(3) != 0) gms = {&g0, rng.next_below(3) == 0 ? nullptr : &g1};
 
     const auto out1 = fix_runs(std::span<std::uint64_t>(v1), std::span<std::uint64_t>(l1),
-                               std::span<std::uint64_t>(r1), gms[0], gms[1], s1, Less{});
+                               std::span<std::uint64_t>(r1), s1, Less{});
 
     std::array<NodeSlot<std::uint64_t>, 2> kids{std::span<std::uint64_t>(l2),
                                                 std::span<std::uint64_t>(r2)};
@@ -170,8 +174,6 @@ TEST(FixNodeMulti, MatchesBinaryKernel) {
     EXPECT_EQ(r1, r2) << "iter " << iter;
     EXPECT_EQ(out1.taken_l, taken[0]) << "iter " << iter;
     EXPECT_EQ(out1.taken_r, taken[1]) << "iter " << iter;
-    EXPECT_EQ(out1.l_violates, viol[0]) << "iter " << iter;
-    EXPECT_EQ(out1.r_violates, viol[1]) << "iter " << iter;
     EXPECT_EQ(out1.items_moved, moved) << "iter " << iter;
   }
 }
@@ -240,9 +242,9 @@ std::vector<Item> ref_merge(std::span<const Item> a, std::span<const Item> b) {
   return out;
 }
 
-/// The copy-based fix_node: merge into a temporary, copy back.
-FixOutcome<Item> ref_fix_node(std::span<Item> sv, std::span<Item> sl, std::span<Item> sr,
-                              const Item* gl, const Item* gr) {
+/// The copy-based fix_node: merge into a temporary, copy back; L takes the
+/// lower slice of the fills.
+FixOutcome<Item> ref_fix_node(std::span<Item> sv, std::span<Item> sl, std::span<Item> sr) {
   const std::size_t nv = sv.size(), nl = sl.size(), nr = sr.size();
   std::vector<Item> kid_prefix;
   std::size_t il = 0, ir = 0, t = 0;
@@ -266,22 +268,17 @@ FixOutcome<Item> ref_fix_node(std::span<Item> sv, std::span<Item> sl, std::span<
   auto nv_new = ref_merge(sv.first(nv - t), kid_prefix);
   std::copy(nv_new.begin(), nv_new.end(), sv.begin());
   out.items_moved += nv;
-  const bool larger_to_left = gr != nullptr && (gl == nullptr || kItemLess(*gr, *gl));
-  const std::size_t l_off = larger_to_left ? ir : 0;
-  const std::size_t r_off = larger_to_left ? 0 : il;
   if (il > 0) {
     const std::vector<Item> suf(sl.begin() + static_cast<std::ptrdiff_t>(il), sl.end());
-    auto m = ref_merge(suf, std::span<const Item>(dirty.data() + l_off, il));
+    auto m = ref_merge(suf, std::span<const Item>(dirty.data(), il));
     std::copy(m.begin(), m.end(), sl.begin());
     out.items_moved += nl;
-    out.l_violates = gl != nullptr && kItemLess(*gl, m.back());
   }
   if (ir > 0) {
     const std::vector<Item> suf(sr.begin() + static_cast<std::ptrdiff_t>(ir), sr.end());
-    auto m = ref_merge(suf, std::span<const Item>(dirty.data() + r_off, ir));
+    auto m = ref_merge(suf, std::span<const Item>(dirty.data() + il, ir));
     std::copy(m.begin(), m.end(), sr.begin());
     out.items_moved += nr;
-    out.r_violates = gr != nullptr && kItemLess(*gr, m.back());
   }
   return out;
 }
@@ -373,23 +370,19 @@ TEST(FixNode, InPlaceLayoutMatchesCopyReference) {
   Xoshiro256 rng(89);
   FixScratch<Item> s;
   for (int iter = 0; iter < 400; ++iter) {
-    RepairCase rc = random_case(rng, 2, iter % 2 == 1);
-    const Item* gl = rc.has_grand[0] ? &rc.grand[0] : nullptr;
-    const Item* gr = rc.has_grand[1] ? &rc.grand[1] : nullptr;
+    RepairCase rc = random_case(rng, 2, false);
     auto v2 = rc.v;
     auto l2 = rc.kids[0];
     auto r2 = rc.kids[1];
     const auto want = ref_fix_node(std::span<Item>(rc.v), std::span<Item>(rc.kids[0]),
-                                   std::span<Item>(rc.kids[1]), gl, gr);
-    const auto got = fix_runs(std::span<Item>(v2), std::span<Item>(l2), std::span<Item>(r2),
-                              gl, gr, s, kItemLess);
+                                   std::span<Item>(rc.kids[1]));
+    const auto got = fix_runs(std::span<Item>(v2), std::span<Item>(l2), std::span<Item>(r2), s,
+                              kItemLess);
     ASSERT_EQ(v2, rc.v) << "iter " << iter;
     ASSERT_EQ(l2, rc.kids[0]) << "iter " << iter;
     ASSERT_EQ(r2, rc.kids[1]) << "iter " << iter;
     EXPECT_EQ(got.taken_l, want.taken_l) << "iter " << iter;
     EXPECT_EQ(got.taken_r, want.taken_r) << "iter " << iter;
-    EXPECT_EQ(got.l_violates, want.l_violates) << "iter " << iter;
-    EXPECT_EQ(got.r_violates, want.r_violates) << "iter " << iter;
     EXPECT_EQ(got.items_moved, want.items_moved) << "iter " << iter;
   }
 }
