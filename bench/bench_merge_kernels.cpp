@@ -20,8 +20,9 @@
 // dropped prefix and the fills merge in from the back. Rows give ns and
 // items written per refill, median of 9 passes over 256 slots.
 //
-// A third table prices the batch sort of root work: std::sort against
-// sort_run (core/sorted_ops.hpp) on batches of 128 and 512 random items,
+// A third table prices the batch sort of root work: std::sort and
+// sort_in_place against sort_run (core/sorted_ops.hpp) on batches of 128
+// and 512 random items,
 // for uint64_t keys and for sim::Event (24 bytes, ordered by timestamp then
 // tag). Each row is ns per item, median of 9 passes over 64 batches; a
 // pass copies each batch into a work buffer and sorts it there, as root
@@ -162,7 +163,8 @@ double time_sort(const std::vector<std::vector<T>>& batches, Less less, Sort sor
   return passes[4];
 }
 
-/// One std::sort/sort_run row per batch size for the item type T.
+/// One std::sort/sort_in_place/sort_run row per batch size for the item
+/// type T.
 template <typename T, typename Less, typename Make>
 void sort_rows(const char* type, Less less, Make make, ph::Xoshiro256& rng,
                std::uint64_t& sink) {
@@ -175,15 +177,20 @@ void sort_rows(const char* type, Less less, Make make, ph::Xoshiro256& rng,
         batches, less,
         [](std::vector<T>& w, std::vector<T>&, Less c) { std::sort(w.begin(), w.end(), c); },
         sink);
+    const double in_place_ns = time_sort(
+        batches, less,
+        [](std::vector<T>& w, std::vector<T>&, Less c) { ph::sort_in_place(std::span<T>(w), c); },
+        sink);
     const double run_ns = time_sort(
         batches, less,
         [](std::vector<T>& w, std::vector<T>& s, Less c) {
           ph::sort_run(std::span<T>(w), std::span<T>(s), c);
         },
         sink);
-    ph::bench::row("%s,%zu,%.2f,%.2f", type, n, std_ns, run_ns);
+    ph::bench::row("%s,%zu,%.2f,%.2f,%.2f", type, n, std_ns, in_place_ns, run_ns);
     const std::string tail = std::string("_") + type + "_" + std::to_string(n) + "_ns_per_item";
     ph::bench::json_metric("merge_kernel_sort_std" + tail, std_ns);
+    ph::bench::json_metric("merge_kernel_sort_in_place" + tail, in_place_ns);
     ph::bench::json_metric("merge_kernel_sort_run" + tail, run_ns);
   }
 }
@@ -263,7 +270,7 @@ int main(int argc, char** argv) {
   }
   note("a full 512-item slot drops its k smallest and merges k fills among its top 64");
 
-  columns("type,n,std_sort_ns_per_item,sort_run_ns_per_item");
+  columns("type,n,std_sort_ns_per_item,sort_in_place_ns_per_item,sort_run_ns_per_item");
   sort_rows<std::uint64_t>("u64", std::less<std::uint64_t>{},
                            [](Xoshiro256& g) { return g(); }, rng, sink);
   sort_rows<sim::Event>("event", sim::EventOrder{}, random_event, rng, sink);

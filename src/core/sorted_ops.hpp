@@ -384,17 +384,17 @@ void swap_offsets(T* left, T* right, const std::uint8_t* off_l, const std::uint8
 /// a[p + 1, n) sorts no earlier. Each side scans a block of up to 64 items
 /// and records, as a byte offset, every item on the wrong side: the compare
 /// only adds to a count, so its outcome steers no branch. The recorded
-/// items are then exchanged pairwise. Returns p and whether the range was
-/// already partitioned (the first misplaced pair crossed).
+/// items are then exchanged pairwise. Returns p.
 template <typename T, typename Compare>
-std::pair<std::size_t, bool> partition_block(T* a, std::size_t n, Compare cmp) {
+std::size_t partition_block(T* a, std::size_t n, Compare cmp) {
   const T pivot = a[0];
   T* first = a;
   T* last = a + n;
   // choose_pivot left an item >= pivot to the right, so this scan stops.
   while (cmp(*++first, pivot)) {
   }
-  // Only if a[1] already failed may no item < pivot lie to the left.
+  // If that scan stopped at a[1], no item < pivot need lie left of it, so
+  // this scan needs a bound; otherwise a[1] stops it.
   if (first - 1 == a) {
     while (first < last && !cmp(*--last, pivot)) {
     }
@@ -402,8 +402,7 @@ std::pair<std::size_t, bool> partition_block(T* a, std::size_t n, Compare cmp) {
     while (!cmp(*--last, pivot)) {
     }
   }
-  const bool already = first >= last;
-  if (!already) {
+  if (first < last) {
     std::swap(*first, *last);
     ++first;
     alignas(64) std::uint8_t off_l[kQuicksortBlock];
@@ -444,15 +443,22 @@ std::pair<std::size_t, bool> partition_block(T* a, std::size_t n, Compare cmp) {
       }
     }
     // At most one block still holds misplaced items; move them to the
-    // boundary, farthest offset first.
-    while (num_l > 0) std::swap(base_l[off_l[start_l + --num_l]], *--last);
-    if (last < first) first = last;
-    while (num_r > 0) std::swap(*(base_r - off_r[start_r + --num_r]), *first++);
+    // boundary (first == last here), farthest offset first.
+    while (num_l > 0) {
+      --num_l;
+      --first;
+      std::swap(base_l[off_l[start_l + num_l]], *first);
+    }
+    while (num_r > 0) {
+      --num_r;
+      std::swap(*(base_r - off_r[start_r + num_r]), *first);
+      ++first;
+    }
   }
   T* const pos = first - 1;
   a[0] = std::move(*pos);
   *pos = pivot;
-  return {static_cast<std::size_t>(pos - a), already};
+  return static_cast<std::size_t>(pos - a);
 }
 
 /// pdqsort's partition for a pivot equal to a[-1], the pivot of an
@@ -464,7 +470,7 @@ std::size_t partition_equal(T* a, std::size_t n, Compare cmp) {
   const T pivot = a[0];
   T* first = a;
   T* last = a + n;
-  // choose_pivot left an item <= pivot in a[1, n), so this scan stops.
+  // a[0] still holds the pivot, so this scan stops there at the latest.
   while (cmp(pivot, *--last)) {
   }
   if (last + 1 == a + n) {
@@ -493,9 +499,9 @@ std::size_t partition_equal(T* a, std::size_t n, Compare cmp) {
 template <typename T, typename Compare>
 void quicksort(T* a, std::size_t n, std::size_t depth, bool leftmost, Compare cmp) {
   while (n > kQuicksortSmall) {
-    if (depth == 0) {
+    if (depth == 0) {  // heapsort
       std::make_heap(a, a + n, cmp);
-      std::sort_heap(a, a + n, cmp);
+      for (std::size_t m = n; m > 1; --m) std::pop_heap(a, a + m, cmp);
       return;
     }
     --depth;
@@ -506,7 +512,7 @@ void quicksort(T* a, std::size_t n, std::size_t depth, bool leftmost, Compare cm
       n -= p;
       continue;
     }
-    const std::size_t p = partition_block(a, n, cmp).first;
+    const std::size_t p = partition_block(a, n, cmp);
     quicksort(a, p, depth, leftmost, cmp);
     a += p + 1;
     n -= p + 1;
