@@ -543,8 +543,9 @@ TEST(SortedOps, InPlaceSortMatchesStdSort) {
       [](std::uint64_t key, std::size_t) { return key; }, std::less<std::uint64_t>{},
       "uint64");
 
-  // 24 bytes shaped like sim::Event, ordered by (ts, tag); pos records the
-  // input position and only the permutation check reads it.
+  // 24 bytes shaped like sim::Event, ordered by (ts, tag), which orders
+  // the pattern's keys as they are (below 2^53); pos records the input
+  // position and only the permutation check reads it.
   struct EventLike {
     double ts;
     std::uint32_t lp, pos;
@@ -560,7 +561,7 @@ TEST(SortedOps, InPlaceSortMatchesStdSort) {
   };
   check_sort_in_place<EventLike, EventLess>(
       [](std::uint64_t key, std::size_t i) {
-        return EventLike{static_cast<double>(key >> 12), 7, static_cast<std::uint32_t>(i),
+        return EventLike{static_cast<double>(key >> 2), 7, static_cast<std::uint32_t>(i),
                          key & 3};
       },
       [](const EventLike& a, const EventLike& b) {
