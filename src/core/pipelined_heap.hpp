@@ -138,20 +138,7 @@ class PipelinedParallelHeap {
   /// breadth-first layout; see ParallelHeap::build). Any in-flight
   /// processes are discarded together with the old content.
   void build(std::span<const T> items) {
-    procs_.clear();
-    dels_.clear();
-    inflight_ = 0;
-    // A throw mid-half-step (injected fault, user comparator) can strand
-    // already-spawned continuations in the transient scratch; if they
-    // survived a rebuild, the next half-step's merge_ctx would park them
-    // again and duplicate their carried items.
-    ibatch_.clear();
-    dbatch_.clear();
-    ctx_.spawned_.clear();
-    ctx_.spawned_dels_.clear();
-    ctx_.stats_ = HeapStats{};
-    arena_.build(items, cmp_);
-    size_ = items.size();
+    load(items);
     stats_.items_inserted += items.size();
   }
 
@@ -656,6 +643,24 @@ class PipelinedParallelHeap {
     return (t1 >> (dt - dv - 1)) - 1;
   }
 
+  /// Replaces the content with `items` (build() without the insert count).
+  void load(std::span<const T> items) {
+    procs_.clear();
+    dels_.clear();
+    inflight_ = 0;
+    // A throw mid-half-step (injected fault, user comparator) can strand
+    // already-spawned continuations in the transient scratch; if they
+    // survived a rebuild, the next half-step's merge_ctx would park them
+    // again and duplicate their carried items.
+    ibatch_.clear();
+    dbatch_.clear();
+    ctx_.spawned_.clear();
+    ctx_.spawned_dels_.clear();
+    ctx_.stats_ = HeapStats{};
+    arena_.build(items, cmp_);
+    size_ = items.size();
+  }
+
   /// The root-level work of one cycle (paper step 3).
   std::size_t root_work(std::span<const T> new_items, std::size_t k,
                         std::vector<T>& out) {
@@ -663,6 +668,7 @@ class PipelinedParallelHeap {
     // Allocation-failure site at cycle entry: fires before any heap state is
     // touched, modeling the root-work scratch buffers failing to grow.
     robustness::fire_oom(robustness::FailSite::kRootAlloc);
+    if (size_ == 0 && new_items.size() > 2 * r_) return bulk_work(new_items, k, out);
     new_buf_.assign(new_items.begin(), new_items.end());
     // merged_ is free until the root merge below, which grows it to
     // |root| + |batch| anyway: the sort's scratch costs no memory.
@@ -681,18 +687,24 @@ class PipelinedParallelHeap {
 
     const std::size_t root_cnt = arena_.count(0);
     const std::size_t below = size_ - root_cnt;
-    merged_.clear();
-    merge2(std::span<const T>(arena_.span(0)), std::span<const T>(new_buf_), merged_, cmp_);
-    const std::size_t take = std::min(k, merged_.size());
+    // merged_ keeps its high-water size: merge_n writes every item of
+    // [0, total), so growing it only to resize it would value-initialise
+    // items the merge overwrites.
+    const std::size_t total = root_cnt + new_buf_.size();
+    if (merged_.size() < total) merged_.resize(total);
+    std::size_t ri = 0, bi = 0;
+    merge_n(std::span<const T>(arena_.span(0)), ri, std::span<const T>(new_buf_), bi, total,
+            merged_.data(), cmp_);
+    const std::size_t take = std::min(k, total);
     PH_ASSERT(take == k || below == 0);
     out.insert(out.end(), merged_.begin(),
                merged_.begin() + static_cast<std::ptrdiff_t>(take));
     stats_.items_deleted += take;
 
-    const std::size_t rest = merged_.size() - take;
+    const std::size_t rest = total - take;
     const std::size_t new_total = size_ + new_buf_.size() - take;
     const std::size_t new_root_cnt = std::min(r_, new_total);
-    auto rest_span = std::span<const T>(merged_).subspan(take);
+    const auto rest_span = std::span<const T>(merged_.data() + take, rest);
 
     arena_.grow(1);
     if (rest >= new_root_cnt) {
@@ -720,6 +732,30 @@ class PipelinedParallelHeap {
     }
     if (size_ > arena_.count(0)) park_delete(0);
     return take;
+  }
+
+  /// Root work for a bulk batch (more than 2r items, the limit past which
+  /// sort_batch treats a batch as a bulk load) into an empty heap: the batch
+  /// is loaded in place as build() loads it, and the cycle goes on as one
+  /// with no new items. The k smallest leave the root, tail substitutes
+  /// refill it, and the root's delete-update is parked. The output is the
+  /// k smallest of the batch, as on the spawning path, with no batch copy
+  /// in new_buf_ and no insert-update. Any processes still parked carry
+  /// nothing (size() == 0) and are dropped with the empty content.
+  std::size_t bulk_work(std::span<const T> items, std::size_t k, std::vector<T>& out) {
+    load(items);
+    const auto root = arena_.span(0);
+    out.insert(out.end(), root.begin(), root.begin() + static_cast<std::ptrdiff_t>(k));
+    stats_.items_deleted += k;
+    if (k == 0) return 0;
+    subs_.clear();
+    take_tail(k, subs_);
+    stats_.substitutes += k;
+    NodeSlot<T> slot = arena_.slot(0);
+    stats_.items_written += refill(slot, std::span<const T>(subs_), cmp_);
+    arena_.commit(0, slot);
+    park_delete(0);
+    return k;
   }
 
   /// Splits the sorted run into tail-aligned chunks (largest items first)

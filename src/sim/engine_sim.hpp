@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "sim/event.hpp"
@@ -45,10 +46,8 @@ inline EngineSimResult run_engine_sim(const Model& model, double end_time,
   ParallelHeapEngine<Event, EventOrder> engine(ecfg);
 
   {
-    std::vector<Event> init;
-    for (const Event& e : model.initial_events()) {
-      if (e.ts < end_time) init.push_back(e);
-    }
+    std::vector<Event> init = model.initial_events();
+    std::erase_if(init, [end_time](const Event& e) { return !(e.ts < end_time); });
     engine.seed(init);
   }
 

@@ -32,10 +32,8 @@ SimResult run_sync_sim(GQ& q, const Model& model, double end_time,
   SimResult res;
   Timer wall;
   {
-    std::vector<Event> init;
-    for (const Event& e : model.initial_events()) {
-      if (e.ts < end_time) init.push_back(e);
-    }
+    std::vector<Event> init = model.initial_events();
+    std::erase_if(init, [end_time](const Event& e) { return !(e.ts < end_time); });
     std::vector<Event> sink;
     q.cycle(init, 0, sink);
   }

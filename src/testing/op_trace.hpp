@@ -9,6 +9,7 @@
 // tools/ph_repro from the reproducer file alone (repro format: DESIGN.md §7).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -151,7 +152,8 @@ struct GenConfig {
 
 /// Generates an adversarial cycle schedule: the generator walks through
 /// seeded "modes" — steady-state churn, grow bursts, forced shrink,
-/// exhaustion (cycling on an empty heap), duplicate-heavy tiny key alphabets,
+/// exhaustion (draining the heap, cycling on it empty, then refilling it
+/// with one bulk batch of more than 2r items), duplicate-heavy tiny key alphabets,
 /// strictly descending/ascending key runs (every batch a new global
 /// min / max), and think-phase feedback (re-insert the previous deletion
 /// batch at bumped priorities). Mode runs last a few cycles each, so one trace crosses many
@@ -182,11 +184,20 @@ inline OpTrace generate_trace(const GenConfig& cfg) {
   std::uint64_t desc_key = bound - rng.next_below(bound / 4 + 1);
   std::uint64_t asc_key = rng.next_below(bound / 4 + 1);
   const std::size_t r = cfg.r;
+  // What an exact structure holds after the ops so far, and what the last
+  // op deleted (a feedback op re-inserts that many), so that an exhaustion
+  // run knows when the heap is empty.
+  std::size_t live = 0, last_deleted = 0;
+  bool cycled_empty = false;
+  // An exhaustion run that can drain the heap within this many more cycles
+  // is extended until its bulk refill.
+  constexpr std::size_t kDrainSpan = 16;
 
   for (std::size_t cyc = 0; cyc < cfg.cycles; ++cyc) {
     if (mode_left == 0) {
       mode = static_cast<Mode>(rng.next_below(kNumModes));
       mode_left = 1 + rng.next_below(16);
+      cycled_empty = false;
     }
     --mode_left;
     Op op;
@@ -207,7 +218,16 @@ inline OpTrace generate_trace(const GenConfig& cfg) {
         op.k = r;
         break;
       case kExhaust:
-        op.k = r;  // no fresh items: drives to (and keeps cycling on) empty
+        if (live == 0 && cycled_empty) {
+          // A bulk batch into the drained heap, as a DES seeds its queue.
+          uniform_keys(2 * r + 1 + rng.next_below(2 * r), bound);
+          op.k = rng.next_below(r + 1);
+          mode_left = 0;
+          break;
+        }
+        op.k = r;  // no fresh items: drives to (and cycles on) empty
+        cycled_empty = live == 0;
+        if (mode_left == 0 && live <= kDrainSpan * r) mode_left = 1;
         break;
       case kDupes:
         uniform_keys(rng.next_below(2 * r + 2), 1 + rng.next_below(3));
@@ -236,6 +256,9 @@ inline OpTrace generate_trace(const GenConfig& cfg) {
         op.k = 1 + rng.next_below(r);
         break;
     }
+    const std::size_t total = live + op.fresh.size() + (op.feedback ? last_deleted : 0);
+    last_deleted = std::min(op.k, total);
+    live = total - last_deleted;
     t.ops.push_back(std::move(op));
   }
   return t;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -212,6 +213,45 @@ TEST(FaultRecovery, DeleteMinBatchRollsBackOnThrowingComparator) {
   const std::size_t n = q.delete_min_batch(8, out);
   EXPECT_EQ(n, 8u);
   EXPECT_EQ(out, std::vector<U64>(want.begin(), want.begin() + 8));
+}
+
+TEST(FaultRecovery, BulkInsertIntoEmptyHeapRollsBackOnThrowingComparator) {
+  // A bulk batch (more than 2r items) into an empty heap is loaded into the
+  // arena in place. A comparator that throws at any point of that load
+  // must leave a guarded insert_batch with an empty heap.
+  struct CountdownLess {
+    std::int64_t* left;
+    bool operator()(U64 a, U64 b) const {
+      if (*left >= 0 && (*left)-- == 0) throw std::runtime_error("comparator");
+      return a < b;
+    }
+  };
+  const std::vector<U64> fresh = seeded_keys(64, 29);
+  std::int64_t left = -1;
+  PipelinedParallelHeap<U64, CountdownLess> q(4, CountdownLess{&left});
+  q.set_batch_guard(true);
+  std::size_t throws = 0;
+  for (std::int64_t budget = 0;; budget += 37) {
+    left = budget;
+    try {
+      q.insert_batch(fresh);
+    } catch (const std::runtime_error&) {
+      ++throws;
+      left = -1;
+      ASSERT_TRUE(q.empty()) << "budget " << budget;
+      ASSERT_EQ(q.inflight(), 0u) << "budget " << budget;
+      std::string why;
+      ASSERT_TRUE(q.verify_invariants(&why)) << "budget " << budget << ": " << why;
+      ASSERT_TRUE(q.sorted_contents().empty()) << "budget " << budget;
+      continue;
+    }
+    break;
+  }
+  EXPECT_GT(throws, 1u);
+  left = -1;
+  std::vector<U64> want = fresh;
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(q.sorted_contents(), want);
 }
 
 TEST(FaultRecovery, SnapshotRestoreRoundTripsAcrossMutation) {

@@ -18,7 +18,11 @@ using Pipelined = PipelinedParallelHeap<std::uint64_t>;
 TEST(PipelinedEdges, DrainIsIdempotent) {
   Pipelined h(8);
   Xoshiro256 rng(1);
-  std::vector<std::uint64_t> fresh(64), out;
+  // A non-empty start, so the batch below spawns insert-updates (a bulk
+  // batch into an empty heap is loaded in place).
+  std::vector<std::uint64_t> seed(8), fresh(64), out;
+  for (auto& x : seed) x = rng.next_below(1u << 20);
+  h.build(seed);
   for (auto& x : fresh) x = rng.next_below(1u << 20);
   h.step(fresh, 0, out);
   EXPECT_GT(h.inflight(), 0u);
@@ -49,9 +53,12 @@ TEST(PipelinedEdges, NoOpStepsLeaveHeapIntact) {
 TEST(PipelinedEdges, BuildDiscardsInflightState) {
   Pipelined h(8);
   Xoshiro256 rng(3);
-  std::vector<std::uint64_t> fresh(100), out;
+  std::vector<std::uint64_t> seed(8), fresh(100), out;
+  for (auto& x : seed) x = rng.next_below(1u << 20);
+  h.build(seed);  // non-empty, so the batch below is not loaded in place
   for (auto& x : fresh) x = rng.next_below(1u << 20);
-  h.step(fresh, 0, out);  // processes in flight
+  h.step(fresh, 0, out);
+  ASSERT_GT(h.inflight(), 0u);
   std::vector<std::uint64_t> replacement{5, 1, 9, 3};
   h.build(replacement);
   EXPECT_EQ(h.inflight(), 0u);
@@ -67,10 +74,14 @@ TEST(PipelinedEdges, ShrinkToEmptyWhileDeliveriesInFlight) {
   Pipelined h(4);
   ParallelHeap<std::uint64_t> ref(4);
   Xoshiro256 rng(4);
-  std::vector<std::uint64_t> burst(64), got, want, sink;
+  std::vector<std::uint64_t> seed(4), burst(64), got, want, sink;
+  for (auto& x : seed) x = rng.next_below(1u << 16);
+  h.build(seed);  // non-empty, so the burst spawns deliveries
+  ref.build(seed);
   for (auto& x : burst) x = rng.next_below(1u << 16);
   h.step(burst, 0, sink);
   ref.cycle(burst, 0, sink);
+  ASSERT_GT(h.inflight(), 0u);
   while (h.size() > 0) {
     got.clear();
     want.clear();

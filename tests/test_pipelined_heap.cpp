@@ -102,11 +102,16 @@ TEST(PipelinedHeap, PureGrowThenPureShrink) {
 
 TEST(PipelinedHeap, ImmediateShrinkAfterGrowStealsInFlight) {
   // Insert a large batch (procs in flight) and shrink on the very next
-  // step, forcing tail substitutes to come out of carried sets.
+  // step, forcing tail substitutes to come out of carried sets. The heap
+  // starts non-empty: a bulk batch into an empty heap is loaded in place
+  // and leaves nothing in flight.
   Pipelined pipe(16);
   Reference ref(16);
   Xoshiro256 rng(602);
-  std::vector<std::uint64_t> fresh(400), got, want;
+  std::vector<std::uint64_t> seed(16), fresh(400), got, want;
+  for (auto& x : seed) x = rng.next_below(1u << 24);
+  pipe.build(seed);
+  ref.build(seed);
   for (auto& x : fresh) x = rng.next_below(1u << 24);
   pipe.insert_batch(fresh);
   ref.insert_batch(fresh);
@@ -311,6 +316,69 @@ TEST(PipelinedHeap, RootWorkBatchSizesMatchOracle) {
   std::string why;
   ASSERT_TRUE(pipe.check_invariants(&why)) << why;
   ASSERT_EQ(pipe.sorted_contents(), oracle.contents());
+}
+
+TEST(PipelinedHeap, BulkCycleIntoEmptyHeapLoadsInPlace) {
+  // A cycle of more than 2r items into an empty heap loads the batch into
+  // the arena in place and spawns no insert-update: its root work parks at
+  // most the root's delete-update. Two empty starts: a fresh heap, and a
+  // heap drained right after a grow burst. The drained heap has nothing
+  // parked at root work either: a delivery still in flight then targets a
+  // node at depth 2 or more, so the heap holds more than 3r items, and no
+  // cycle takes that many.
+  for (const std::size_t r : {std::size_t{3}, std::size_t{16}, std::size_t{512}}) {
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, r}) {
+      for (const std::size_t n : {2 * r + 1, 4 * r, (std::size_t{1} << 16) + r / 2}) {
+        for (const bool drained : {false, true}) {
+          const std::string what = "r=" + std::to_string(r) + " k=" + std::to_string(k) +
+                                   " n=" + std::to_string(n) +
+                                   (drained ? " drained" : " fresh");
+          Pipelined pipe(r);
+          testing::SortedOracle oracle;
+          Xoshiro256 rng(4040 + r + 7 * k + n);
+          std::vector<std::uint64_t> fresh, got, want;
+          auto make = [&](std::size_t items, std::size_t kk) {
+            fresh.clear();
+            for (std::size_t i = 0; i < items; ++i) fresh.push_back(rng.next_below(1u << 20));
+            got.clear();
+            want.clear();
+            oracle.cycle(fresh, kk, want);
+          };
+          auto cycle = [&](std::size_t items, std::size_t kk) {
+            make(items, kk);
+            pipe.step(fresh, kk, got);
+          };
+          if (drained) {
+            for (int i = 0; i < 4; ++i) cycle(2 * r, 0);
+            while (!oracle.empty()) {
+              cycle(0, r);
+              ASSERT_EQ(got, want) << what << " (drain)";
+            }
+          }
+          ASSERT_TRUE(pipe.empty()) << what;
+
+          // step(), split so the root work's spawns can be counted alone.
+          pipe.advance(1);
+          ASSERT_EQ(pipe.inflight(), 0u) << what;
+          make(n, k);
+          const std::uint64_t spawned = pipe.pipeline_stats().procs_spawned;
+          pipe.root_work_public(fresh, k, got);
+          ASSERT_EQ(got, want) << what;
+          EXPECT_LE(pipe.pipeline_stats().procs_spawned, spawned + (k > 0 ? 1 : 0)) << what;
+          EXPECT_EQ(pipe.inflight(), k > 0 ? 1u : 0u) << what;
+          std::string why;
+          ASSERT_TRUE(pipe.verify_invariants(&why)) << what << ": " << why;
+          pipe.advance(0);
+          for (int c = 0; c < 50; ++c) {
+            cycle(rng.next_below(3 * r), rng.next_below(r + 1));
+            ASSERT_EQ(got, want) << what << " mixed cycle " << c;
+          }
+          ASSERT_TRUE(pipe.check_invariants(&why)) << what << ": " << why;
+          ASSERT_EQ(pipe.sorted_contents(), oracle.contents()) << what;
+        }
+      }
+    }
+  }
 }
 
 TEST(PipelinedHeap, LongRandomSoak) {

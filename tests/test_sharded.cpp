@@ -122,6 +122,45 @@ TEST(ShardedHeap, K1MatchesUnshardedPipelinedBitForBit) {
   }
 }
 
+TEST(ShardedHeap, BulkFirstCycleMatchesK1) {
+  // des_torus seeds one event per LP in the first cycle, so each empty
+  // shard receives more than 2r items and loads them in place. The first
+  // cycle must return the oracle's k smallest, and every later cycle must
+  // match a K = 1 heap fed the same ops.
+  constexpr std::size_t kR = 16;
+  for (const std::size_t k : {std::size_t{0}, std::size_t{1}, kR}) {
+    ShardedHeap<U64> sharded(kR, ShardedHeap<U64>::Config{4});
+    PipelinedParallelHeap<U64> plain(kR);
+    SortedOracle oracle;
+    Xoshiro256 rng(4242 + k);
+    std::vector<U64> fresh(16 * kR), got_s, got_p, want;
+    for (auto& x : fresh) x = rng.next_below(1u << 20);
+    sharded.cycle(fresh, k, got_s);
+    plain.cycle(fresh, k, got_p);
+    oracle.cycle(fresh, k, want);
+    ASSERT_EQ(got_s, want) << "k=" << k;
+    ASSERT_EQ(got_p, want) << "k=" << k;
+    for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+      // Each shard's batch was a bulk load: no insert-update, only the
+      // pull's root delete-update (and a putback's spawns when k > 0).
+      ASSERT_GT(sharded.shard(s).size(), 2 * kR) << "shard " << s;
+      if (k == 0) {
+        EXPECT_EQ(sharded.shard(s).pipeline_stats().procs_spawned, 0u) << "shard " << s;
+      }
+    }
+    for (int c = 0; c < 200; ++c) {
+      fresh.resize(rng.next_below(2 * kR + 1));
+      for (auto& x : fresh) x = rng.next_below(1u << 20);
+      const std::size_t kk = rng.next_below(kR + 1);
+      got_s.clear();
+      got_p.clear();
+      sharded.cycle(fresh, kk, got_s);
+      plain.cycle(fresh, kk, got_p);
+      ASSERT_EQ(got_s, got_p) << "k=" << k << " cycle " << c;
+    }
+  }
+}
+
 // -------------------------------------------------------- drain edge cases
 
 TEST(ShardedHeap, EmptyShardsParticipateInMerge) {

@@ -34,6 +34,38 @@ TEST(StressHarness, GenerateTraceIsDeterministic) {
   for (const Op& op : a.ops) EXPECT_LE(op.k, cfg.r);
 }
 
+TEST(StressHarness, GeneratedTracesRefillDrainedHeapsInBulk) {
+  // Exhaustion runs drain the heap and refill it with one batch of more
+  // than 2r items, the batch a pipelined heap loads in place. Replaying the
+  // traces on the oracle must find such a cycle in most traces, at every r
+  // a default soak uses.
+  for (const std::size_t r : StressConfig{}.r_values) {
+    std::size_t with_bulk = 0;
+    constexpr std::size_t kTraces = 20;
+    for (std::uint64_t seed = 1; seed <= kTraces; ++seed) {
+      GenConfig cfg;
+      cfg.r = r;
+      cfg.seed = seed;
+      const OpTrace t = generate_trace(cfg);
+      SortedOracle oracle;
+      std::vector<std::uint64_t> fresh, got, prev;
+      bool bulk = false;
+      for (const Op& op : t.ops) {
+        fresh = op.fresh;
+        if (op.feedback) {
+          for (std::uint64_t v : prev) fresh.push_back(v + op.feedback_add);
+        }
+        bulk = bulk || (oracle.empty() && fresh.size() > 2 * r);
+        got.clear();
+        oracle.cycle(fresh, op.k, got);
+        prev = got;
+      }
+      if (bulk) ++with_bulk;
+    }
+    EXPECT_GE(2 * with_bulk, kTraces) << "r=" << r;
+  }
+}
+
 TEST(StressHarness, TraceRoundTripsThroughText) {
   GenConfig cfg;
   cfg.r = 5;
