@@ -668,7 +668,16 @@ class PipelinedParallelHeap {
     // Allocation-failure site at cycle entry: fires before any heap state is
     // touched, modeling the root-work scratch buffers failing to grow.
     robustness::fire_oom(robustness::FailSite::kRootAlloc);
-    if (size_ == 0 && new_items.size() > 2 * r_) return bulk_work(new_items, k, out);
+    // A bulk batch (more than 2r items, the limit past which sort_batch
+    // treats a batch as a bulk load) into an empty heap is loaded in place as
+    // build() loads it; the cycle then goes on as one with no new items. Its
+    // output is still the k smallest of the batch, with no batch copy in
+    // new_buf_ and no insert-update. Processes still parked carry nothing
+    // (size() == 0) and are dropped with the empty content.
+    if (size_ == 0 && new_items.size() > 2 * r_) {
+      load(new_items);
+      new_items = {};
+    }
     new_buf_.assign(new_items.begin(), new_items.end());
     // merged_ is free until the root merge below, which grows it to
     // |root| + |batch| anyway: the sort's scratch costs no memory.
@@ -732,30 +741,6 @@ class PipelinedParallelHeap {
     }
     if (size_ > arena_.count(0)) park_delete(0);
     return take;
-  }
-
-  /// Root work for a bulk batch (more than 2r items, the limit past which
-  /// sort_batch treats a batch as a bulk load) into an empty heap: the batch
-  /// is loaded in place as build() loads it, and the cycle goes on as one
-  /// with no new items. The k smallest leave the root, tail substitutes
-  /// refill it, and the root's delete-update is parked. The output is the
-  /// k smallest of the batch, as on the spawning path, with no batch copy
-  /// in new_buf_ and no insert-update. Any processes still parked carry
-  /// nothing (size() == 0) and are dropped with the empty content.
-  std::size_t bulk_work(std::span<const T> items, std::size_t k, std::vector<T>& out) {
-    load(items);
-    const auto root = arena_.span(0);
-    out.insert(out.end(), root.begin(), root.begin() + static_cast<std::ptrdiff_t>(k));
-    stats_.items_deleted += k;
-    if (k == 0) return 0;
-    subs_.clear();
-    take_tail(k, subs_);
-    stats_.substitutes += k;
-    NodeSlot<T> slot = arena_.slot(0);
-    stats_.items_written += refill(slot, std::span<const T>(subs_), cmp_);
-    arena_.commit(0, slot);
-    park_delete(0);
-    return k;
   }
 
   /// Splits the sorted run into tail-aligned chunks (largest items first)

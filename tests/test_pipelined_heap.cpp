@@ -320,8 +320,8 @@ TEST(PipelinedHeap, RootWorkBatchSizesMatchOracle) {
 
 TEST(PipelinedHeap, BulkCycleIntoEmptyHeapLoadsInPlace) {
   // A cycle of more than 2r items into an empty heap loads the batch into
-  // the arena in place and spawns no insert-update: its root work parks at
-  // most the root's delete-update. Two empty starts: a fresh heap, and a
+  // the arena in place and spawns no insert-update: its root work parks
+  // only the root's delete-update. Two empty starts: a fresh heap, and a
   // heap drained right after a grow burst. The drained heap has nothing
   // parked at root work either: a delivery still in flight then targets a
   // node at depth 2 or more, so the heap holds more than 3r items, and no
@@ -364,8 +364,10 @@ TEST(PipelinedHeap, BulkCycleIntoEmptyHeapLoadsInPlace) {
           const std::uint64_t spawned = pipe.pipeline_stats().procs_spawned;
           pipe.root_work_public(fresh, k, got);
           ASSERT_EQ(got, want) << what;
-          EXPECT_LE(pipe.pipeline_stats().procs_spawned, spawned + (k > 0 ? 1 : 0)) << what;
-          EXPECT_EQ(pipe.inflight(), k > 0 ? 1u : 0u) << what;
+          // n > 2r and k <= r leave more than the root: its delete-update is
+          // the one process root work parks.
+          EXPECT_EQ(pipe.pipeline_stats().procs_spawned, spawned + 1) << what;
+          EXPECT_EQ(pipe.inflight(), 1u) << what;
           std::string why;
           ASSERT_TRUE(pipe.verify_invariants(&why)) << what << ": " << why;
           pipe.advance(0);
